@@ -29,10 +29,11 @@ Usage::
 CI perf-smoke gates (all optional flags)::
 
     --gate-1k-seconds 120     fail if the 1k-function fleet point is slower
-    --baseline BENCH_perf.json --max-regression 0.2
+    --baseline scripts/perf_baseline.json --max-regression 0.2
                               fail if the machine-normalized 1k fleet
                               throughput (vs the run's own 12-fn fast
-                              calibration sample) regressed >20%
+                              calibration sample) regressed >20% against
+                              the committed --quick report
     --gate-obs-overhead 0.10  fail if fleet observability (columnar
                               FleetObsSession, sampled traces, spans)
                               costs more than 10% of obs-off throughput
@@ -186,7 +187,6 @@ QUICK_SCALING_POINTS = [
     (12, 1440, ("fast", "fleet")),
     (1_000, 240, ("fleet",)),
 ]
-FLEET_SHARDS = 4
 # Obs-overhead points: fleet-engine obs-on vs obs-off at these
 # (n_functions, horizon_minutes) sizes; quick mode keeps only the first,
 # so 10k leads — that is the size the overhead budget is stated at (the
@@ -205,8 +205,7 @@ PER_POINT_TIMEOUT_S = 900.0
 
 
 def run_point(
-    n: int, horizon: int, engine: str, shards: int, repeats: int,
-    obs: bool = False,
+    n: int, horizon: int, engine: str, repeats: int, obs: bool = False,
 ) -> None:
     """Child-process mode: one PULSE run at one scaling point; prints a
     JSON line with its best-of-``repeats`` wall time and this process's
@@ -234,9 +233,7 @@ def run_point(
     seconds = float("inf")
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        Simulation(trace, assignment, PulsePolicy(), lean).run(
-            engine=engine, shards=shards if engine == "fleet" else 1
-        )
+        Simulation(trace, assignment, PulsePolicy(), lean).run(engine=engine)
         seconds = min(seconds, time.perf_counter() - t0)
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     print(
@@ -261,7 +258,6 @@ def bench_fleet_scaling(quick: bool) -> dict:
             "engines": {},
         }
         for engine in engines:
-            shards = FLEET_SHARDS if engine == "fleet" else 1
             # Best-of-3 where a single run sits in noise territory
             # (sub-second samples feed the CI regression gate); one run
             # is plenty once a point takes tens of seconds.
@@ -270,8 +266,7 @@ def bench_fleet_scaling(quick: bool) -> dict:
                 proc = subprocess.run(
                     [
                         sys.executable, os.path.abspath(__file__), "--point",
-                        str(n), str(horizon), engine, str(shards),
-                        str(repeats), "off",
+                        str(n), str(horizon), engine, str(repeats), "off",
                     ],
                     capture_output=True,
                     text=True,
@@ -310,7 +305,6 @@ def bench_fleet_scaling(quick: bool) -> dict:
                 entry["speedup_is_lower_bound"] = True
         points.append(entry)
     return {
-        "shards": FLEET_SHARDS,
         "policy": "pulse",
         "note": (
             "fleet is SLOWER than fast below the crossover (~0.32x at 12 "
@@ -340,7 +334,6 @@ def bench_fleet_obs_overhead(quick: bool) -> dict:
     points = OBS_OVERHEAD_POINTS[:1] if quick else OBS_OVERHEAD_POINTS
     out: dict = {
         "engine": "fleet",
-        "shards": FLEET_SHARDS,
         "trace_sample": OBS_TRACE_SAMPLE,
         "points": [],
     }
@@ -356,8 +349,7 @@ def bench_fleet_obs_overhead(quick: bool) -> dict:
                 proc = subprocess.run(
                     [
                         sys.executable, os.path.abspath(__file__), "--point",
-                        str(n), str(horizon), "fleet", str(FLEET_SHARDS),
-                        "1", mode,
+                        str(n), str(horizon), "fleet", "1", mode,
                     ],
                     capture_output=True,
                     text=True,
@@ -464,8 +456,8 @@ def main() -> None:
     parser.add_argument("--out", default="BENCH_perf.json")
     parser.add_argument(
         "--point",
-        nargs=6,
-        metavar=("N", "HORIZON", "ENGINE", "SHARDS", "REPEATS", "OBS"),
+        nargs=5,
+        metavar=("N", "HORIZON", "ENGINE", "REPEATS", "OBS"),
         help=argparse.SUPPRESS,  # internal: scaling-point child process
     )
     parser.add_argument(
@@ -477,8 +469,9 @@ def main() -> None:
     parser.add_argument(
         "--baseline",
         default=None,
-        help="committed BENCH_perf.json to regression-gate the 1k fleet "
-        "throughput against (machine-normalized, see --max-regression)",
+        help="committed bench report (scripts/perf_baseline.json) to "
+        "regression-gate the 1k fleet throughput against "
+        "(machine-normalized, see --max-regression)",
     )
     parser.add_argument(
         "--gate-obs-overhead",
@@ -499,12 +492,25 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.point is not None:
-        n, horizon, engine, shards, point_repeats, obs = args.point
+        n, horizon, engine, point_repeats, obs = args.point
         run_point(
-            int(n), int(horizon), engine, int(shards), int(point_repeats),
+            int(n), int(horizon), engine, int(point_repeats),
             obs=(obs == "on"),
         )
         return
+
+    # Read the baseline before benching, so a missing file fails fast.
+    baseline = None
+    if args.baseline is not None:
+        try:
+            with open(args.baseline) as fh:
+                baseline = json.load(fh)
+        except FileNotFoundError:
+            raise SystemExit(
+                f"--baseline file {args.baseline} does not exist; regenerate "
+                "it with: PYTHONPATH=src python scripts/bench_perf.py "
+                f"--quick --out {args.baseline}"
+            ) from None
 
     horizon = (MINUTES_PER_DAY // 2) if args.quick else 2 * MINUTES_PER_DAY
     repeats = 3 if args.quick else 7
@@ -574,9 +580,7 @@ def main() -> None:
                 f"{point['overhead']:+.1%}, over the "
                 f"{args.gate_obs_overhead:.0%} gate"
             )
-    if args.baseline is not None:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
+    if baseline is not None:
         # Absolute fn-min/s are not comparable across machines (CI
         # runners are slower than wherever the baseline was produced),
         # so both sides are normalized by their own 12-fn fast sample —

@@ -14,7 +14,7 @@ Two numbers are reported so the transport cost is visible:
 
 - ``http``    — full loopback round trips through ThreadingHTTPServer;
 - ``inproc``  — the same drive calling ``SessionManager.advance()``
-  directly, which bounds what a faster transport (FastAPI/uvicorn, unix
+  directly, which bounds what a faster transport (an ASGI server, unix
   sockets) could recover.
 
 A third measurement prices crash durability: the in-process drive run

@@ -4,8 +4,8 @@
 mirror ``obs/fleet.py``) carry the repo's two fleet-scale contracts:
 **throughput** ("Python orchestrates, the kernel computes" — no
 per-function Python loops on the serve/observe/step hot paths) and
-**bit-identity** (shard-count invariance and golden equivalence vs the
-reference engine — every accumulation order is pinned). Both contracts
+**bit-identity** (golden equivalence vs the reference engine and
+obs-on ≡ obs-off — every accumulation order is pinned). Both contracts
 break silently: a stray ``for fid in range(n_fn)`` is a 100x slowdown
 nobody sees on the 12-function tests, and an ``argsort`` that loses
 ``kind="stable"`` flips tie-breaks only on ties. This rule lints them,

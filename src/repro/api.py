@@ -215,7 +215,6 @@ def simulate(
     policy: KeepAlivePolicy | str,
     config: SimulationConfig | None = None,
     engine: str = "auto",
-    shards: int = 1,
     faults: FaultPlan | str | None = None,
     observe: bool | ObservabilityConfig | None = None,
     checkpoint: CheckpointConfig | str | Path | None = None,
@@ -231,9 +230,6 @@ def simulate(
       reference cadence), ``"reference"``, ``"fast"``, or ``"fleet"``
       (the columnar fleet-scale kernel, see
       :mod:`repro.runtime.fleet`);
-    - ``shards`` — fleet-engine worker count (``engine="fleet"`` only):
-      the fleet is split into contiguous fid ranges that reduce each
-      minute; results are bit-identical for every shard count;
     - ``faults`` — a :class:`~repro.faults.plan.FaultPlan` or a compact
       spec string (``"spawn=0.1,pressure=0.05,pressure-mb=4000"``),
       overriding ``config.faults``;
@@ -252,8 +248,8 @@ def simulate(
       never having stopped. Must be paired with the same
       trace/assignment/policy/config that produced it.
 
-    Both engines produce bit-identical metrics (fault-free and under any
-    fixed fault plan), so ``engine`` is purely a speed knob.
+    Every engine produces bit-identical metrics (fault-free and under
+    any fixed fault plan), so ``engine`` is purely a speed knob.
 
     All arguments past ``trace`` are keyword-only (the whole ``repro.api``
     facade is — RPR007 — so call sites stay greppable and reorderable).
@@ -283,10 +279,9 @@ def simulate(
         from repro.serve.session import ControlSession
 
         sim = Simulation(trace, assignment, policy, cfg)
-        return ControlSession(sim, engine=engine, shards=shards).replay()
+        return ControlSession(sim, engine=engine).replay()
     return Simulation(trace, assignment, policy, cfg).run(
         engine=engine,
-        shards=shards,
         checkpoint=checkpoint,
         resume_from=resume_from,
     )

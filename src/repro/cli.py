@@ -149,7 +149,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         policy = make_policy(name, resilient=args.resilient)
         result = simulate(
             trace, assignment=assignment, policy=policy, config=sim,
-            engine=args.engine, shards=args.shards, faults=args.faults,
+            engine=args.engine, faults=args.faults,
         )
         row = result.summary()
         # Machine wall time, not a workload metric — printing it would
@@ -428,7 +428,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     rates = tuple(parse_float_list(args.rates, "--rates"))
     config = ExperimentConfig(
         n_runs=args.runs, horizon_minutes=args.horizon, seed=args.seed,
-        engine=args.engine, shards=args.shards,
+        engine=args.engine,
     )
     points = resilience_sweep(
         config=config,
@@ -537,13 +537,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         config = ExperimentConfig(
             n_runs=sc["n_runs"], horizon_minutes=sc["horizon_minutes"],
             seed=sc["seed"], n_jobs=n_jobs, engine=sc["engine"],
-            shards=sc.get("shards", 1),
         )
     else:
         config = ExperimentConfig(
             n_runs=args.runs, horizon_minutes=trace.horizon,
             seed=args.seed, n_jobs=n_jobs, engine=args.engine,
-            shards=args.shards,
         )
     try:
         result = run_sweep(
@@ -672,9 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "every function; implies --observe)")
     p_sim.add_argument("--engine", choices=ENGINES, default="auto",
                        help="simulation engine (all are metric-identical)")
-    p_sim.add_argument("--shards", type=int, default=1,
-                       help="fleet-engine shard count (engine=fleet only; "
-                            "bit-identical for any value)")
     p_sim.add_argument("--faults", metavar="SPEC",
                        help="fault plan, e.g. "
                             "'spawn=0.1,slow=0.05,drop=0.01,seed=7'")
@@ -794,8 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also inject memory-pressure spikes capped at "
                             "this many MB")
     p_res.add_argument("--engine", choices=ENGINES, default="auto")
-    p_res.add_argument("--shards", type=int, default=1,
-                       help="fleet-engine shard count (engine=fleet only)")
     p_res.set_defaults(func=_cmd_resilience)
 
     p_sweep = sub.add_parser(
@@ -829,8 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=2,
                          help="concurrent worker processes")
     p_sweep.add_argument("--engine", choices=ENGINES, default="auto")
-    p_sweep.add_argument("--shards", type=int, default=1,
-                         help="fleet-engine shard count (engine=fleet only)")
     p_sweep.add_argument("--timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="per-attempt wall-clock timeout (hung workers "

@@ -185,7 +185,6 @@ def _durable_worker(payload: dict[str, Any]) -> None:
 
         result = Simulation(trace, payload["assignment"], policy, cfg).run(
             payload["engine"],
-            shards=payload.get("shards", 1),
             checkpoint=checkpoint,
             resume_from=resume_from,
         )
@@ -262,7 +261,6 @@ def run_durable_sweep(
         "horizon_minutes": config.horizon_minutes,
         "seed": config.seed,
         "engine": config.engine,
-        "shards": config.shards,
         "sim": repr(config.sim),
         "resilient": resilient,
         **(sweep_config_extra or {}),
@@ -328,7 +326,6 @@ def run_durable_sweep(
             "assignment": assignments[rec.run_index],
             "sim": config.sim,
             "engine": config.engine,
-            "shards": config.shards,
             "resilient": resilient,
             "honor_policy_window": True,
             "artifact_path": str(artifact),

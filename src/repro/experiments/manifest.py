@@ -36,7 +36,13 @@ __all__ = [
     "trace_hash",
 ]
 
-MANIFEST_SCHEMA_VERSION = 1
+#: Bumped whenever the manifest layout or the ``sweep_config`` key set
+#: changes; ``load()`` refuses other versions up front.
+#: v2: ``sweep_config`` lost its ``shards`` key (the fleet engine is no
+#: longer partitioned), so a v1 manifest's config hash can never match
+#: a rebuilt config — refusing it by version names the real cause
+#: instead of a "sweep config mismatch".
+MANIFEST_SCHEMA_VERSION = 2
 
 #: Legal run states and the transitions the executor drives:
 #: pending -> running -> done | failed; failed -> running (retry/resume).

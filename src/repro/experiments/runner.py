@@ -105,9 +105,6 @@ class ExperimentConfig:
     #: cadence — all loops are metric-identical, so this is speed only.
     #: "fleet" selects the columnar fleet-scale kernel.
     engine: str = "auto"
-    #: Fleet-engine shard count (only meaningful with ``engine="fleet"``;
-    #: bit-identical results for any value).
-    shards: int = 1
 
     def __post_init__(self) -> None:
         check_positive_int("n_runs", self.n_runs)
@@ -119,12 +116,6 @@ class ExperimentConfig:
         object.__setattr__(
             self, "engine", parse_engine(self.engine, flag="engine")
         )
-        check_positive_int("shards", self.shards)
-        if self.shards != 1 and self.engine != "fleet":
-            raise ValueError(
-                f"shards={self.shards} is only meaningful with "
-                f"engine='fleet', got engine={self.engine!r}"
-            )
 
 
 def default_trace(config: ExperimentConfig) -> Trace:
@@ -140,23 +131,18 @@ def run_policy(
     policy: KeepAlivePolicy,
     sim: SimulationConfig | None = None,
     engine: str = "auto",
-    shards: int = 1,
 ) -> RunResult:
     """One simulation run (thin convenience wrapper)."""
-    return Simulation(trace, assignment, policy, sim).run(
-        engine=engine, shards=shards
-    )
+    return Simulation(trace, assignment, policy, sim).run(engine=engine)
 
 
 def _one_run(
     args: tuple[
-        Trace, dict[int, ModelFamily], PolicyFactory, SimulationConfig, str, int
+        Trace, dict[int, ModelFamily], PolicyFactory, SimulationConfig, str
     ],
 ) -> RunResult:
-    trace, assignment, factory, sim, engine, shards = args
-    return Simulation(trace, assignment, factory(), sim).run(
-        engine=engine, shards=shards
-    )
+    trace, assignment, factory, sim, engine = args
+    return Simulation(trace, assignment, factory(), sim).run(engine=engine)
 
 
 # The trace dominates the pickled payload of a sweep task (counts is an
@@ -172,14 +158,12 @@ def _init_worker(trace: Trace) -> None:
 
 
 def _one_worker_run(
-    args: tuple[
-        dict[int, ModelFamily], PolicyFactory, SimulationConfig, str, int
-    ],
+    args: tuple[dict[int, ModelFamily], PolicyFactory, SimulationConfig, str],
 ) -> RunResult:
-    assignment, factory, sim, engine, shards = args
+    assignment, factory, sim, engine = args
     assert _worker_trace is not None, "pool initializer did not run"
     return Simulation(_worker_trace, assignment, factory(), sim).run(
-        engine=engine, shards=shards
+        engine=engine
     )
 
 
@@ -229,7 +213,7 @@ def run_policies(
                 name: [
                     pool.submit(
                         _one_worker_run,
-                        (a, factory, config.sim, config.engine, config.shards),
+                        (a, factory, config.sim, config.engine),
                     )
                     for a in assignments
                 ]
@@ -251,10 +235,9 @@ def run_policies(
             for idx, a in enumerate(assignments):
                 try:
                     runs.append(
-                        _one_run((
-                            trace, a, factory, config.sim,
-                            config.engine, config.shards,
-                        ))
+                        _one_run(
+                            (trace, a, factory, config.sim, config.engine)
+                        )
                     )
                 except Exception as exc:
                     if on_error == "raise":

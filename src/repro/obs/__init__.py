@@ -15,7 +15,7 @@ invocation found nothing warm. This subpackage is that explanatory layer:
   the engine threads through the policy layer, and :data:`NULL_OBS`,
   the zero-cost disabled stand-in;
 - :mod:`repro.obs.fleet`   — :class:`FleetObsSession`, the columnar
-  variant the fleet engine uses: per-shard numpy partials plus seeded
+  variant the fleet engine uses: per-minute numpy partials plus seeded
   sampled decision traces instead of per-decision hook calls;
 - :mod:`repro.obs.export`  — JSONL decision-trace dump/load and
   cross-run session merging (used by the sweep runner);

@@ -5,19 +5,19 @@ at fleet scale (10k–100k functions) that is one Python call per
 function-minute and would swamp the vectorized kernel. The fleet session
 keeps the same external contract — it *is* an :class:`ObsSession`, rides
 ``RunResult.obs``, merges, pickles, exports — but accumulates telemetry
-in per-minute, per-shard numpy partials instead:
+in per-minute numpy partials instead:
 
-- ``shard_invocations`` / ``shard_cold``  — int64 totals per shard;
 - ``plan_level_counts``                   — a histogram of planned
   keep-alive variant levels across every plan written;
 - ``mem_series`` / ``valve_series`` / ``downgrade_series`` — per-minute
   committed memory, forced-valve victims and Algorithm-2 downgrades.
 
-The ``tally_*`` batch hooks that feed these take whole arrays or already
-reduced integers, cost O(1) Python calls per shard-minute, and only
-*read* engine state — no RNG draws, no float-accumulation reorder — so
-obs-on fleet runs stay bit-identical to obs-off, and the integer
-partials make metric totals shard-invariant (shards=1 ≡ shards=k).
+Invocation and cold-start totals are not duplicated here: the engine's
+own counters feed ``invocations_total`` / ``cold_starts_total``. The
+``tally_*`` batch hooks take whole arrays or already reduced integers,
+cost O(1) Python calls per minute, and only *read* engine state — no
+RNG draws, no float-accumulation reorder — so obs-on fleet runs stay
+bit-identical to obs-off.
 
 **Sampled decision traces.** Full per-decision records (plans with
 probability vectors, cold starts, downgrade ``Uv = Ai + Pr + Ip``
@@ -49,8 +49,7 @@ class FleetObsSession(ObsSession):
     """One fleet run's telemetry: columnar partials + sampled records."""
 
     __slots__ = (
-        "n_functions", "n_shards", "horizon",
-        "shard_invocations", "shard_cold",
+        "n_functions", "horizon",
         "plan_level_counts", "mem_series", "valve_series",
         "downgrade_series", "n_peaks",
         "sample_fids", "sample_mask", "has_sample", "_last_seen",
@@ -61,15 +60,11 @@ class FleetObsSession(ObsSession):
         config: ObservabilityConfig | None = None,
         *,
         n_functions: int,
-        n_shards: int,
         horizon: int,
     ):
         super().__init__(config)
         self.n_functions = int(n_functions)
-        self.n_shards = int(n_shards)
         self.horizon = int(horizon)
-        self.shard_invocations = np.zeros(self.n_shards, dtype=np.int64)
-        self.shard_cold = np.zeros(self.n_shards, dtype=np.int64)
         self.plan_level_counts = np.zeros(8, dtype=np.int64)
         self.mem_series = np.zeros(self.horizon, dtype=np.float64)
         self.valve_series = np.zeros(self.horizon, dtype=np.int64)
@@ -96,16 +91,11 @@ class FleetObsSession(ObsSession):
         self._last_seen: dict[int, int | None] = {int(f): None for f in fids}
 
     # -- columnar batch hooks ------------------------------------------------
-    def tally_serve(self, shard: int, n_invocations: int, n_cold: int) -> None:
-        """Fold one shard-minute's serving totals in."""
-        self.shard_invocations[shard] += n_invocations
-        self.shard_cold[shard] += n_cold
-
     def tally_plans(self, levels: np.ndarray) -> None:
         """Fold a batch of planned keep-alive variant levels in — any
         shape; ``-1`` entries (keep-nothing offsets) are ignored. One
         shifted bincount, no scan/filter passes: this runs once per
-        shard-minute on the whole plan matrix."""
+        minute on the whole plan matrix."""
         flat = np.ravel(levels)
         if flat.size == 0:
             return
@@ -150,8 +140,8 @@ class FleetObsSession(ObsSession):
     def finalize_fleet_metrics(self) -> None:
         """Register the fleet-only aggregate series from the columnar
         partials. The shared cross-engine metric names (RPR002 parity
-        surface) are registered by ``run_fleet`` itself; these are the
-        extras that only make sense for a sharded columnar run."""
+        surface) are registered by the fleet stepper itself; these are
+        the extras that only make sense for a columnar run."""
         if not self.metrics_enabled:
             return
         met = self.metrics
@@ -162,11 +152,8 @@ class FleetObsSession(ObsSession):
             if n:
                 plan_counter.inc(int(n), level=str(level))
         met.counter(
-            "fleet_peaks_total", "memory peaks flagged by the shard reducer"
+            "fleet_peaks_total", "memory peaks flagged by the fleet reducer"
         ).inc(self.n_peaks)
-        met.gauge("fleet_shards", "shard count for this run").set(
-            float(self.n_shards)
-        )
         met.gauge(
             "fleet_trace_sample", "sampled function ids with full decision traces"
         ).set(float(self.sample_fids.size))
@@ -174,7 +161,7 @@ class FleetObsSession(ObsSession):
     def __repr__(self) -> str:
         return (
             f"FleetObsSession(functions={self.n_functions}, "
-            f"shards={self.n_shards}, records={len(self.records)}, "
+            f"records={len(self.records)}, "
             f"sample={self.sample_fids.size})"
         )
 
@@ -183,10 +170,7 @@ class FleetObsSession(ObsSession):
         state = super().__getstate__()
         state.update({
             "n_functions": self.n_functions,
-            "n_shards": self.n_shards,
             "horizon": self.horizon,
-            "shard_invocations": self.shard_invocations,
-            "shard_cold": self.shard_cold,
             "plan_level_counts": self.plan_level_counts,
             "mem_series": self.mem_series,
             "valve_series": self.valve_series,
@@ -200,10 +184,7 @@ class FleetObsSession(ObsSession):
     def __setstate__(self, state):
         super().__setstate__(state)
         self.n_functions = state["n_functions"]
-        self.n_shards = state["n_shards"]
         self.horizon = state["horizon"]
-        self.shard_invocations = state["shard_invocations"]
-        self.shard_cold = state["shard_cold"]
         self.plan_level_counts = state["plan_level_counts"]
         self.mem_series = state["mem_series"]
         self.valve_series = state["valve_series"]

@@ -10,9 +10,9 @@ included only when the run carried the data for them:
 - warm/cold/forced-downgrade bar chart;
 - span-phase timing bar chart (when spans were enabled);
 - a fleet telemetry section (when the run carried a
-  :class:`~repro.obs.fleet.FleetObsSession`): per-shard serving and
-  phase-timing breakdown, run throughput, and the memory / valve /
-  downgrade timeline from the columnar partials;
+  :class:`~repro.obs.fleet.FleetObsSession`): serving totals and the
+  serve/observe/plan phase timings, run throughput, and the memory /
+  valve / downgrade timeline from the columnar partials;
 - decision-record tally and flat metrics table (when the respective
   observability layers were enabled).
 
@@ -64,48 +64,35 @@ def _table(rows: list[tuple[str, object]], headers: tuple[str, str]) -> str:
 
 
 def _fleet_section(result, obs: FleetObsSession) -> list[str]:
-    """The fleet-only report section: per-shard breakdown, throughput,
-    and the memory / valve / downgrade timeline from the columnar
-    partials."""
+    """The fleet-only report section: serving totals and phase timings,
+    throughput, and the memory / valve / downgrade timeline from the
+    columnar partials."""
     parts: list[str] = ["<h2>Fleet telemetry</h2>"]
 
     wall = float(result.wall_clock_s)
     throughput = result.n_invocations / wall if wall > 0 else 0.0
     minutes_per_s = obs.horizon / wall if wall > 0 else 0.0
+    tree = obs.spans.tree() if obs.spans_enabled and obs.spans else {}
+    phase_ms = [
+        (f"{phase} ms", tree[phase]["seconds"] * 1e3)
+        for phase in ("serve", "observe", "plan")
+        if phase in tree
+    ]
     parts.append(
         _table(
             [
-                ("shards", obs.n_shards),
                 ("functions", obs.n_functions),
+                ("invocations", result.n_invocations),
+                ("cold starts", result.n_cold),
                 ("sampled decision traces", int(obs.sample_fids.size)),
                 ("memory peaks", obs.n_peaks),
                 ("throughput (invocations/s)", throughput),
                 ("simulated minutes/s", minutes_per_s),
+                *phase_ms,
             ],
             ("fleet", "value"),
         )
     )
-
-    # Per-shard serving totals, with per-shard phase seconds when spans
-    # were on (the shard timers live under ``shard-{i}/...`` in the tree).
-    tree = obs.spans.tree() if obs.spans_enabled and obs.spans else {}
-    header = "<tr><th>shard</th><th>invocations</th><th>cold</th>"
-    timed = bool(tree)
-    if timed:
-        header += "<th>serve ms</th><th>observe ms</th><th>plan ms</th>"
-    rows = [header + "</tr>"]
-    for i in range(obs.n_shards):
-        row = (
-            f'<tr><td>{i}</td><td class="num">{int(obs.shard_invocations[i])}'
-            f'</td><td class="num">{int(obs.shard_cold[i])}</td>'
-        )
-        if timed:
-            phases = tree.get(f"shard-{i}", {}).get("children", {})
-            for phase in ("serve", "observe", "plan"):
-                ms = phases.get(phase, {}).get("seconds", 0.0) * 1e3
-                row += f'<td class="num">{ms:.3f}</td>'
-        rows.append(row + "</tr>")
-    parts.append(f"<table>{''.join(rows)}</table>")
 
     reduce_phases = tree.get("reduce", {}).get("children", {})
     if reduce_phases:

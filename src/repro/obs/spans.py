@@ -90,8 +90,8 @@ class SpanTimer:
         """The phases as one nested span tree, split on ``/``.
 
         The fleet engine names its phases hierarchically —
-        ``shard-0/serve``, ``reduce/peak-flatten`` — so per-shard timers
-        and reducer timers merge into a single tree per run. A node is
+        ``serve``, ``reduce/peak-flatten`` — so its kernel timers and
+        reducer timers merge into a single tree per run. A node is
         ``{"seconds", "count", "children"}``; an interior node with no
         samples of its own has ``seconds == 0`` and its children carry
         the time. Flat phase names ("estimate") come out as root leaves.

@@ -77,7 +77,13 @@ __all__ = [
 #: versioned, integrity-checked JSON carrier — the pickle layout is
 #: unchanged, so no bump; envelopes embed this version and refuse
 #: mismatches exactly like ``load()``.
-CHECKPOINT_SCHEMA_VERSION = 2
+#: v3: the fleet payload's ``fleet`` entry is one unpartitioned
+#: ``FleetState`` over fids ``0..n-1`` (it was a ``FleetShards`` set of
+#: per-shard ``_Shard`` objects), and the pickled ``FleetObsSession``
+#: state lost its ``n_shards`` / ``shard_invocations`` / ``shard_cold``
+#: fields. A v2 fleet snapshot would unpickle into classes that no
+#: longer exist, so v2 is refused up front with the version message.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 #: The schema manifest: the exact field set each engine's
 #: ``live_state()`` pickles into the payload, per engine key. This is

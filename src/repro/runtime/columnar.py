@@ -22,8 +22,8 @@ best-effort goal. Three properties make it achievable:
   are reproduced with sequential folds — see :func:`seq_fold`.
 - **Order-free integer state.** Invocation histograms, entry counts and
   downgrade counters are integers; batch scatter-adds (``np.add.at``)
-  commute, so shards can update partials independently and a reducer can
-  merge them by exact integer addition.
+  commute, so a whole minute's batch updates them in one call and reaches
+  the state the reference's per-function updates reach.
 
 Nothing here imports the engine or the policies: the kernels are pure
 state + math, testable in isolation.
@@ -134,8 +134,8 @@ class VariantTables:
 class ColumnarEstimator:
     """Vectorized :class:`~repro.core.interarrival.InterArrivalEstimator`.
 
-    Holds one shard's inter-arrival state as dense arrays over local
-    function indices. The reference keeps a per-function deque of
+    Holds the fleet's inter-arrival state as dense arrays over function
+    ids. The reference keeps a per-function deque of
     ``(arrival minute, gap)`` pairs and evicts lazily at query time; here
     the recent queue is a deque of *per-minute batches* and eviction runs
     eagerly once per minute. The two are equivalent: a query at minute
@@ -287,26 +287,26 @@ class ColumnarEstimator:
 
 
 class RingSchedule:
-    """One shard's keep-alive entries over a rolling window of minutes.
+    """The fleet's keep-alive entries over a rolling window of minutes.
 
     Entries only ever exist for minutes ``t .. t+K`` (the engine is at
     minute ``t``; plans reach at most K ahead), so the schedule is a ring
     of ``K+1`` columns: column ``m % (K+1)`` holds minute ``m``'s planned
     variant *level* per function (−1 = nothing planned). Alongside, a
     ``(column, footprint slot)`` count matrix mirrors
-    :class:`KeepAliveSchedule`'s per-minute count ledger for this shard's
-    fid range — the reducer sums these across shards and folds them in
-    slot order to reproduce the canonical memory value exactly.
+    :class:`KeepAliveSchedule`'s per-minute count ledger — the reducer
+    folds a column in slot order to reproduce the canonical memory value
+    exactly.
     """
 
-    def __init__(self, n_functions: int, keep_alive_window: int, tables: VariantTables, fam: np.ndarray):
-        self.n_functions = n_functions
+    def __init__(self, tables: VariantTables, keep_alive_window: int):
+        self.n_functions = n_functions = tables.fam_idx.size
         self.keep_alive_window = keep_alive_window
         self.n_cols = keep_alive_window + 1
         self.levels = np.full((n_functions, self.n_cols), -1, dtype=np.int8)
         self.cnt = np.zeros((self.n_cols, tables.n_slots), dtype=np.int64)
         self.slot_of = tables.slot_of
-        self.fam = fam  # family index per local fid
+        self.fam = tables.fam_idx
 
     def begin_minute(self, minute: int) -> None:
         """Recycle the column that held minute ``minute - 1``: it now
@@ -316,46 +316,46 @@ class RingSchedule:
             self.levels[:, col] = -1
             self.cnt[col, :] = 0
 
-    def alive_levels(self, lfids: np.ndarray, minute: int) -> np.ndarray:
-        """Planned level at ``minute`` for each local fid (−1 = absent)."""
-        return self.levels[lfids, minute % self.n_cols].astype(np.int64)
+    def alive_levels(self, fids: np.ndarray, minute: int) -> np.ndarray:
+        """Planned level at ``minute`` for each fid (−1 = absent)."""
+        return self.levels[fids, minute % self.n_cols].astype(np.int64)
 
-    def alive_lfids(self, minute: int) -> np.ndarray:
-        """Local fids with an entry at ``minute``, ascending."""
+    def alive_fids(self, minute: int) -> np.ndarray:
+        """Fids with an entry at ``minute``, ascending."""
         return np.flatnonzero(self.levels[:, minute % self.n_cols] >= 0)
 
-    def mark_alive(self, lfids: np.ndarray, minute: int, levels: np.ndarray) -> None:
+    def mark_alive(self, fids: np.ndarray, minute: int, levels: np.ndarray) -> None:
         """Add entries at ``minute`` for fids known to have none (the
         engine's cold-start bookkeeping)."""
-        if lfids.size == 0:
+        if fids.size == 0:
             return
         col = minute % self.n_cols
-        self.levels[lfids, col] = levels
-        np.add.at(self.cnt, (col, self.slot_of[self.fam[lfids], levels]), 1)
+        self.levels[fids, col] = levels
+        np.add.at(self.cnt, (col, self.slot_of[self.fam[fids], levels]), 1)
 
-    def mark_alive_one(self, lfid: int, minute: int, level: int) -> None:
+    def mark_alive_one(self, fid: int, minute: int, level: int) -> None:
         """Scalar :meth:`mark_alive` for the engine's compatibility loop."""
         col = minute % self.n_cols
-        self.levels[lfid, col] = level
-        self.cnt[col, self.slot_of[self.fam[lfid], level]] += 1
+        self.levels[fid, col] = level
+        self.cnt[col, self.slot_of[self.fam[fid], level]] += 1
 
     def write_plans(
-        self, lfids: np.ndarray, minute: int, plan_levels: np.ndarray
+        self, fids: np.ndarray, minute: int, plan_levels: np.ndarray
     ) -> None:
         """Install plans for minutes ``minute+1 .. minute+W`` (one row per
-        fid in ``lfids``; level −1 clears the minute's entry).
+        fid in ``fids``; level −1 clears the minute's entry).
 
         Equivalent to the reference's per-minute ``set_plan`` writes:
         unchanged entries are untouched, changes move one integer count
         from the old footprint slot to the new one.
         """
-        if lfids.size == 0:
+        if fids.size == 0:
             return
         width = plan_levels.shape[1]
         cols = (minute + 1 + np.arange(width)) % self.n_cols
-        old = self.levels[lfids[:, None], cols[None, :]].astype(np.int64)
+        old = self.levels[fids[:, None], cols[None, :]].astype(np.int64)
         changed = old != plan_levels
-        fam = self.fam[lfids]
+        fam = self.fam[fids]
         rows, offs = np.nonzero(changed & (old >= 0))
         if rows.size:
             np.add.at(
@@ -370,24 +370,24 @@ class RingSchedule:
                 (cols[offs], self.slot_of[fam[rows], plan_levels[rows, offs]]),
                 1,
             )
-        self.levels[lfids[:, None], cols[None, :]] = plan_levels.astype(np.int8)
+        self.levels[fids[:, None], cols[None, :]] = plan_levels.astype(np.int8)
 
-    def downgrade(self, lfid: int, minute: int, allow_drop: bool) -> None:
+    def downgrade(self, fid: int, minute: int, allow_drop: bool) -> None:
         """Downgrade every entry of one function from ``minute`` on by one
         level; entries already at level 0 are dropped when ``allow_drop``
         (the schedule-layer semantics of ``KeepAliveSchedule.downgrade``).
         """
-        fam = int(self.fam[lfid])
+        fam = int(self.fam[fid])
         slot_row = self.slot_of[fam]
         for m in range(minute, minute + self.keep_alive_window + 1):
             col = m % self.n_cols
-            level = int(self.levels[lfid, col])
+            level = int(self.levels[fid, col])
             if level < 0:
                 continue
             if level > 0:
                 self.cnt[col, slot_row[level]] -= 1
                 self.cnt[col, slot_row[level - 1]] += 1
-                self.levels[lfid, col] = level - 1
+                self.levels[fid, col] = level - 1
             elif allow_drop:
                 self.cnt[col, slot_row[0]] -= 1
-                self.levels[lfid, col] = -1
+                self.levels[fid, col] = -1

@@ -3,33 +3,25 @@
 The reference loop (:mod:`repro.runtime.simulator`) and the event-driven
 fast path (:mod:`repro.runtime.fastpath`) both iterate Python objects per
 (function, minute); at fleet scale that is the bottleneck. This engine
-keeps all per-function state in numpy arrays (:mod:`repro.runtime.columnar`)
-partitioned into :class:`FleetShards` — contiguous function-id ranges,
-each owning its slice of the estimator and keep-alive state — and runs
-the per-minute cycle as array kernels:
+keeps all per-function state in numpy arrays over fids ``0..n-1``
+(:mod:`repro.runtime.columnar`), held by one :class:`FleetState`, and
+runs the per-minute cycle as array kernels:
 
-1. **shard-local**: serve the minute's invocations (cold/warm split,
-   service-time and accuracy contributions), feed the inter-arrival
-   estimator, map probabilities through the threshold scheme and install
-   the keep-alive plans — all batched over the shard's invoking fids;
-2. **publish**: each shard exposes its per-minute memory partial (an
-   integer count per footprint slot) and, on peak minutes, its alive
-   set with the per-function utility inputs (*Ip*, the drop-protection
-   max-remaining probability, current levels);
-3. **reduce**: a single reducer merges the partials — integer adds for
-   memory, fid-ordered concatenation for the alive set — and runs the
-   *global* stages on the merged state: Algorithm 1 peak detection,
+1. **serve / observe / plan**: serve the minute's invocations (cold/warm
+   split, service-time and accuracy contributions), feed the
+   inter-arrival estimator, map probabilities through the threshold
+   scheme and install the keep-alive plans — all batched over the
+   minute's invoking fids;
+2. **reduce**: the *global* stages read the keep-alive ring's integer
+   memory ledger and alive set directly — Algorithm 1 peak detection,
    Algorithm 2 lowest-utility downgrades, and the provider capacity
-   valve. Victim decisions flow back to the owning shard as scalar
-   schedule edits.
+   valve — and apply victim decisions as scalar schedule edits.
 
-Because the merge is exact integer addition and fid-ordered
-concatenation, the reduced state is byte-identical for any shard count:
-``shards=1`` ≡ ``shards=k``, and both are bit-identical to the reference
-engine (pinned by ``tests/test_engine_fleet.py``). Shards are processed
-serially in-process — the shard API is message-shaped (publish/reduce/
-apply) so a process pool can be slotted in, but determinism, not
-parallelism, is what the protocol buys today.
+PULSE's cross-function stage is global by design, and it dominates a
+minute at fleet scale (traced at 10k functions on a 2-vCPU host, the
+reducer took ~80% of each simulated minute), so the state is not
+partitioned: one fid space, one reducer, bit-identical to the reference
+engine (pinned by ``tests/test_engine_fleet.py``).
 
 Two execution modes, chosen by the config:
 
@@ -46,16 +38,15 @@ Two execution modes, chosen by the config:
 
 Observability runs columnar too: ``SimulationConfig.observe`` gets a
 :class:`~repro.obs.fleet.FleetObsSession` whose ``tally_*`` batch hooks
-fold per-shard numpy partials (cold/invocation totals, plan-level
-histograms, memory/valve/downgrade series) instead of per-decision
-``record_*`` calls, plus full decision traces for a seeded sample of
-fids (``ObservabilityConfig.trace_sample``) so ``repro inspect``
-why-queries keep working. Phase timers are hierarchical —
-``shard-{i}/serve|observe|plan`` and ``reduce/peak-flatten|downgrade|
-valve`` — and merge into one span tree per run
+fold numpy partials (plan-level histograms, memory/valve/downgrade
+series) instead of per-decision ``record_*`` calls, plus full decision
+traces for a seeded sample of fids (``ObservabilityConfig.trace_sample``)
+so ``repro inspect`` why-queries keep working. Phase timers are
+hierarchical — ``serve``, ``observe``, ``plan`` and ``reduce/peak-flatten|
+downgrade|valve`` — and merge into one span tree per run
 (:meth:`~repro.obs.spans.SpanTimer.tree`). All instrumentation only
-*reads* engine state, so obs-on runs stay bit-identical to obs-off and
-metric totals are shard-invariant (``tests/test_fleet_obs.py``).
+*reads* engine state, so obs-on runs stay bit-identical to obs-off
+(``tests/test_fleet_obs.py``).
 
 Not supported (explicit ``ValueError``): ``measure_overhead`` (defined
 over the reference loop's per-decision cadence), checkpoint/resume,
@@ -98,7 +89,7 @@ from repro.runtime.policy import KeepAlivePolicy
 from repro.runtime.simulator import collect_resilience, emit_downgrade
 from repro.utils.rng import rng_from_seed
 
-__all__ = ["FleetShards", "FleetStepper", "run_fleet"]
+__all__ = ["FleetState", "FleetStepper", "run_fleet"]
 
 
 # -- policy compilation ------------------------------------------------------
@@ -182,55 +173,72 @@ def _compile_policy(
     )
 
 
-# -- shards ------------------------------------------------------------------
+# -- fleet state -------------------------------------------------------------
 
 
-class _Shard:
-    """One contiguous fid range's columnar state and local kernels."""
+class FleetState:
+    """The whole fleet's columnar state, its local kernels and the global
+    reducer (Algorithms 1 & 2, valve), over fids ``0..n-1``.
+
+    The per-function state — the keep-alive ring, the inter-arrival
+    estimator, the cold-start levels — is dense arrays indexed by fid.
+    Everything that is *cross-function* state in the reference policy
+    stack — the peak detector, the priority structure, the capacity RNG
+    — lives here too, so the reducer reads the ring's memory ledger and
+    alive set directly and applies its victim decisions in place.
+    """
 
     def __init__(
         self,
-        lo: int,
-        hi: int,
-        tables: VariantTables,
+        n_functions: int,
         keep_alive_window: int,
+        tables: VariantTables,
         model: _PulseModel | _FixedModel,
-        index: int = 0,
+        capacity_seed: int,
+        sample_fids: np.ndarray,
     ):
-        self.lo = lo
-        self.hi = hi
-        self.index = index
-        self.span_prefix = f"shard-{index}"
         self.tables = tables
-        self.fam = tables.fam_idx[lo:hi]
-        self.nv = tables.n_variants[lo:hi]
-        self.ring = RingSchedule(hi - lo, keep_alive_window, tables, self.fam)
+        self.model = model
+        self.nv = tables.n_variants
+        self.ring = RingSchedule(tables, keep_alive_window)
         if model.kind == "pulse":
             self.est: ColumnarEstimator | None = ColumnarEstimator(
-                hi - lo,
+                n_functions,
                 model.window,
                 model.local_window,
                 model.normalization,
                 model.mode,
             )
             self.cold_levels = np.where(model.cold_highest, self.nv - 1, 0)
+            self.detector: PeakDetector | None = PeakDetector(
+                memory_threshold=model.memory_threshold,
+                local_window=model.local_window,
+                prior_rule=model.prior_rule,
+            )
+            self.priority: PriorityStructure | None = PriorityStructure(
+                n_functions
+            )
         else:
             self.est = None
-            self.cold_levels = model.levels[lo:hi]
-        # Sampled-trace fids falling in this shard, as local ids —
-        # installed by ``FleetShards.bind_sample``; empty means the
+            self.cold_levels = model.levels
+            self.detector = None
+            self.priority = None
+        # The obs session's sampled fids (ascending); empty means the
         # sampled-record paths are skipped on one attribute read.
-        self.sample_lfids = np.empty(0, dtype=np.int64)
+        self.sample_fids = sample_fids
+        self.capacity_rng = rng_from_seed(capacity_seed)
+        self.n_forced = 0
+        self.n_downgrades = 0
 
-    def sampled_rows(self, lfids: np.ndarray) -> np.ndarray:
-        """Row indices of this shard's sampled fids within a sorted
-        local-fid batch — O(k log n) for k sampled fids, instead of
-        masking the whole batch per shard-minute."""
-        s = self.sample_lfids
-        pos = np.searchsorted(lfids, s)
-        ok = pos < lfids.size
+    def sampled_rows(self, fids: np.ndarray) -> np.ndarray:
+        """Row indices of the sampled fids within a sorted fid batch —
+        O(k log n) for k sampled fids, instead of masking the whole batch
+        per minute."""
+        s = self.sample_fids
+        pos = np.searchsorted(fids, s)
+        ok = pos < fids.size
         pos = pos[ok]
-        return pos[lfids[pos] == s[ok]]
+        return pos[fids[pos] == s[ok]]
 
     def begin_minute(self, minute: int) -> None:
         self.ring.begin_minute(minute)
@@ -239,7 +247,7 @@ class _Shard:
 
     def serve(
         self,
-        lfids: np.ndarray,
+        fids: np.ndarray,
         counts: np.ndarray,
         minute: int,
         injector: FaultInjector | None,
@@ -251,29 +259,29 @@ class _Shard:
         cold-start count); marks cold starts alive on the ring. Each
         contribution is the same float expression the reference evaluates
         per function, computed elementwise. ``obs`` (when given) receives
-        the shard-minute tallies and, for sampled fids, full ``cold``
-        trace records — all read-only on the engine state.
+        full ``cold`` trace records for sampled fids — read-only on the
+        engine state.
         """
         tables = self.tables
-        alive = self.ring.alive_levels(lfids, minute)
+        alive = self.ring.alive_levels(fids, minute)
         cold = alive < 0
-        serve_lv = np.where(cold, self.cold_levels[lfids], alive)
-        fam = self.fam[lfids]
+        serve_lv = np.where(cold, self.cold_levels[fids], alive)
+        fam = tables.fam_idx[fids]
         warm_s = tables.warm_s[fam, serve_lv]
-        rec = obs if obs is not None and self.sample_lfids.size else None
+        rec = obs if obs is not None and self.sample_fids.size else None
         if injector is None:
             cold_part = tables.cold_s[fam, serve_lv] + (counts - 1) * warm_s
         else:
-            penalty = np.zeros(len(lfids))
+            penalty = np.zeros(len(fids))
             # repro: lint-ok[RPR009] fault-injection path only (injector
-            # attached): iterates the injected cold starts of one shard-
-            # minute, bounded by the chaos scenario, not fleet cardinality
+            # attached): iterates the injected cold starts of one minute,
+            # bounded by the chaos scenario, not fleet cardinality
             for i in np.flatnonzero(cold).tolist():
-                gfid = int(lfids[i]) + self.lo
+                fid = int(fids[i])
                 variant = tables.variant(int(fam[i]), int(serve_lv[i]))
                 penalty[i] = injector.cold_start_penalty(
-                    minute, gfid, variant,
-                    rec if rec is not None and rec.is_sampled(gfid) else None,
+                    minute, fid, variant,
+                    rec if rec is not None and rec.is_sampled(fid) else None,
                     None,
                 )
             cold_part = (
@@ -281,74 +289,71 @@ class _Shard:
             )
         service = np.where(cold, cold_part, counts * warm_s)
         accuracy = counts * tables.accuracy[fam, serve_lv]
-        self.ring.mark_alive(lfids[cold], minute, serve_lv[cold])
-        n_cold = int(cold.sum())
-        if obs is not None:
-            obs.tally_serve(self.index, int(counts.sum()), n_cold)
-            if rec is not None:
-                rows = self.sampled_rows(lfids)
-                # repro: lint-ok[RPR009] trace-sampling path: iterates the
-                # cold starts of the sampled fids only, bounded by the obs
-                # session's sample size, not fleet cardinality
-                for i in rows[cold[rows]].tolist():
-                    gfid = int(lfids[i]) + self.lo
-                    variant = tables.variant(int(fam[i]), int(serve_lv[i]))
-                    obs.record_cold(
-                        minute, gfid, variant.name, int(counts[i]),
-                        obs.last_seen(gfid),
-                    )
-        return service, accuracy, n_cold
+        self.ring.mark_alive(fids[cold], minute, serve_lv[cold])
+        if rec is not None:
+            rows = self.sampled_rows(fids)
+            # repro: lint-ok[RPR009] trace-sampling path: iterates the
+            # cold starts of the sampled fids only, bounded by the obs
+            # session's sample size, not fleet cardinality
+            for i in rows[cold[rows]].tolist():
+                fid = int(fids[i])
+                variant = tables.variant(int(fam[i]), int(serve_lv[i]))
+                rec.record_cold(
+                    minute, fid, variant.name, int(counts[i]),
+                    rec.last_seen(fid),
+                )
+        return service, accuracy, int(cold.sum())
 
     def observe_and_plan(
         self,
-        lfids: np.ndarray,
+        fids: np.ndarray,
         minute: int,
-        model: _PulseModel | _FixedModel,
         obs: FleetObsSession | None = None,
     ) -> None:
         """Feed the estimator and install keep-alive plans for the
         minute's invoking functions (both modes — planning is columnar
         even when serving is scalar). ``obs`` tallies the plan-level
-        histogram and writes full ``plan`` records for sampled fids."""
-        if model.kind == "fixed":
+        histogram, times the ``observe``/``plan`` phases and writes full
+        ``plan`` records for sampled fids."""
+        if self.model.kind == "fixed":
             width = self.ring.keep_alive_window
             plan = np.broadcast_to(
-                self.cold_levels[lfids][:, None], (len(lfids), width)
+                self.cold_levels[fids][:, None], (len(fids), width)
             )
-            self.ring.write_plans(lfids, minute, plan)
+            self.ring.write_plans(fids, minute, plan)
             if obs is not None:
                 obs.tally_plans(plan)
-                if self.sample_lfids.size:
-                    self._record_sampled_plans(lfids, minute, plan, None, obs)
+                if self.sample_fids.size:
+                    self._record_sampled_plans(fids, minute, plan, None, obs)
             return
         est = self.est
         assert est is not None
         spans = obs.spans if obs is not None and obs.spans_enabled else None
         t0 = time.perf_counter() if spans is not None else 0.0
-        est.observe(lfids, minute)
-        probs = est.mode_rows(est.exact_rows(lfids))
+        est.observe(fids, minute)
+        probs = est.mode_rows(est.exact_rows(fids))
         if spans is not None:
             t1 = time.perf_counter()
-            spans.add(self.span_prefix + "/observe", t1 - t0)
-        levels = _vector_levels(probs, self.nv[lfids], model.scheme)
-        no_history = est.no_history(lfids)
+            spans.add("observe", t1 - t0)
+        levels = _vector_levels(probs, self.nv[fids], self.model.scheme)
+        no_history = est.no_history(fids)
         if no_history.any():
             # No inter-arrival data yet: behave like the fixed policy
             # (FunctionCentricOptimizer's cold_start_fallback="highest").
-            levels[no_history] = (self.nv[lfids[no_history]] - 1)[:, None]
-        self.ring.write_plans(lfids, minute, levels)
+            levels[no_history] = (self.nv[fids[no_history]] - 1)[:, None]
+        self.ring.write_plans(fids, minute, levels)
         if spans is not None:
-            spans.add(self.span_prefix + "/plan", time.perf_counter() - t1)
+            spans.add("plan", time.perf_counter() - t1)
         if obs is not None:
             obs.tally_plans(levels)
-            if self.sample_lfids.size:
+            if self.sample_fids.size:
                 self._record_sampled_plans(
-                    lfids, minute, levels, probs, obs, no_history
+                    fids, minute, levels, probs, obs, no_history
                 )
 
     def _record_sampled_plans(
         self,
-        lfids: np.ndarray,
+        fids: np.ndarray,
         minute: int,
         levels: np.ndarray,
         probs: np.ndarray | None,
@@ -361,141 +366,40 @@ class _Shard:
         staged only when it actually drove the plan — fids with no
         inter-arrival history (``no_history``) fell back blind.
         """
-        for j in self.sampled_rows(lfids).tolist():
-            gfid = int(lfids[j]) + self.lo
+        for j in self.sampled_rows(fids).tolist():
+            fid = int(fids[j])
             if probs is not None and (
                 no_history is None or not no_history[j]
             ):
-                obs.stage_probs(gfid, minute, probs[j])
-            fam = int(self.fam[lfids[j]])
+                obs.stage_probs(fid, minute, probs[j])
+            fam = int(self.tables.fam_idx[fid])
             plan = [
                 None if lv < 0 else self.tables.variant(fam, int(lv))
                 for lv in levels[j].tolist()
             ]
-            obs.record_plan(minute, gfid, plan)
-            obs.note_arrival(gfid, minute)
-
-    def publish_memory(self, minute: int) -> np.ndarray:
-        """This shard's per-footprint-slot entry counts at ``minute``."""
-        return self.ring.cnt[minute % self.ring.n_cols]
-
-    def publish_alive(
-        self, minute: int, with_probabilities: bool
-    ) -> tuple[np.ndarray, ...]:
-        """The shard's alive set at ``minute`` as global fids + levels,
-        plus (on peak minutes) the utility inputs *Ip* / max-remaining."""
-        local = self.ring.alive_lfids(minute)
-        fids = local + self.lo
-        levels = self.ring.alive_levels(local, minute)
-        if not with_probabilities:
-            return fids, levels
-        assert self.est is not None
-        ip, max_rem = self.est.ip_and_max_remaining(local, minute)
-        return fids, levels, ip, max_rem
-
-    def apply_downgrade(self, fid: int, minute: int, allow_drop: bool) -> None:
-        """Reducer decision flowing back: downgrade one function."""
-        self.ring.downgrade(fid - self.lo, minute, allow_drop)
+            obs.record_plan(minute, fid, plan)
+            obs.note_arrival(fid, minute)
 
     def level_at(self, fid: int, minute: int) -> int:
-        return int(self.ring.levels[fid - self.lo, minute % self.ring.n_cols])
+        return int(self.ring.levels[fid, minute % self.ring.n_cols])
 
     def variant_at(self, fid: int, minute: int):
         level = self.level_at(fid, minute)
         if level < 0:
             return None
-        return self.tables.variant(int(self.fam[fid - self.lo]), level)
+        return self.tables.variant(int(self.tables.fam_idx[fid]), level)
 
-
-class FleetShards:
-    """The shard set plus the global reducer (Algorithms 1 & 2, valve).
-
-    Owns everything that is *cross-function* state in the reference
-    policy stack — the peak detector, the priority structure, the
-    capacity RNG — and drives it on merged shard partials. All merges
-    are exact: memory partials are integer slot counts summed across
-    shards; alive sets are concatenated in shard (= fid) order. The
-    reducer therefore makes byte-identical decisions for any shard
-    count, which the shards then apply locally.
-    """
-
-    def __init__(
-        self,
-        n_functions: int,
-        n_shards: int,
-        keep_alive_window: int,
-        tables: VariantTables,
-        model: _PulseModel | _FixedModel,
-        capacity_seed: int,
-    ):
-        n_shards = max(1, min(n_shards, n_functions))
-        self.n_functions = n_functions
-        self.tables = tables
-        self.model = model
-        bounds = [i * n_functions // n_shards for i in range(n_shards + 1)]
-        self.shards = [
-            _Shard(
-                bounds[i], bounds[i + 1], tables, keep_alive_window, model,
-                index=i,
-            )
-            for i in range(n_shards)
-        ]
-        self.bounds = np.array(bounds[1:], dtype=np.int64)  # split points
-        self.shard_index = np.empty(n_functions, dtype=np.int64)
-        for i, shard in enumerate(self.shards):
-            self.shard_index[shard.lo : shard.hi] = i
-        self.capacity_rng = rng_from_seed(capacity_seed)
-        self.n_forced = 0
-        self.n_downgrades = 0
-        if model.kind == "pulse":
-            self.detector: PeakDetector | None = PeakDetector(
-                memory_threshold=model.memory_threshold,
-                local_window=model.local_window,
-                prior_rule=model.prior_rule,
-            )
-            self.priority: PriorityStructure | None = PriorityStructure(
-                n_functions
-            )
-        else:
-            self.detector = None
-            self.priority = None
-
-    def bind_sample(self, sample_fids: np.ndarray) -> None:
-        """Distribute an obs session's sampled fids to their shards (as
-        local ids), so the per-batch sampled-record lookups are O(k) in
-        this shard's sample size rather than the batch size."""
-        for shard in self.shards:
-            in_range = sample_fids[
-                (sample_fids >= shard.lo) & (sample_fids < shard.hi)
-            ]
-            shard.sample_lfids = (in_range - shard.lo).astype(np.int64)
-
-    def shard_for(self, fid: int) -> _Shard:
-        return self.shards[self.shard_index[fid]]
-
-    def split(self, fids: np.ndarray) -> np.ndarray:
-        """Offsets partitioning a fid-ascending array by shard."""
-        cuts = np.searchsorted(fids, self.bounds)
-        return np.concatenate(([0], cuts))
-
-    # -- reduce: merged memory ---------------------------------------------
+    # -- reduce: memory ------------------------------------------------------
     def memory_at(self, minute: int) -> float:
         """The fleet's keep-alive memory at ``minute`` — the canonical
-        counts × footprints fold over the shard partials, bit-identical
-        to ``KeepAliveSchedule.memory_at``."""
-        merged = self.shards[0].publish_memory(minute)
-        for shard in self.shards[1:]:
-            merged = merged + shard.publish_memory(minute)
+        counts × footprints fold over the ring's per-slot ledger,
+        bit-identical to ``KeepAliveSchedule.memory_at``."""
+        counts = self.ring.cnt[minute % self.ring.n_cols]
         total = 0.0
         fps = self.tables.slot_fps
-        for slot in np.flatnonzero(merged).tolist():
-            total += int(merged[slot]) * fps[slot]
+        for slot in np.flatnonzero(counts).tolist():
+            total += int(counts[slot]) * fps[slot]
         return total
-
-    def alive_fids(self, minute: int) -> np.ndarray:
-        """Global alive set at ``minute``, fid-ascending (valve input)."""
-        parts = [s.publish_alive(minute, False)[0] for s in self.shards]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     # -- reduce: Algorithms 1 & 2 -------------------------------------------
     def review(
@@ -504,7 +408,7 @@ class FleetShards:
         events: EventLog | None,
         obs: FleetObsSession | None = None,
     ) -> None:
-        """The global optimizer's per-minute review on merged state.
+        """The global optimizer's per-minute review over the fleet.
 
         Mirrors ``GlobalOptimizer.review``: detect a peak against the
         prior (Algorithm 1), then repeatedly score every kept-alive
@@ -531,16 +435,17 @@ class FleetShards:
                 obs.tally_peak()
             if rec is not None:
                 rec.record_peak(minute, demand, prior, target)
-            parts = [s.publish_alive(minute, True) for s in self.shards]
-            alive = np.concatenate([p[0] for p in parts])
-            levels = np.concatenate([p[1] for p in parts])
-            ip = np.minimum(np.concatenate([p[2] for p in parts]), 1.0)
-            max_rem = np.concatenate([p[3] for p in parts])
+            est = self.est
+            assert est is not None
+            alive = self.ring.alive_fids(minute)
+            levels = self.ring.alive_levels(alive, minute)
+            ip, max_rem = est.ip_and_max_remaining(alive, minute)
+            ip = np.minimum(ip, 1.0)
             fam = self.tables.fam_idx[alive]
             weights = model.weights
             w_ai = weights.accuracy_improvement
             w_pr = weights.priority
-            # Alg. 2 lines 4–9 on the merged table: per-iteration
+            # Alg. 2 lines 4–9 on the alive table: per-iteration
             # re-normalization, constant-within-minute Ip/max-rem,
             # protection for lowest variants with remaining mass. A naive
             # transliteration rebuilds every utility term over all n
@@ -620,9 +525,7 @@ class FleetShards:
                         if victim_rec is not None
                         else None
                     )
-                self.shard_for(victim).apply_downgrade(
-                    victim, minute, allow_drop
-                )
+                self.ring.downgrade(victim, minute, allow_drop)
                 priority.record_downgrade(victim)
                 new_count = counts[victim] + 1.0
                 counts[victim] = new_count
@@ -752,10 +655,10 @@ class FleetShards:
         events: EventLog | None,
         obs: FleetObsSession | None = None,
     ) -> int:
-        """§III-A's pressure valve on the merged alive set.
+        """§III-A's pressure valve on the fleet's alive set.
 
         Byte-compatible with ``apply_capacity_valve``: the candidate
-        array is the fid-ascending merged alive set, victims are drawn
+        array is the fid-ascending alive set, victims are drawn
         from the shared capacity RNG, and a victim leaves the candidate
         array only when its keep-alive is dropped entirely — so the RNG
         stream (which depends on the array length sequence) matches the
@@ -768,12 +671,11 @@ class FleetShards:
         rec = obs if obs is not None and obs.decisions_enabled else None
         spans = obs.spans if obs is not None and obs.spans_enabled else None
         t0 = time.perf_counter() if spans is not None else 0.0
-        alive = self.alive_fids(minute)
+        alive = self.ring.alive_fids(minute)
         sample_mask = rec.sample_mask if rec is not None else None
         forced = 0
         while self.memory_at(minute) > capacity_mb and alive.size:
             victim = int(self.capacity_rng.choice(alive))
-            shard = self.shard_for(victim)
             victim_rec = (
                 rec
                 if sample_mask is not None and sample_mask[victim]
@@ -783,11 +685,11 @@ class FleetShards:
             if record:
                 from_name = self.tables.variant(
                     int(self.tables.fam_idx[victim]),
-                    shard.level_at(victim, minute),
+                    self.level_at(victim, minute),
                 ).name
-            shard.apply_downgrade(victim, minute, allow_drop=True)
+            self.ring.downgrade(victim, minute, allow_drop=True)
             forced += 1
-            level = shard.level_at(victim, minute)
+            level = self.level_at(victim, minute)
             if record:
                 to_name = (
                     self.tables.variant(int(self.tables.fam_idx[victim]), level).name
@@ -852,24 +754,24 @@ class FleetStepper:
     time.
 
     Constructed fresh (``live=None``: compiles the policy into its
-    vectorized model, builds the sharded state) or from a restored
+    vectorized model, builds the columnar state) or from a restored
     session-snapshot payload (``live=`` the dict from
     :meth:`SimulationState.restore` — the whole columnar state graph,
-    shards and compiled model included, comes back as one pickle so
-    shared identities survive). Batch runs (:func:`run_fleet`) feed it
+    compiled model included, comes back as one pickle so shared
+    identities survive). Batch runs (:func:`run_fleet`) feed it
     every minute from the sparse event table; sessions
     (:mod:`repro.serve.session`) call :meth:`step` one ``advance()`` at
     a time — the per-minute body is the same code either way, so a
     stepped replay is bit-identical to the batch run by construction.
 
-    Entry validation (``measure_overhead``, shard count,
-    checkpoint/resume rejection for batch runs) stays with the callers;
-    the stepper assumes a config it can honor.
+    Entry validation (``measure_overhead``, checkpoint/resume rejection
+    for batch runs) stays with the callers; the stepper assumes a config
+    it can honor.
     """
 
     engine = "fleet"
 
-    def __init__(self, sim, shards: int = 1, *, live: dict | None = None):
+    def __init__(self, sim, *, live: dict | None = None):
         cfg = sim.config
         trace = sim.trace
         self.sim = sim
@@ -884,7 +786,6 @@ class FleetStepper:
                 FleetObsSession(
                     cfg.observe,
                     n_functions=n_fn,
-                    n_shards=max(1, min(shards, n_fn)),
                     horizon=self.horizon,
                 )
                 if cfg.observe is not None
@@ -898,12 +799,13 @@ class FleetStepper:
             self.policy = policy
             self.model = _compile_policy(policy, n_fn, cfg.keep_alive_window)
             self.tables = VariantTables(sim.assignment, n_fn)
-            self.fleet = FleetShards(
-                n_fn, shards, cfg.keep_alive_window, self.tables, self.model,
+            self.fleet = FleetState(
+                n_fn, cfg.keep_alive_window, self.tables, self.model,
                 cfg.capacity_seed,
+                self.obs.sample_fids
+                if self.obs is not None
+                else np.empty(0, dtype=np.int64),
             )
-            if self.obs is not None and self.obs.has_sample:
-                self.fleet.bind_sample(self.obs.sample_fids)
             self.pool = (
                 ContainerPool(self.events)
                 if (cfg.track_containers or cfg.record_events)
@@ -927,7 +829,7 @@ class FleetStepper:
             )
             self.next_minute = 0
         else:
-            # Single-payload restore: the sharded columnar state, the
+            # Single-payload restore: the columnar fleet state, the
             # compiled model and the variant tables come back with their
             # shared identities intact; attach_observability/bind and
             # _compile_policy are NOT re-run.
@@ -1009,8 +911,7 @@ class FleetStepper:
         accuracy_sum = self.accuracy_sum
         n_cold = self.n_cold
 
-        for shard in fleet.shards:
-            shard.begin_minute(t)
+        fleet.begin_minute(t)
 
         if pool is not None:
             # Pre-warm pass (reference order: every fid, ascending).
@@ -1020,41 +921,24 @@ class FleetStepper:
             # the reference loop's per-fid reconcile; the lean fleet path
             # has pool=None and never enters this branch
             for fid in range(n_fn):
-                pool.reconcile(fid, fleet.shard_for(fid).variant_at(fid, t), t)
+                pool.reconcile(fid, fleet.variant_at(fid, t), t)
             if spans is not None:
                 spans.add("pool-reconcile", time.perf_counter() - t_pool)
 
         n_events = int(inv_fids.size)
         if n_events:
             if pool is None and events is None:
-                # Lean serving: vectorized per shard, folded sequentially
-                # so the accumulators match the reference's scalar adds.
-                offsets = fleet.split(inv_fids)
-                service_parts = []
-                accuracy_parts = []
-                for i, shard in enumerate(fleet.shards):
-                    a, b = int(offsets[i]), int(offsets[i + 1])
-                    if a == b:
-                        continue
-                    lf = inv_fids[a:b] - shard.lo
-                    t_serve = time.perf_counter() if spans is not None else 0.0
-                    svc, acc, cold = shard.serve(
-                        lf, inv_counts[a:b], t, injector, obs
-                    )
-                    if spans is not None:
-                        spans.add(
-                            shard.span_prefix + "/serve",
-                            time.perf_counter() - t_serve,
-                        )
-                    n_cold += cold
-                    service_parts.append(svc)
-                    accuracy_parts.append(acc)
-                service_time = seq_fold(
-                    service_time, np.concatenate(service_parts)
+                # Lean serving: vectorized, folded sequentially so the
+                # accumulators match the reference's scalar adds.
+                t_serve = time.perf_counter() if spans is not None else 0.0
+                svc, acc, cold = fleet.serve(
+                    inv_fids, inv_counts, t, injector, obs
                 )
-                accuracy_sum = seq_fold(
-                    accuracy_sum, np.concatenate(accuracy_parts)
-                )
+                if spans is not None:
+                    spans.add("serve", time.perf_counter() - t_serve)
+                n_cold += cold
+                service_time = seq_fold(service_time, svc)
+                accuracy_sum = seq_fold(accuracy_sum, acc)
             else:
                 # Compatibility serving: the reference loop's exact call
                 # and event order, per invoking fid ascending.
@@ -1065,10 +949,9 @@ class FleetStepper:
                 for i in range(n_events):
                     fid = int(inv_fids[i])
                     count = int(inv_counts[i])
-                    shard = fleet.shard_for(fid)
-                    level = shard.level_at(fid, t)
+                    level = fleet.level_at(fid, t)
                     if level < 0:
-                        cold_level = int(shard.cold_levels[fid - shard.lo])
+                        cold_level = int(fleet.cold_levels[fid])
                         variant = tables.variant(
                             int(tables.fam_idx[fid]), cold_level
                         )
@@ -1092,16 +975,12 @@ class FleetStepper:
                             )
                         n_cold += 1
                         accuracy_sum += count * variant.accuracy
-                        if obs is not None:
-                            obs.tally_serve(
-                                int(fleet.shard_index[fid]), count, 1
-                            )
                         if fid_rec is not None:
                             fid_rec.record_cold(
                                 t, fid, variant.name, count,
                                 fid_rec.last_seen(fid),
                             )
-                        shard.ring.mark_alive_one(fid - shard.lo, t, cold_level)
+                        fleet.ring.mark_alive_one(fid, t, cold_level)
                         if pool is not None:
                             pool.cold_start(fid, variant, t)
                             pool.record_served(fid, count)
@@ -1121,10 +1000,6 @@ class FleetStepper:
                         variant = tables.variant(int(tables.fam_idx[fid]), level)
                         service_time += count * variant.warm_service_time_s
                         accuracy_sum += count * variant.accuracy
-                        if obs is not None:
-                            obs.tally_serve(
-                                int(fleet.shard_index[fid]), count, 0
-                            )
                         if pool is not None:
                             pool.record_served(fid, count)
                         if events is not None:
@@ -1133,19 +1008,14 @@ class FleetStepper:
                             )
             self.n_invocations += int(inv_counts.sum())
 
-            # Estimator feed + plan installation — batched per shard in
-            # both modes. (Safe to run after the serve loop: plans only
-            # write minutes t+1.., and each function's estimator state is
-            # independent, so the interleaved reference order and this
-            # batched order reach identical state.)
-            offsets = fleet.split(inv_fids)
-            for i, shard in enumerate(fleet.shards):
-                a, b = int(offsets[i]), int(offsets[i + 1])
-                if a == b:
-                    continue
-                shard.observe_and_plan(inv_fids[a:b] - shard.lo, t, model, obs)
+            # Estimator feed + plan installation — batched in both modes.
+            # (Safe to run after the serve loop: plans only write minutes
+            # t+1.., and each function's estimator state is independent,
+            # so the interleaved reference order and this batched order
+            # reach identical state.)
+            fleet.observe_and_plan(inv_fids, t, obs)
 
-        # Cross-function review (peak flattening) on the merged state.
+        # Cross-function review (peak flattening) over the fleet.
         if self.is_pulse:
             if model.enable_global:
                 fleet.review(t, events, obs)
@@ -1153,7 +1023,7 @@ class FleetStepper:
                 assert fleet.detector is not None
                 fleet.detector.observe(fleet.memory_at(t))
 
-        # Provider pressure valve on the merged state.
+        # Provider pressure valve over the fleet.
         if self.valve_on:
             cap_t = (
                 self.capacity
@@ -1170,7 +1040,7 @@ class FleetStepper:
             # ContainerPool is attached): the commit-side mirror of the
             # pre-warm reconcile above; pool=None on the lean fleet path
             for fid in range(n_fn):
-                pool.reconcile(fid, fleet.shard_for(fid).variant_at(fid, t), t)
+                pool.reconcile(fid, fleet.variant_at(fid, t), t)
             pool.tick_all()
             if spans is not None:
                 spans.add("pool-reconcile", time.perf_counter() - t_pool)
@@ -1211,16 +1081,16 @@ class FleetStepper:
         )
         if met is not None:
             assert obs is not None
-            # The shared cross-engine metric names, fed from the columnar
-            # partials. The loop engines label invocation/cold counters
-            # per function; per-function series cannot scale to 100k
-            # fids, so the fleet labels them per shard — totals stay
-            # identical for any shard count (exact integer partials).
-            _inv = met.counter("invocations_total", "invocations served")
-            _cold = met.counter("cold_starts_total", "user-visible cold starts")
-            for i in range(len(fleet.shards)):
-                _inv.labels(shard=i).inc(int(obs.shard_invocations[i]))
-                _cold.labels(shard=i).inc(int(obs.shard_cold[i]))
+            # The shared cross-engine metric names. The loop engines
+            # label invocation/cold counters per function; per-function
+            # series cannot scale to 100k fids, so the fleet reports the
+            # run totals unlabeled.
+            met.counter("invocations_total", "invocations served").inc(
+                n_invocations
+            )
+            met.counter("cold_starts_total", "user-visible cold starts").inc(
+                n_cold
+            )
             met.counter("warm_starts_total", "invocations served warm").inc(
                 n_invocations - n_cold
             )
@@ -1262,7 +1132,7 @@ class FleetStepper:
         return self._result
 
 
-def validate_fleet_config(cfg, shards: int) -> None:
+def validate_fleet_config(cfg) -> None:
     """Entry validation shared by :func:`run_fleet` and the session
     layer: reject configs the columnar engine cannot honor."""
     if cfg.measure_overhead:
@@ -1271,15 +1141,13 @@ def validate_fleet_config(cfg, shards: int) -> None:
             "metric needs the reference loop's per-minute decision "
             "cadence); use engine='auto' or 'reference'"
         )
-    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-        raise ValueError(f"shards must be a positive int, got {shards!r}")
 
 
-def run_fleet(sim, shards: int = 1, checkpoint=None, resume_from=None) -> RunResult:
-    """Execute ``sim`` on the fleet engine with ``shards`` shards.
+def run_fleet(sim, checkpoint=None, resume_from=None) -> RunResult:
+    """Execute ``sim`` on the fleet engine.
 
-    Called by :meth:`Simulation.run` — use ``run(engine="fleet",
-    shards=...)`` (or :func:`repro.api.simulate`) rather than calling
+    Called by :meth:`Simulation.run` — use ``run(engine="fleet")`` (or
+    :func:`repro.api.simulate`) rather than calling
     this directly. A thin driver over :class:`FleetStepper`: extracts
     the sparse minute-major event table once, then feeds the stepper
     every minute.
@@ -1289,12 +1157,12 @@ def run_fleet(sim, shards: int = 1, checkpoint=None, resume_from=None) -> RunRes
             "engine='fleet' does not support checkpoint/resume; use "
             "engine='reference' or 'fast'"
         )
-    validate_fleet_config(sim.config, shards)
+    validate_fleet_config(sim.config)
 
     trace = sim.trace
     horizon = trace.horizon
     counts = trace.counts
-    stepper = FleetStepper(sim, shards)
+    stepper = FleetStepper(sim)
 
     # Sparse minute-major event table: the per-minute kernels index only
     # the invoking functions (fid-ascending within each minute, matching

@@ -277,7 +277,6 @@ class Simulation:
         self,
         engine: str | None = None,
         *,
-        shards: int = 1,
         checkpoint: CheckpointConfig | None = None,
         resume_from: SimulationState | str | Path | None = None,
     ) -> RunResult:
@@ -292,11 +291,11 @@ class Simulation:
           reference cadence;
         - ``"fleet"`` — the columnar fleet engine
           (:mod:`repro.runtime.fleet`): per-function state in numpy
-          arrays, partitioned into ``shards`` contiguous fid ranges with
-          a global reduce for the cross-function stages. Built for
-          10⁴–10⁵-function fleets; supports PULSE and the fixed
-          baselines, and errors on configs needing per-decision hooks
-          (``measure_overhead``, observability, checkpoint/resume);
+          arrays with a global reduce for the cross-function stages.
+          Built for 10⁴–10⁵-function fleets; supports PULSE and the
+          fixed baselines, carries a columnar observability session
+          when ``config.observe`` is set, and errors on
+          ``measure_overhead`` and checkpoint/resume;
         - ``None`` (default) — the historical default, equivalent to
           ``"reference"`` (the ``config.fast`` escape hatch it used to
           honor is gone; see :class:`SimulationConfig`).
@@ -304,9 +303,6 @@ class Simulation:
         Spelling is validated by :func:`repro.utils.specs.parse_engine`
         (the one engine vocabulary shared with the CLI, the API facade
         and the durable sweep layer); selectors are case-insensitive.
-
-        ``shards`` is only meaningful with ``engine="fleet"`` (the shard
-        count never changes results — ``shards=1`` ≡ ``shards=k``).
 
         All loops produce identical metrics; ``wall_clock_s`` records
         the elapsed engine time either way.
@@ -328,17 +324,12 @@ class Simulation:
             resume_from = SimulationState.load(resume_from)
         if engine is not None:
             engine = parse_engine(engine)
-        if shards != 1 and engine != "fleet":
-            raise ValueError(
-                f"shards={shards} is only meaningful with engine='fleet'"
-            )
         t0 = time.perf_counter()
         if engine == "fleet":
             from repro.runtime.fleet import run_fleet
 
             result = run_fleet(
-                self, shards=shards, checkpoint=checkpoint,
-                resume_from=resume_from,
+                self, checkpoint=checkpoint, resume_from=resume_from
             )
         elif self._resolve_engine(engine, resume_from):
             from repro.runtime.fastpath import run_fast

@@ -4,8 +4,8 @@
 ``open_session(...)`` returns a session whose ``advance()`` executes one
 simulated minute on any of the three engines and reports that minute's
 decisions; ``snapshot()``/``restore()`` make sessions survive process
-restarts. :mod:`repro.serve.app` wraps sessions in a multi-tenant async
-HTTP service (FastAPI when installed, a stdlib fallback otherwise).
+restarts. :mod:`repro.serve.app` wraps sessions in a multi-tenant
+HTTP service on the stdlib ``ThreadingHTTPServer``.
 :mod:`repro.serve.journal` adds crash durability: a per-session
 write-ahead journal with snapshot compaction, and a supervisor that
 rebuilds every tenant bit-identically after a SIGKILL.

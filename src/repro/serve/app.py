@@ -22,12 +22,9 @@ clock cadence. The HTTP layer is a thin JSON translation over it:
 ``GET``     ``/v1/sessions/{id}/result``           final RunResult summary
 ==========  =====================================  ========================
 
-Two transports share the manager. The **stdlib** server
-(:func:`make_server`, ``http.server.ThreadingHTTPServer``) always works
-and is what the test suite and ``repro serve`` exercise. When
-**FastAPI** is installed (an optional extra — never required),
-:func:`create_fastapi_app` builds the same routes as an ASGI app for
-uvicorn/hypercorn deployment.
+The one transport is the **stdlib** server (:func:`make_server`,
+``http.server.ThreadingHTTPServer``): it has no dependencies, and it is
+what the test suite and ``repro serve`` exercise.
 
 Production hardening lives here too:
 
@@ -72,7 +69,6 @@ __all__ = [
     "ApiError",
     "ServeLimits",
     "SessionManager",
-    "create_fastapi_app",
     "make_server",
     "open_session_from_spec",
     "serve",
@@ -128,14 +124,14 @@ def open_session_from_spec(spec: dict) -> ControlSession:
     "horizon_minutes": H}}`` for an online session whose invocations
     arrive per ``advance()`` call. Remaining keys mirror
     :func:`~repro.serve.session.open_session`: ``policy``, ``engine``,
-    ``shards``, ``faults``, ``observe`` (default **true** here — the
+    ``faults``, ``observe`` (default **true** here — the
     metrics and decisions endpoints need telemetry), ``seed``.
     """
     if not isinstance(spec, dict):
         raise ApiError(400, "session spec must be a JSON object")
     known = {
-        "synthetic", "meta", "policy", "engine", "shards", "faults",
-        "observe", "seed",
+        "synthetic", "meta", "policy", "engine", "faults", "observe",
+        "seed",
     }
     unknown = sorted(set(spec) - known)
     if unknown:
@@ -164,7 +160,6 @@ def open_session_from_spec(spec: dict) -> ControlSession:
             workload,
             policy=spec.get("policy", "pulse"),
             engine=spec.get("engine", "auto"),
-            shards=spec.get("shards", 1),
             faults=spec.get("faults"),
             observe=spec.get("observe", True),
             seed=spec.get("seed", 0),
@@ -917,103 +912,3 @@ def serve(
     print("repro serve: drained, exiting")
     return 0
 
-
-# -- FastAPI transport (optional extra) --------------------------------------
-def create_fastapi_app(manager: SessionManager | None = None) -> Any:
-    """The same v1 routes as an ASGI app (requires ``fastapi``).
-
-    FastAPI is an optional extra — the stdlib transport above is the
-    always-available (and test-covered) path; this factory exists for
-    deployments that want uvicorn's event loop and OpenAPI docs:
-    ``uvicorn --factory repro.serve.app:create_fastapi_app``. Bearer
-    auth is the stdlib transport's concern; ASGI deployments terminate
-    auth in middleware (uvicorn behind a proxy, or a FastAPI
-    dependency), so this factory exposes the routes unauthenticated —
-    bind it to loopback or wrap it before exposing it.
-    """
-    try:
-        from fastapi import FastAPI, HTTPException, Request, Response
-    except ImportError as exc:  # pragma: no cover - optional extra
-        raise ImportError(
-            "create_fastapi_app needs the optional 'fastapi' extra; "
-            "the stdlib transport (repro.serve.app.serve) has no "
-            "dependencies"
-        ) from exc
-
-    manager = manager if manager is not None else SessionManager()
-    app = FastAPI(title="repro control plane", version="1")
-    app.state.manager = manager
-
-    def _guard(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        try:
-            return fn(*args, **kwargs)
-        except ApiError as exc:
-            headers = (
-                {"Retry-After": f"{exc.retry_after:g}"}
-                if exc.retry_after is not None
-                else None
-            )
-            raise HTTPException(
-                exc.status, str(exc), headers=headers
-            ) from exc
-
-    @app.get("/v1/healthz")
-    def healthz() -> dict:
-        return {"status": "ok"}
-
-    @app.get("/v1/readyz")
-    def readyz() -> Any:
-        return _guard(_readyz, manager)
-
-    @app.get("/v1/sessions")
-    def list_sessions() -> dict:
-        return {"sessions": manager.list()}
-
-    @app.post("/v1/sessions")
-    def create_session(spec: dict) -> Any:
-        return _guard(manager.create, spec)
-
-    @app.post("/v1/sessions/restore")
-    async def restore_session(request: Request) -> Any:
-        return _guard(manager.restore, await request.body())
-
-    @app.get("/v1/sessions/{sid}")
-    def session_info(sid: str) -> Any:
-        return _guard(manager.info, sid)
-
-    @app.delete("/v1/sessions/{sid}")
-    def close_session(sid: str) -> Any:
-        return _guard(manager.close, sid)
-
-    @app.post("/v1/sessions/{sid}/advance")
-    def advance_session(sid: str, body: dict | None = None) -> Any:
-        return _guard(manager.advance, sid, body)
-
-    @app.post("/v1/sessions/{sid}/tick")
-    def tick_session(sid: str, body: dict | None = None) -> Any:
-        return _guard(manager.tick, sid, body)
-
-    @app.get("/v1/sessions/{sid}/metrics")
-    def session_metrics(sid: str) -> Any:
-        return Response(
-            _guard(manager.metrics, sid),
-            media_type="text/plain; version=0.0.4; charset=utf-8",
-        )
-
-    @app.get("/v1/sessions/{sid}/snapshot")
-    def session_snapshot(sid: str) -> Any:
-        return Response(
-            _guard(manager.snapshot, sid),
-            media_type="application/json",
-        )
-
-    @app.get("/v1/sessions/{sid}/decisions")
-    def session_decisions(sid: str, fid: int | None = None,
-                          kind: str | None = None) -> Any:
-        return {"decisions": _guard(manager.decisions, sid, fid, kind)}
-
-    @app.get("/v1/sessions/{sid}/result")
-    def session_result(sid: str) -> Any:
-        return _guard(manager.result, sid)
-
-    return app

@@ -137,7 +137,6 @@ class ControlSession:
         sim: Simulation,
         *,
         engine: str = "auto",
-        shards: int = 1,
         online: bool = False,
         _restored: tuple | None = None,
     ) -> None:
@@ -145,7 +144,6 @@ class ControlSession:
         self.trace = sim.trace
         self.horizon = sim.trace.horizon
         self.n_functions = sim.trace.n_functions
-        self.shards = shards
         self.online = online
         self._wall = 0.0
         self._span_added = False
@@ -162,14 +160,10 @@ class ControlSession:
         if engine == "fleet":
             from repro.runtime.fleet import FleetStepper, validate_fleet_config
 
-            validate_fleet_config(sim.config, shards)
+            validate_fleet_config(sim.config)
             self.engine = "fleet"
-            self.stepper = FleetStepper(sim, shards, live=live)
+            self.stepper = FleetStepper(sim, live=live)
         else:
-            if shards != 1:
-                raise ValueError(
-                    f"shards={shards} is only meaningful with engine='fleet'"
-                )
             if sim._resolve_engine(engine):
                 from repro.runtime.fastpath import FastStepper
 
@@ -339,7 +333,7 @@ class ControlSession:
     def fingerprint(self) -> str:
         """A stable SHA-256 naming *what this session runs*.
 
-        Hashes the engine/shard selection, mode, policy class, the full
+        Hashes the engine selection, mode, policy class, the full
         ``SimulationConfig`` (fault plan and observability included) and
         the trace content (shape + counts bytes — already perturbed if
         the fault plan perturbs traces, so a session rebuilt from the
@@ -354,7 +348,6 @@ class ControlSession:
         identity = "|".join(
             (
                 self.engine,
-                str(self.shards),
                 str(self.online),
                 type(self.sim.policy).__name__,
                 repr(self.sim.config),
@@ -386,7 +379,6 @@ class ControlSession:
                 "trace": self.sim.trace,
                 "assignment": self.sim.assignment,
                 "config": self.sim.config,
-                "shards": self.shards,
                 "online": self.online,
             },
         }
@@ -422,7 +414,6 @@ class ControlSession:
         return cls(
             sim,
             engine=name,
-            shards=meta["shards"],
             online=meta["online"],
             _restored=(live, state.next_minute, state.cursor),
         )
@@ -489,7 +480,6 @@ def open_session(
     assignment: dict[int, ModelFamily] | None = None,
     config: SimulationConfig | None = None,
     engine: str = "auto",
-    shards: int = 1,
     faults: FaultPlan | str | None = None,
     observe: bool | ObservabilityConfig | None = None,
     seed: int = 0,
@@ -546,4 +536,4 @@ def open_session(
 
         assignment = sample_assignment(trace.n_functions, seed=seed)
     sim = Simulation(trace, assignment, policy, cfg)
-    return ControlSession(sim, engine=engine, shards=shards, online=online)
+    return ControlSession(sim, engine=engine, online=online)

@@ -50,7 +50,7 @@ class TestReadmeQuickstart:
         monkeypatch.chdir(tmp_path)
         namespace: dict = {}
         exec(compile(snippet, "README.md", "exec"), namespace)  # noqa: S102
-        assert namespace["obs"].shard_invocations.sum() > 0
+        assert namespace["result"].n_invocations > 0
         assert (tmp_path / "fleet-run.jsonl").exists()
         assert (tmp_path / "fleet-metrics.prom").exists()
 

@@ -1,14 +1,11 @@
-"""Golden equivalence + shard invariance for the fleet engine.
+"""Golden equivalence for the fleet engine.
 
 The columnar fleet engine (:mod:`repro.runtime.fleet`) must produce
 *bit-identical* results to the reference minute loop — the same contract
-the fast path carries, extended with one more axis: the shard count.
-``shards=k`` splits the fleet into contiguous fid ranges whose per-minute
-partials are merged by a deterministic reducer, so any ``k`` must yield
-the same ``RunResult`` and event stream as ``shards=1`` (and as the
-reference engine), including under capacity-valve pressure and fault
-plans, and under permutations of function ids that straddle shard
-boundaries.
+the fast path carries: the same ``RunResult`` and event stream,
+including under capacity-valve pressure and fault plans, and under a
+permutation of function ids that reorders the reducer's fid-ascending
+candidate arrays.
 
 Also home to the unit properties of the columnar kernel itself:
 ``seq_fold`` versus a scalar accumulation loop, and the vectorized
@@ -50,11 +47,9 @@ POLICIES = {
 }
 
 
-def ref_vs_fleet(trace, assignment, factory, cfg, shards=1):
+def ref_vs_fleet(trace, assignment, factory, cfg):
     ref = Simulation(trace, assignment, factory(), cfg).run(engine="reference")
-    fleet = Simulation(trace, assignment, factory(), cfg).run(
-        engine="fleet", shards=shards
-    )
+    fleet = Simulation(trace, assignment, factory(), cfg).run(engine="fleet")
     return ref, fleet
 
 
@@ -136,42 +131,17 @@ class TestGoldenEquivalence:
             capacity_seed=seed,
             faults=faults,
         )
-        ref, fleet = ref_vs_fleet(
-            trace, assignment, PulsePolicy, cfg, shards=int(rng.integers(1, 9))
+        assert_identical(
+            *ref_vs_fleet(trace, assignment, PulsePolicy, cfg)
         )
-        assert_identical(ref, fleet)
 
-
-class TestShardInvariance:
-    @pytest.mark.parametrize("shards", [2, 7])
-    def test_matches_single_shard(self, small_trace, assignment, shards):
-        cfg = SimulationConfig(
-            record_events=True, memory_capacity_mb=4000.0, capacity_seed=11
-        )
-        one = Simulation(small_trace, assignment, PulsePolicy(), cfg).run(
-            engine="fleet", shards=1
-        )
-        many = Simulation(small_trace, assignment, PulsePolicy(), cfg).run(
-            engine="fleet", shards=shards
-        )
-        assert_identical(one, many)
-
-    def test_more_shards_than_functions(self, tiny_trace, tiny_assignment):
-        cfg = SimulationConfig()
-        one = Simulation(
-            tiny_trace, tiny_assignment, PulsePolicy(), cfg
-        ).run(engine="fleet", shards=1)
-        many = Simulation(
-            tiny_trace, tiny_assignment, PulsePolicy(), cfg
-        ).run(engine="fleet", shards=64)  # clamps to n_functions
-        assert_identical(one, many)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_valve_decisions_shard_free(self, seed):
-        """Property: the valve's downgrade decisions — victims, order,
-        event stream — are identical for shards in {1, 2, 7}, including
-        after a fid permutation chosen to straddle shard boundaries."""
+    def test_valve_decisions_under_fid_reversal(self, seed):
+        """Property: under valve pressure, the fleet's downgrade
+        decisions — victims, order, event stream — match the reference
+        valve after the fid space is reversed."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(24, 60))
         zoo = default_zoo()
@@ -181,9 +151,9 @@ class TestShardInvariance:
             )
         )
         assignment = sample_assignment(n, zoo, seed=seed + 1)
-        # A permutation that moves every function across the 2- and
-        # 7-shard boundaries (reversal maps each contiguous range onto
-        # the opposite end of the fid space).
+        # Reversal moves every function to the opposite end of the fid
+        # space, so the valve's fid-ascending candidate array and the
+        # capacity RNG's draws land on different functions.
         perm = np.arange(n)[::-1].copy()
         trace = trace.select_functions(list(perm), name="permuted")
         assignment = {
@@ -194,19 +164,8 @@ class TestShardInvariance:
             memory_capacity_mb=250.0 * n,
             capacity_seed=seed,
         )
-        runs = [
-            Simulation(trace, assignment, PulsePolicy(), cfg).run(
-                engine="fleet", shards=s
-            )
-            for s in (1, 2, 7)
-        ]
-        for other in runs[1:]:
-            assert_identical(runs[0], other)
-        # Decisions match the reference valve too, not just each other.
-        ref = Simulation(trace, assignment, PulsePolicy(), cfg).run(
-            engine="reference"
-        )
-        assert_identical(ref, runs[0])
+        ref, fleet = ref_vs_fleet(trace, assignment, PulsePolicy, cfg)
+        assert_identical(ref, fleet)
 
 
 class TestColumnarKernel:
@@ -287,21 +246,6 @@ class TestRejections:
         result = sim.run(engine="fleet")
         assert isinstance(result.obs, FleetObsSession)
 
-    @pytest.mark.parametrize("shards", [0, -1, 2.5])
-    def test_bad_shard_counts(self, small_trace, assignment, shards):
-        sim = Simulation(
-            small_trace, assignment, PulsePolicy(), SimulationConfig()
-        )
-        with pytest.raises((ValueError, TypeError)):
-            sim.run(engine="fleet", shards=shards)
-
-    def test_shards_require_fleet_engine(self, small_trace, assignment):
-        sim = Simulation(
-            small_trace, assignment, PulsePolicy(), SimulationConfig()
-        )
-        with pytest.raises(ValueError, match="shards"):
-            sim.run(engine="fast", shards=2)
-
 
 class TestFacadePlumbing:
     def test_api_simulate_fleet(self, small_trace, assignment):
@@ -310,17 +254,14 @@ class TestFacadePlumbing:
         ref = simulate(small_trace, assignment=assignment, policy=PulsePolicy())
         fleet = simulate(
             small_trace, assignment=assignment, policy=PulsePolicy(),
-            engine="fleet", shards=3,
+            engine="fleet",
         )
         assert_identical(ref, fleet)
 
     def test_experiment_config_accepts_fleet(self):
         from repro.experiments.runner import ExperimentConfig
 
-        cfg = ExperimentConfig(engine="fleet", shards=4)
-        assert (cfg.engine, cfg.shards) == ("fleet", 4)
-        with pytest.raises(ValueError, match="shards"):
-            ExperimentConfig(engine="fast", shards=2)
+        assert ExperimentConfig(engine="fleet").engine == "fleet"
         with pytest.raises(ValueError, match="engine"):
             ExperimentConfig(engine="warp")
 
@@ -335,9 +276,9 @@ class TestFacadePlumbing:
         )
         factories = {"pulse": partial(make_policy, "pulse")}
         results = {}
-        for engine, shards in (("fast", 1), ("fleet", 2)):
+        for engine in ("fast", "fleet"):
             cfg = ExperimentConfig(
-                n_runs=2, horizon_minutes=120, engine=engine, shards=shards
+                n_runs=2, horizon_minutes=120, engine=engine
             )
             results[engine] = run_policies(trace, factories, cfg, zoo)
         for a, b in zip(results["fast"]["pulse"], results["fleet"]["pulse"]):

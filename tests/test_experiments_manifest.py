@@ -81,6 +81,27 @@ class TestManifestLifecycle:
         with pytest.raises(ValueError, match="schema"):
             RunManifest.load(path)
 
+    def test_pre_change_manifest_refused_by_version(self, tmp_path):
+        """A v1 manifest's ``sweep_config`` still carries ``shards``, so
+        its config hash can never match a rebuilt config. Resume refuses
+        it by version, naming the real cause, instead of reporting a
+        "different policy set" config mismatch."""
+        from repro.api import run_sweep
+
+        trace = _trace([[1, 0, 2]])
+        v1_config = {
+            "policies": ["pulse"], "n_runs": 1, "horizon_minutes": 3,
+            "seed": 7, "engine": "fleet", "shards": 1, "sim": "",
+            "resilient": False,
+        }
+        m = RunManifest.create(v1_config, trace, ["pulse"], 1)
+        m.schema_version = 1
+        path = m.save(tmp_path / "manifest.json")
+        version_msg = r"manifest schema v1 is not readable by this build"
+        with pytest.raises(ValueError, match=version_msg) as exc_info:
+            run_sweep(trace, policies=["pulse"], durable=True, resume=path)
+        assert "policy set" not in str(exc_info.value)
+
     def test_verify_trace_refuses_mismatch(self):
         m = RunManifest.create(SWEEP_CONFIG, _trace([[1, 2]]), ["pulse"], 1)
         m.verify_trace(_trace([[1, 2]]))  # identical content: fine

@@ -1,4 +1,4 @@
-"""Fleet observability: bit-identity, shard invariance, sampled traces.
+"""Fleet observability: bit-identity, run totals, sampled traces.
 
 The fleet engine's telemetry contract has three legs, all tested here:
 
@@ -6,10 +6,10 @@ The fleet engine's telemetry contract has three legs, all tested here:
   columnar state — no RNG draws, no float-accumulation reorder — so a
   fleet run with ``observe=True`` must be bit-identical to ``observe=None``
   in every deterministic ``RunResult`` field and in the event stream,
-  for any shard count, including under capacity-valve pressure.
-- **Metric totals are shard-invariant.** The per-shard int64 partials
-  merge exactly, so ``shards=1`` and ``shards=k`` report the same
-  invocation/cold/plan/downgrade totals.
+  including under capacity-valve pressure.
+- **Metrics report the run.** The shared counters carry the run's
+  invocation/cold totals, the columnar series cover the horizon, and
+  the span tree names the serve/observe/plan kernels and the reducer.
 - **Sampled decision traces answer why-queries.** A deterministic
   sample of fids keeps full ``record_*`` streams (plans, colds,
   ``Uv = Ai + Pr + Ip`` downgrade candidate tables) that flow through
@@ -27,6 +27,8 @@ import numpy as np
 import pytest
 
 from repro.core.pulse import PulsePolicy
+from repro.experiments.assignments import sample_assignment
+from repro.models.zoo import default_zoo
 from repro.obs.export import (
     StreamingTraceWriter,
     render_prometheus,
@@ -41,12 +43,17 @@ from repro.obs.session import ObservabilityConfig
 from repro.runtime.simulator import Simulation, SimulationConfig
 from tests.test_engine_fastpath import assert_identical
 
-SHARD_COUNTS = (1, 2, 7)
+#: Model-family assignments the obs-on ≡ obs-off legs run under.
+ASSIGNMENT_SEEDS = (1, 2, 7)
 
 
-def fleet_run(trace, assignment, cfg, shards):
+def seeded_assignment(trace, seed):
+    return sample_assignment(trace.n_functions, default_zoo(), seed=seed)
+
+
+def fleet_run(trace, assignment, cfg):
     return Simulation(trace, assignment, PulsePolicy(), cfg).run(
-        engine="fleet", shards=shards
+        engine="fleet"
     )
 
 
@@ -54,97 +61,64 @@ def fleet_run(trace, assignment, cfg, shards):
 # Leg 1: obs-on == obs-off, bit for bit
 # ---------------------------------------------------------------------------
 class TestObsBitIdentity:
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_lean_config(self, small_trace, assignment, shards):
+    @pytest.mark.parametrize("seed", ASSIGNMENT_SEEDS)
+    def test_lean_config(self, small_trace, seed):
+        assignment = seeded_assignment(small_trace, seed)
         cfg = SimulationConfig(record_series=False, track_containers=False)
-        off = fleet_run(trace=small_trace, assignment=assignment,
-                        cfg=replace(cfg, observe=None), shards=shards)
-        on = fleet_run(trace=small_trace, assignment=assignment,
-                       cfg=replace(cfg, observe=True), shards=shards)
+        off = fleet_run(small_trace, assignment, replace(cfg, observe=None))
+        on = fleet_run(small_trace, assignment, replace(cfg, observe=True))
         assert_identical(off, on)
 
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_events_and_valve(self, small_trace, assignment, shards):
+    @pytest.mark.parametrize("seed", ASSIGNMENT_SEEDS)
+    def test_events_and_valve(self, small_trace, seed):
+        assignment = seeded_assignment(small_trace, seed)
         cfg = SimulationConfig(
             record_events=True, memory_capacity_mb=4000.0, capacity_seed=11
         )
-        off = fleet_run(small_trace, assignment, replace(cfg, observe=None),
-                        shards)
+        off = fleet_run(small_trace, assignment, replace(cfg, observe=None))
         on = fleet_run(
             small_trace, assignment,
             replace(cfg, observe=ObservabilityConfig(trace_sample=12)),
-            shards,
         )
         assert_identical(off, on)  # includes the event stream
 
     def test_summary_identical_modulo_wall_clock(self, small_trace, assignment):
         cfg = SimulationConfig(record_series=False, track_containers=False)
-        off = fleet_run(small_trace, assignment, replace(cfg, observe=None), 4)
-        on = fleet_run(small_trace, assignment, replace(cfg, observe=True), 4)
+        off = fleet_run(small_trace, assignment, replace(cfg, observe=None))
+        on = fleet_run(small_trace, assignment, replace(cfg, observe=True))
         s_off, s_on = off.summary(), on.summary()
         s_off.pop("wall_clock_s"), s_on.pop("wall_clock_s")
         assert s_off == s_on
 
 
 # ---------------------------------------------------------------------------
-# Leg 2: metric totals are shard-invariant
+# Leg 2: metrics report the run
 # ---------------------------------------------------------------------------
-class TestShardInvariantMetrics:
+class TestFleetMetrics:
     @pytest.fixture(scope="class")
-    def sessions(self, small_trace):
-        from repro.experiments.assignments import sample_assignment
-        from repro.models.zoo import default_zoo
-
-        assignment = sample_assignment(
-            small_trace.n_functions, default_zoo(), seed=1
-        )
+    def observed(self, small_trace):
+        assignment = seeded_assignment(small_trace, 1)
         cfg = SimulationConfig(
-            observe=True, memory_capacity_mb=4000.0, capacity_seed=11
+            observe=True, memory_capacity_mb=4000.0, capacity_seed=11,
+            track_containers=False,
         )
-        return {
-            s: fleet_run(small_trace, assignment, cfg, s).obs
-            for s in SHARD_COUNTS
-        }
+        return fleet_run(small_trace, assignment, cfg)
 
-    def test_sessions_are_fleet(self, sessions):
-        assert all(
-            isinstance(o, FleetObsSession) for o in sessions.values()
-        )
+    def test_sessions_are_fleet(self, observed):
+        assert isinstance(observed.obs, FleetObsSession)
 
-    def test_totals_match_single_shard(self, sessions):
-        base = sessions[1]
-        for s, obs in sessions.items():
-            assert obs.shard_invocations.sum() == base.shard_invocations.sum()
-            assert obs.shard_cold.sum() == base.shard_cold.sum()
-            np.testing.assert_array_equal(
-                obs.plan_level_counts, base.plan_level_counts
-            )
-            np.testing.assert_array_equal(
-                obs.downgrade_series, base.downgrade_series
-            )
-            np.testing.assert_array_equal(
-                obs.valve_series, base.valve_series
-            )
-            np.testing.assert_array_equal(obs.mem_series, base.mem_series)
-            assert obs.n_peaks == base.n_peaks
-
-    def test_per_shard_partials_cover_the_fleet(self, sessions):
-        # Each shard contributes, and the shard axis matches the run.
-        obs = sessions[7]
-        assert obs.shard_invocations.size == 7
-        assert (obs.shard_invocations > 0).all()
-
-    def test_totals_match_run_result(self, sessions, small_trace):
-        obs = sessions[2]
-        # shard_invocations tallies arrivals; mem series covers horizon.
+    def test_totals_match_run_result(self, observed, small_trace):
+        obs = observed.obs
+        metrics = obs.metrics
+        assert metrics.get("invocations_total").value() == observed.n_invocations
+        assert metrics.get("cold_starts_total").value() == observed.n_cold
         assert obs.mem_series.size == small_trace.horizon
+        assert obs.valve_series.sum() == observed.n_forced_downgrades
 
-    def test_span_tree_names_shards_and_reducer(self, sessions):
-        tree = sessions[2].spans.tree()
-        assert "shard-0" in tree and "shard-1" in tree
-        assert "observe" in tree["shard-0"]["children"]
-        assert "plan" in tree["shard-0"]["children"]
-        assert "reduce" in tree
+    def test_span_tree_names_phases_and_reducer(self, observed):
+        tree = observed.obs.spans.tree()
+        for phase in ("serve", "observe", "plan", "reduce"):
+            assert phase in tree
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +127,13 @@ class TestShardInvariantMetrics:
 class TestSampledTraces:
     @pytest.fixture(scope="class")
     def sampled_result(self, small_trace):
-        from repro.experiments.assignments import sample_assignment
-        from repro.models.zoo import default_zoo
-
-        assignment = sample_assignment(
-            small_trace.n_functions, default_zoo(), seed=1
-        )
+        assignment = seeded_assignment(small_trace, 1)
         # Sample every fid so any downgrade is guaranteed to be sampled.
         cfg = SimulationConfig(
             observe=ObservabilityConfig(trace_sample=small_trace.n_functions)
         )
         return Simulation(small_trace, assignment, PulsePolicy(), cfg).run(
-            engine="fleet", shards=4
+            engine="fleet"
         )
 
     @pytest.fixture(scope="class")
@@ -176,29 +145,24 @@ class TestSampledTraces:
     def test_sample_is_deterministic(self, small_trace):
         a = FleetObsSession(
             ObservabilityConfig(trace_sample=4),
-            n_functions=100, n_shards=2, horizon=10,
+            n_functions=100, horizon=10,
         )
         b = FleetObsSession(
             ObservabilityConfig(trace_sample=4),
-            n_functions=100, n_shards=2, horizon=10,
+            n_functions=100, horizon=10,
         )
         np.testing.assert_array_equal(a.sample_fids, b.sample_fids)
         assert a.sample_fids.size == 4
         assert a.sample_mask.sum() == 4
 
     def test_partial_sample_records_only_sampled_fids(self, small_trace):
-        from repro.experiments.assignments import sample_assignment
-        from repro.models.zoo import default_zoo
-
-        assignment = sample_assignment(
-            small_trace.n_functions, default_zoo(), seed=1
-        )
+        assignment = seeded_assignment(small_trace, 1)
         cfg = SimulationConfig(
             observe=ObservabilityConfig(trace_sample=4)
         )
         result = Simulation(
             small_trace, assignment, PulsePolicy(), cfg
-        ).run(engine="fleet", shards=4)
+        ).run(engine="fleet")
         obs = result.obs
         sampled = set(obs.sample_fids.tolist())
         fids = {
@@ -226,12 +190,7 @@ class TestSampledTraces:
         """Sampled fleet downgrade tables carry the same scores the
         reference loop records (modulo the CANDIDATE_CAP truncation,
         which cannot trigger at 12 functions)."""
-        from repro.experiments.assignments import sample_assignment
-        from repro.models.zoo import default_zoo
-
-        assignment = sample_assignment(
-            small_trace.n_functions, default_zoo(), seed=1
-        )
+        assignment = seeded_assignment(small_trace, 1)
         cfg = SimulationConfig(observe=True)
         ref = Simulation(
             small_trace, assignment, PulsePolicy(), cfg
@@ -258,17 +217,12 @@ class TestSampledTraces:
 class TestStreamingSinks:
     @pytest.fixture(scope="class")
     def observed(self, small_trace):
-        from repro.experiments.assignments import sample_assignment
-        from repro.models.zoo import default_zoo
-
-        assignment = sample_assignment(
-            small_trace.n_functions, default_zoo(), seed=1
-        )
+        assignment = seeded_assignment(small_trace, 1)
         cfg = SimulationConfig(
             observe=ObservabilityConfig(trace_sample=8)
         )
         return Simulation(small_trace, assignment, PulsePolicy(), cfg).run(
-            engine="fleet", shards=2
+            engine="fleet"
         )
 
     def test_streaming_writer_matches_batch_export(self, observed, tmp_path):
@@ -298,8 +252,8 @@ class TestStreamingSinks:
         text = render_prometheus(observed.obs)
         assert text.endswith("\n")
         assert "# TYPE invocations_total counter" in text
-        assert 'invocations_total{shard="0"}' in text
-        assert "# TYPE fleet_shards gauge" in text
+        assert "\ninvocations_total " in text
+        assert "# TYPE fleet_trace_sample gauge" in text
         # Histograms render as summary-style _count/_sum/_min/_max.
         assert "_count" in text and "_sum" in text
 
@@ -311,7 +265,7 @@ class TestStreamingSinks:
     def test_html_report_has_fleet_section(self, observed):
         html = render_run_report(observed)
         assert "Fleet telemetry" in html
-        assert "shard" in html
+        assert "serve ms" in html and "cold starts" in html
         assert "sampled decision traces" in html
 
     def test_trace_records_roundtrip_fleet_session(self, observed):

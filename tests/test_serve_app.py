@@ -2,8 +2,7 @@
 
 These tests run the stdlib ``ThreadingHTTPServer`` transport — the one
 that works in every environment — on an ephemeral loopback port and
-drive it with :mod:`urllib`. The FastAPI factory is exercised only for
-its import gate (fastapi is an optional extra and absent here).
+drive it with :mod:`urllib`.
 """
 
 from __future__ import annotations
@@ -144,6 +143,13 @@ class TestLifecycle:
             status, body = request(f"{base_url}/v1/sessions", "POST", spec)
             assert status == 400, spec
             assert "error" in body
+
+    def test_shards_spec_key_is_unknown(self, base_url):
+        spec = {"synthetic": {"n_functions": 4}, "engine": "fleet",
+                "shards": 2}
+        status, body = request(f"{base_url}/v1/sessions", "POST", spec)
+        assert status == 400
+        assert "unknown session spec keys: shards" in body["error"]
 
     def test_rewind_is_409(self, base_url):
         _, info = request(f"{base_url}/v1/sessions", "POST", SYNTH_SPEC)
@@ -567,10 +573,3 @@ class TestManagerDirect:
         with pytest.raises(ApiError) as exc_info:
             SessionManager().info("missing")
         assert exc_info.value.status == 404
-
-    def test_fastapi_factory_gated(self):
-        pytest.importorskip("fastapi", reason="optional extra")
-        from repro.serve.app import create_fastapi_app
-
-        app = create_fastapi_app()
-        assert app is not None

@@ -170,13 +170,6 @@ class TestAdvanceSemantics:
                 engine="turbo",
             )
 
-    def test_shards_require_fleet(self, tiny_trace, tiny_assignment):
-        with pytest.raises(ValueError, match="fleet"):
-            open_session(
-                tiny_trace, policy="pulse", assignment=tiny_assignment,
-                shards=4,
-            )
-
 
 class TestDecisions:
     def test_decisions_carry_engine_records(self, tiny_trace, tiny_assignment):
@@ -267,6 +260,55 @@ class TestSnapshotRestore:
         )
         with pytest.raises(ValueError, match="session snapshot"):
             ControlSession.restore(states[0])
+
+    def test_pre_change_fleet_snapshot_refused_by_version(
+        self, tiny_trace, tiny_assignment, tmp_path, monkeypatch
+    ):
+        """A v2 fleet snapshot carried the partitioned ``FleetShards``
+        state and a ``shards`` meta key. Every restore path refuses it
+        with the schema-version message before unpickling the payload,
+        which would otherwise die on the missing class."""
+        import pickle
+
+        import repro.runtime.fleet as fleet_module
+        from repro.serve.app import ApiError, SessionManager
+
+        session = open_session(
+            tiny_trace, policy="pulse", assignment=tiny_assignment,
+            engine="fleet",
+        )
+        session.advance(10)
+        state = session.snapshot()
+        payload = state.restore()
+
+        class FleetShards:  # the v2 layout's fleet state class
+            pass
+
+        FleetShards.__module__ = fleet_module.__name__
+        FleetShards.__qualname__ = "FleetShards"
+        with monkeypatch.context() as m:
+            m.setattr(fleet_module, "FleetShards", FleetShards, raising=False)
+            payload["live"]["fleet"] = FleetShards()
+            payload["meta"]["shards"] = 1
+            v2_bytes = pickle.dumps(payload)
+        with pytest.raises(AttributeError, match="FleetShards"):
+            pickle.loads(v2_bytes)  # what an unguarded restore would hit
+
+        v2 = SimulationState(
+            engine=state.engine, next_minute=state.next_minute,
+            cursor=state.cursor, payload=v2_bytes, schema_version=2,
+        )
+        version_msg = r"schema v2 is not readable by this build \(expects v3\)"
+        with pytest.raises(ValueError, match=version_msg):
+            ControlSession.restore(v2)
+        path = v2.save(tmp_path / "v2.ckpt")
+        with pytest.raises(ValueError, match=version_msg):
+            ControlSession.restore(path)
+        with pytest.raises(ValueError, match=version_msg):
+            SimulationState.from_wire_json(v2.to_wire_json())
+        with pytest.raises(ApiError, match=version_msg) as exc_info:
+            SessionManager().restore(v2.to_wire_json().encode())
+        assert exc_info.value.status == 400
 
     @given(
         k=st.integers(min_value=0, max_value=59),
