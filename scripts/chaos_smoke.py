@@ -1,6 +1,7 @@
 """Chaos smoke: kill a durable sweep mid-flight, resume it, diff artifacts.
 
-The end-to-end durability drill the CI chaos job runs:
+The end-to-end durability drill the CI chaos job runs, once per engine
+(``fast`` and ``fleet``; both checkpoint through the same batch driver):
 
 1. an uninterrupted sweep produces the baseline artifacts;
 2. the same sweep runs with worker chaos (``--chaos kill:1``: every
@@ -15,7 +16,9 @@ The end-to-end durability drill the CI chaos job runs:
    finish.
 
 Exit code 0 only if every assertion holds. Artifacts are left in the
-work directory (first argv, default ``./chaos-smoke``) for upload.
+work directory (first argv, default ``./chaos-smoke``) for upload: the
+drill's sweeps under ``<engine>/clean`` and ``<engine>/chaos``, the
+lenient-ingestion sweep under ``dirty``.
 """
 
 from __future__ import annotations
@@ -31,12 +34,16 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
 
-SWEEP_ARGS = [
-    "--policies", "pulse", "openwhisk",
-    "--runs", "2", "--jobs", "2",
-    "--horizon", "360", "--seed", "7",
-    "--engine", "fast", "--checkpoint-every", "60",
-]
+ENGINES = ("fast", "fleet")
+
+
+def sweep_args(engine: str) -> list[str]:
+    return [
+        "--policies", "pulse", "openwhisk",
+        "--runs", "2", "--jobs", "2",
+        "--horizon", "360", "--seed", "7",
+        "--engine", engine, "--checkpoint-every", "60",
+    ]
 
 
 def repro(*args: str, check: bool = True) -> subprocess.CompletedProcess:
@@ -56,10 +63,10 @@ def artifacts(out: Path) -> dict[str, bytes]:
     }
 
 
-def parent_kill_sweep(out: Path) -> None:
+def parent_kill_sweep(out: Path, engine: str) -> None:
     """Start a chaos sweep and SIGKILL the parent once it shows progress."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "sweep", *SWEEP_ARGS,
+        [sys.executable, "-m", "repro", "sweep", *sweep_args(engine),
          "--chaos", "kill:1", "--out", str(out)],
         env=ENV, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
@@ -84,15 +91,16 @@ def parent_kill_sweep(out: Path) -> None:
           "the resume below must be a clean no-op)")
 
 
-def main() -> int:
-    work = Path(sys.argv[1] if len(sys.argv) > 1 else "chaos-smoke")
-    clean, chaos, dirty = work / "clean", work / "chaos", work / "dirty"
+def drill(work: Path, engine: str) -> None:
+    """Steps 1-4 for one engine."""
+    clean, chaos = work / engine / "clean", work / engine / "chaos"
 
-    print("== 1/3 baseline sweep")
-    repro("sweep", *SWEEP_ARGS, "--out", str(clean))
+    print(f"== {engine} 1/2 baseline sweep")
+    repro("sweep", *sweep_args(engine), "--out", str(clean))
 
-    print("== 2/3 chaos sweep: worker SIGKILLs + parent SIGKILL, then resume")
-    parent_kill_sweep(chaos)
+    print(f"== {engine} 2/2 chaos sweep: worker SIGKILLs + parent SIGKILL, "
+          "then resume")
+    parent_kill_sweep(chaos, engine)
     for attempt in range(5):
         proc = repro("sweep", "--resume", str(chaos / "manifest.json"),
                      check=False)
@@ -108,10 +116,19 @@ def main() -> int:
         raise SystemExit(f"FAIL: post-resume run states {sorted(statuses)}")
     if artifacts(chaos) != artifacts(clean):
         raise SystemExit("FAIL: recovered artifacts differ from baseline")
+    if summary["n_retries"] == 0:
+        raise SystemExit("FAIL: no worker was killed at a checkpoint")
     print(f"  artifacts byte-identical across {len(artifacts(clean))} runs "
           f"({summary['n_retries']} retries, {summary['n_timeouts']} timeouts)")
 
-    print("== 3/3 lenient ingestion of a corrupted trace dump")
+
+def main() -> int:
+    work = Path(sys.argv[1] if len(sys.argv) > 1 else "chaos-smoke")
+    for engine in ENGINES:
+        drill(work, engine)
+
+    dirty = work / "dirty"
+    print("== lenient ingestion of a corrupted trace dump")
     csv_dir = dirty / "csv"
     repro("trace", "--horizon", "360", "--seed", "7",
           "--export", str(csv_dir))

@@ -254,12 +254,11 @@ def simulate(
     All arguments past ``trace`` are keyword-only (the whole ``repro.api``
     facade is — RPR007 — so call sites stay greppable and reorderable).
 
-    Plain runs (no ``checkpoint``/``resume_from``) execute as a full
-    replay of a :class:`repro.serve.session.ControlSession` — the same
-    stepping code path the incremental ``advance()`` API drives, so the
-    batch facade and the serving layer cannot diverge. Checkpointed and
-    resumed runs go through :meth:`Simulation.run`, which owns the
-    engine checkpoint cadence.
+    Every call runs through :meth:`Simulation.run` and so through the
+    one batch driver (:mod:`repro.runtime.driver`) that
+    :meth:`repro.serve.session.ControlSession.replay` also uses — plain,
+    checkpointed and resumed runs alike, on every engine — so the batch
+    facade and the serving layer cannot diverge.
     """
     cfg = config if config is not None else SimulationConfig()
     if isinstance(policy, str):
@@ -275,11 +274,6 @@ def simulate(
         cfg = replace(cfg, observe=observe)
     if isinstance(checkpoint, (str, Path)):
         checkpoint = CheckpointConfig(path=checkpoint)
-    if checkpoint is None and resume_from is None:
-        from repro.serve.session import ControlSession
-
-        sim = Simulation(trace, assignment, policy, cfg)
-        return ControlSession(sim, engine=engine).replay()
     return Simulation(trace, assignment, policy, cfg).run(
         engine=engine,
         checkpoint=checkpoint,

@@ -171,17 +171,12 @@ def _durable_worker(payload: dict[str, Any]) -> None:
 
         ckpt_path = Path(payload["checkpoint_path"])
         chaos = payload["chaos"] if payload["attempt"] == 1 else None
-        checkpoint: CheckpointConfig | None = CheckpointConfig(
+        checkpoint = CheckpointConfig(
             path=ckpt_path,
             every_minutes=payload["checkpoint_every"],
             on_snapshot=_chaos_hook(chaos) if chaos else None,
         )
         resume_from = ckpt_path if ckpt_path.exists() else None
-        if payload["engine"] == "fleet":
-            # The fleet kernel has no checkpoint/resume; its runs are fast
-            # enough that a retried attempt simply restarts from minute 0.
-            checkpoint = None
-            resume_from = None
 
         result = Simulation(trace, payload["assignment"], policy, cfg).run(
             payload["engine"],

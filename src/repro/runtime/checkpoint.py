@@ -1,11 +1,13 @@
 """Engine checkpoints: durable mid-run state for crash-safe resume.
 
-Both engine loops (:meth:`repro.runtime.simulator.Simulation._run_reference`
-and :func:`repro.runtime.fastpath.run_fast`) can periodically capture a
+Every engine (reference, fast and fleet) can periodically capture a
 :class:`SimulationState` — a complete, self-contained snapshot of every
 piece of mutable run state at a minute boundary — and a later process can
-hand that state back to :meth:`Simulation.run` to continue the run as if
-it had never been interrupted.
+hand that state back to :meth:`repro.runtime.simulator.Simulation.run`
+to continue the run as if it had never been interrupted. Capture is a
+hook of the one batch driver (:func:`repro.runtime.driver.drive`), so
+the cadence, the counters and the cursor are the same code for all
+three engines.
 
 The bit-identity contract
 -------------------------
@@ -21,11 +23,10 @@ make that hold:
   graph, so shared references (the policy's cached plan inside
   ``schedule._last_plan``, the event log inside the pool) survive the
   round trip with their identities intact.
-- *Boundary capture only.* Snapshots are taken between minutes (reference
-  loop) or between event groups (fast loop), where the engine's local
-  float accumulations are fully settled; immutable derived structures
-  (event arrays, metric handles) are re-derived from the trace and the
-  restored session on resume.
+- *Boundary capture only.* Snapshots are taken between event groups,
+  where the engine's local float accumulations are fully settled;
+  immutable derived structures (the event table, metric handles) are
+  re-derived from the trace and the restored session on resume.
 
 Wall-clock fields (``wall_clock_s``, ``policy_overhead_s`` under
 ``measure_overhead``) measure the machine, not the simulated system, and
@@ -33,14 +34,21 @@ are exempt — exactly as in the engine-equivalence golden tests.
 
 Cadence
 -------
-``CheckpointConfig.every_minutes`` buckets the horizon; a snapshot fires
-at the first processing point of each new bucket. The reference loop
-visits every minute, so that is exactly minute ``k * every_minutes``; the
-event-driven loop only touches event minutes, so its snapshot lands on
-the first *event* of each bucket. Either way the cadence is a pure
-function of the trace, so an interrupted run and a clean run write
-checkpoints at the same minutes — which is what keeps checkpoint
-counters identical between them.
+``CheckpointConfig.every_minutes`` buckets the horizon. One rule holds
+for every engine: a snapshot fires before the first *event group*
+(minute with >= 1 invocation) of each new bucket, with the idle minutes
+before that group still unaccounted; an all-idle bucket captures
+nothing. The cadence is a pure function of the trace, so an interrupted
+run and a clean run write checkpoints at the same minutes — which is
+what keeps checkpoint counters identical between them — and the three
+engines capture at the same ``next_minute`` values. The cursor is just the
+bucket: ``(bucket,)`` for engine checkpoints, ``()`` for session
+snapshots.
+
+On disk a snapshot is the JSON wire envelope
+(:meth:`SimulationState.to_wire_json`), so :meth:`SimulationState.load`
+checks the format, the schema version and the payload's SHA-256 before
+anything is unpickled.
 """
 
 from __future__ import annotations
@@ -83,7 +91,15 @@ __all__ = [
 #: state lost its ``n_shards`` / ``shard_invocations`` / ``shard_cold``
 #: fields. A v2 fleet snapshot would unpickle into classes that no
 #: longer exist, so v2 is refused up front with the version message.
-CHECKPOINT_SCHEMA_VERSION = 3
+#: v4: one cursor shape. Engine checkpoints carry just the cadence
+#: bucket, ``(bucket,)`` (the fast loop's ``(group, event, prev_t,
+#: bucket)`` cursor is gone: the shared driver re-derives its position
+#: from ``next_minute``), and session snapshots carry ``()``. The fleet
+#: payload gained ``n_checkpoints`` (fleet runs checkpoint now) and lost
+#: ``next_minute``, which rides on ``SimulationState.next_minute`` as
+#: on the other engines. ``save``/``load`` write and read the JSON wire
+#: envelope instead of a pickled ``SimulationState``.
+CHECKPOINT_SCHEMA_VERSION = 4
 
 #: The schema manifest: the exact field set each engine's
 #: ``live_state()`` pickles into the payload, per engine key. This is
@@ -156,7 +172,7 @@ SNAPSHOT_FIELDS: dict[str, frozenset[str]] = {
             "total_mb_minutes",
             "mem_series",
             "ideal_series",
-            "next_minute",
+            "n_checkpoints",
         }
     ),
 }
@@ -198,12 +214,13 @@ WIRE_FIELDS: tuple[str, ...] = (
 class SimulationState:
     """One engine checkpoint: where the run is, plus everything mutable.
 
-    ``engine`` records which loop produced it (``"reference"`` or
-    ``"fast"``) — a state can only resume on the loop that captured it.
+    ``engine`` records which engine produced it (``"reference"``,
+    ``"fast"`` or ``"fleet"``, or ``"session:<name>"`` for a session
+    snapshot) — a state can only resume on the engine that captured it.
     ``next_minute`` is the first minute not yet executed. ``cursor`` is
-    engine-private resume bookkeeping (the fast loop's event-group and
-    event indices, plus each loop's checkpoint-cadence bucket).
-    ``payload`` is a single pickle of the live object graph.
+    the driver's checkpoint-cadence bucket, ``(bucket,)``, or ``()`` for
+    a session snapshot. ``payload`` is a single pickle of the live
+    object graph.
     """
 
     engine: str
@@ -319,25 +336,22 @@ class SimulationState:
 
     # -- durable form --------------------------------------------------------
     def save(self, path: str | Path) -> Path:
-        """Write the snapshot to ``path`` atomically (crash-safe: a kill
-        mid-write leaves the previous checkpoint intact)."""
+        """Write the snapshot's wire envelope to ``path`` atomically
+        (crash-safe: a kill mid-write leaves the previous checkpoint
+        intact)."""
         return atomic_write_bytes(
-            Path(path), pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+            Path(path), self.to_wire_json().encode("utf-8")
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "SimulationState":
-        """Read a snapshot written by :meth:`save`."""
-        with open(path, "rb") as fh:
-            state = pickle.load(fh)
-        if not isinstance(state, cls):
-            raise TypeError(f"{path} does not contain a SimulationState")
-        if state.schema_version != CHECKPOINT_SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}: checkpoint schema v{state.schema_version} is not "
-                f"readable by this build (expects v{CHECKPOINT_SCHEMA_VERSION})"
-            )
-        return state
+        """Read a snapshot written by :meth:`save`. Raises ``ValueError``
+        (see :meth:`from_wire_json`) on a foreign, stale or corrupt file;
+        nothing is unpickled until :meth:`restore`."""
+        try:
+            return cls.from_wire_json(Path(path).read_bytes())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

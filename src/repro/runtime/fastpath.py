@@ -1,34 +1,32 @@
 """Event-driven fast path through the simulation engine.
 
-The reference loop (:meth:`repro.runtime.simulator.Simulation._run_reference`)
-walks every minute of the horizon and, per minute, reconciles the
+The reference stepper (:class:`repro.runtime.simulator.ReferenceStepper`)
+executes every minute of the horizon and, per minute, reconciles the
 container pool, runs the policy review and queries the schedule — even on
 minutes where nothing invokes. On realistic traces most of that work is
 idle overhead: the schedule can only change at minutes with invocations
 (plans), during a policy review that actually flattens a peak, or under
 the capacity pressure valve.
 
-This module exploits that. The engine is split in two:
-
-- :class:`FastStepper` owns the run state and the per-minute semantics:
-  :meth:`~FastStepper.serve_minute` serves/plans one event minute reading
-  the schedule's entry maps directly, :meth:`~FastStepper.idle_span`
-  accounts a run of idle minutes analytically from the schedule's
-  incremental per-minute memory ledger
-  (``KeepAliveSchedule.memory_slice``) — the ledger between two events is
-  already fully determined by the plans installed at or before the
-  earlier event;
-- :func:`run_fast` is the batch driver: it extracts the *event minutes*
-  (minutes with >= 1 invocation) from the trace once, as flat numpy
-  arrays, and feeds the stepper group by group, deferring each idle span
-  until the next event (or end of trace) so spans are accounted in bulk.
+This module exploits that. :class:`FastStepper` owns the run state and
+the per-minute semantics: :meth:`~FastStepper.step` serves/plans one
+event minute reading the schedule's entry maps directly, and
+:meth:`~FastStepper.idle_span` accounts a run of idle minutes
+analytically from the schedule's incremental per-minute memory ledger
+(``KeepAliveSchedule.memory_slice``) — the ledger between two events is
+already fully determined by the plans installed at or before the
+earlier event. The shared batch driver
+(:func:`repro.runtime.driver.drive`) feeds it the trace's event minutes
+group by group and hands each idle gap over as one span, so spans are
+accounted in bulk.
 
 Incremental sessions (:mod:`repro.serve.session`) drive the same stepper
-one minute at a time via :meth:`~FastStepper.advance_minute`. Eager
-per-minute idle accounting and the driver's bulk accounting perform the
-same float operations in the same order (the bulk path is itself an
-in-order per-minute walk of the ledger slice), so a stepped replay stays
-bit-identical to the batch run.
+one ``step`` per minute. Eager per-minute idle accounting and bulk
+accounting perform the same float operations in the same order (the
+bulk path is itself an in-order per-minute walk of the ledger slice), so
+a stepped replay stays bit-identical to the batch run. Checkpoints come
+from the driver's hook, as on every engine: before the first event group
+of each cadence bucket, with the idle span before it still unaccounted.
 
 Per-minute work survives only where semantics demand it: the container
 pool charges warm minutes each minute, policies with a review stage
@@ -58,7 +56,6 @@ import numpy as np
 
 from repro.faults.injector import FaultInjector
 from repro.obs.session import ObsSession
-from repro.runtime.checkpoint import CheckpointConfig, SimulationState
 from repro.runtime.container import ContainerPool
 from repro.runtime.events import EventKind, EventLog
 from repro.runtime.metrics import RunResult
@@ -67,7 +64,7 @@ from repro.runtime.schedule import KeepAliveSchedule
 from repro.runtime.simulator import apply_capacity_valve, collect_resilience
 from repro.utils.rng import rng_from_seed
 
-__all__ = ["FastStepper", "run_fast"]
+__all__ = ["FastStepper"]
 
 
 def _policy_has_review(policy: KeepAlivePolicy) -> bool:
@@ -81,23 +78,21 @@ class FastStepper:
 
     Constructed fresh (``live=None``: binds the policy, allocates run
     state) or from a restored checkpoint payload (``live=`` the dict from
-    :meth:`SimulationState.restore` plus the checkpoint cursor's
-    ``prev_t``). Telemetry handles are re-derived from the (possibly
+    :meth:`SimulationState.restore` plus the checkpoint's
+    ``next_minute``). Telemetry handles are re-derived from the (possibly
     restored) obs session — the metrics registry hands back the same
     counter for the same name, so a resumed run keeps accumulating where
     the snapshot left off.
 
-    ``prev_t`` is the last minute fully accounted (idle or served);
-    :attr:`next_minute` == ``prev_t + 1``. The batch driver
-    (:func:`run_fast`) jumps event minute to event minute and back-fills
-    idle spans in bulk; sessions call :meth:`advance_minute` for every
-    minute in order. Both produce the same accumulations in the same
-    order.
+    ``next_minute`` is the first minute not yet accounted. The batch
+    driver jumps event minute to event minute and back-fills idle spans
+    in bulk; sessions call :meth:`step` for every minute in order. Both
+    produce the same accumulations in the same order.
     """
 
     engine = "fast"
 
-    def __init__(self, sim, *, live: dict | None = None, prev_t: int = -1):
+    def __init__(self, sim, *, live: dict | None = None, next_minute: int = 0):
         trace, cfg = sim.trace, sim.config
         self.sim = sim
         self.cfg = cfg
@@ -230,13 +225,15 @@ class FastStepper:
         # In the same configuration, the event-minute commit collapses to
         # a single ledger read.
         self.simple_commit = not self.per_minute_idle
-        self.prev_t = prev_t
+        self.next_minute = next_minute
         self._result: RunResult | None = None
 
     @property
-    def next_minute(self) -> int:
-        """The first minute not yet accounted."""
-        return self.prev_t + 1
+    def last_memory_mb(self) -> float:
+        """The keep-alive memory committed for the last accounted minute
+        (read off the schedule ledger, which keeps every minute)."""
+        t = self.next_minute - 1
+        return float(self.schedule.memory_at(t)) if t >= 0 else 0.0
 
     def live_state(self) -> dict:
         """The loop's live objects, in the checkpoint-payload shape.
@@ -308,12 +305,11 @@ class FastStepper:
     def idle_span(self, start: int, stop: int) -> None:
         """Account minutes ``start .. stop-1`` (no invocations there).
 
-        Advances ``prev_t`` to ``stop - 1``: after a span the stepper's
-        position is past every minute it accounted (the session layer
-        reads ``next_minute`` off that)."""
+        Advances ``next_minute`` to ``stop``: after a span the stepper's
+        position is past every minute it accounted."""
         if start >= stop:
             return
-        self.prev_t = stop - 1
+        self.next_minute = stop
         schedule = self.schedule
         if not self.per_minute_idle:
             # Pure accounting: the ledger for the span is already final.
@@ -371,13 +367,15 @@ class FastStepper:
             if self.mem_series is not None:
                 self.mem_series[t] = mem_t
 
-    def serve_minute(
-        self, t: int, fids: np.ndarray, fid_counts: np.ndarray
-    ) -> None:
-        """Serve event minute ``t`` (>= 1 invocation): pre-warm, serve and
-        plan each invoking fid in ascending order, then review/valve/commit
-        the minute. All minutes before ``t`` must already be accounted
-        (the driver back-fills idle spans; sessions step every minute)."""
+    def step(self, t: int, fids: np.ndarray, fid_counts: np.ndarray) -> None:
+        """Account exactly minute ``t``. An event minute (>= 1
+        invocation) pre-warms, serves and plans each invoking fid in
+        ascending order, then reviews/valves/commits the minute; an idle
+        minute (empty ``fids``) is a one-minute :meth:`idle_span`. All
+        minutes before ``t`` must already be accounted."""
+        if fids.size == 0:
+            self.idle_span(t, t + 1)
+            return
         policy = self.policy
         schedule = self.schedule
         pool = self.pool
@@ -482,19 +480,7 @@ class FastStepper:
             self._commit_minute(t)
         if self.ideal_series is not None:
             self.ideal_series[t] = self.highest_mb[fids].sum()
-        self.prev_t = t
-
-    def advance_minute(
-        self, t: int, fids: np.ndarray, fid_counts: np.ndarray
-    ) -> None:
-        """Session entry point: account exactly minute ``t`` (eagerly —
-        idle minutes are settled one at a time instead of in deferred
-        bulk spans; the float operation sequence is identical because the
-        bulk path is itself an in-order per-minute walk)."""
-        if fids.size == 0:
-            self.idle_span(t, t + 1)
-        else:
-            self.serve_minute(t, fids, fid_counts)
+        self.next_minute = t + 1
 
     def finalize(self) -> RunResult:
         """Close the run (every minute accounted) and build its
@@ -541,82 +527,3 @@ class FastStepper:
         )
         return self._result
 
-
-def run_fast(
-    sim,
-    checkpoint: CheckpointConfig | None = None,
-    resume_from: SimulationState | None = None,
-) -> RunResult:
-    """Execute ``sim`` (a :class:`~repro.runtime.simulator.Simulation`)
-    through the event-driven loop. Same contract as the reference loop,
-    including checkpoint/resume (snapshots land at the first event group
-    of each cadence bucket — the fast loop never visits idle minutes)."""
-    trace = sim.trace
-    horizon = trace.horizon
-    counts = trace.counts
-
-    if resume_from is None:
-        stepper = FastStepper(sim)
-        g_start = 0
-        i = 0
-        cur_bucket = 0
-    else:
-        if resume_from.engine != "fast":
-            raise ValueError(
-                f"fast loop cannot resume a {resume_from.engine!r} checkpoint"
-            )
-        g_start, i, prev_t, cur_bucket = resume_from.cursor
-        stepper = FastStepper(sim, live=resume_from.restore(), prev_t=prev_t)
-
-    # Sparse event extraction: (minute, fid, count) triples in minute-major,
-    # fid-ascending order — the exact order the reference loop serves in.
-    # Groups (one per event minute) are delimited up front so the serving
-    # loop never re-tests the minute column.
-    ev_t_arr, ev_fid_arr = np.nonzero(counts.T)
-    ev_count_arr = counts.T[ev_t_arr, ev_fid_arr]
-    n_events = int(ev_fid_arr.size)
-    group_ends = np.append(np.flatnonzero(np.diff(ev_t_arr)) + 1, n_events).tolist()
-    group_minutes = (
-        ev_t_arr[np.append(0, group_ends[:-1])].tolist() if n_events else []
-    )
-
-    every = checkpoint.every_minutes if checkpoint is not None else 0
-    ckpt_counter = (
-        # repro: lint-ok[RPR002] fleet.py rejects checkpoint/resume at
-        # entry, so this instrument is structurally absent there
-        stepper.met.counter("checkpoints_total", "engine checkpoints captured")
-        if stepper.met is not None and checkpoint is not None
-        else None
-    )
-
-    for g in range(g_start, len(group_minutes)):
-        t = group_minutes[g]
-        # Checkpoint hook: fires before the first event group of each
-        # cadence bucket, with the preceding idle span still unaccounted
-        # (next_minute == prev_t + 1). Counters are bumped before capture
-        # so clean and resumed runs agree on every count, bit for bit.
-        if checkpoint is not None and t // every > cur_bucket:
-            cur_bucket = t // every
-            stepper.n_checkpoints += 1
-            if ckpt_counter is not None:
-                ckpt_counter.inc()
-            checkpoint.emit(
-                SimulationState.snapshot(
-                    "fast",
-                    stepper.prev_t + 1,
-                    (g, i, stepper.prev_t, cur_bucket),
-                    stepper.live_state(),
-                )
-            )
-
-        if stepper.prev_t + 1 < t:
-            stepper.idle_span(stepper.prev_t + 1, t)
-
-        group_end = group_ends[g]
-        stepper.serve_minute(
-            t, ev_fid_arr[i:group_end], ev_count_arr[i:group_end]
-        )
-        i = group_end
-
-    stepper.idle_span(stepper.prev_t + 1, horizon)
-    return stepper.finalize()

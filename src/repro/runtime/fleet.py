@@ -48,10 +48,15 @@ downgrade|valve`` — and merge into one span tree per run
 *reads* engine state, so obs-on runs stay bit-identical to obs-off
 (``tests/test_fleet_obs.py``).
 
+Checkpoint/resume works as on the other engines: the shared batch
+driver (:mod:`repro.runtime.driver`) snapshots :meth:`FleetStepper.live_state`
+before the first event group of each cadence bucket, and a resumed run
+is bit-identical to an uninterrupted one.
+
 Not supported (explicit ``ValueError``): ``measure_overhead`` (defined
-over the reference loop's per-decision cadence), checkpoint/resume,
-oracle policies, and policies the compiler cannot map onto columnar
-state (anything beyond PULSE and the fixed baselines).
+over the reference loop's per-decision cadence), oracle policies, and
+policies the compiler cannot map onto columnar state (anything beyond
+PULSE and the fixed baselines).
 """
 
 from __future__ import annotations
@@ -86,10 +91,14 @@ from repro.runtime.container import ContainerPool
 from repro.runtime.events import EventKind, EventLog
 from repro.runtime.metrics import RunResult
 from repro.runtime.policy import KeepAlivePolicy
-from repro.runtime.simulator import collect_resilience, emit_downgrade
+from repro.runtime.simulator import (
+    NO_EVENTS,
+    collect_resilience,
+    emit_downgrade,
+)
 from repro.utils.rng import rng_from_seed
 
-__all__ = ["FleetState", "FleetStepper", "run_fleet"]
+__all__ = ["FleetState", "FleetStepper"]
 
 
 # -- policy compilation ------------------------------------------------------
@@ -755,29 +764,31 @@ class FleetStepper:
 
     Constructed fresh (``live=None``: compiles the policy into its
     vectorized model, builds the columnar state) or from a restored
-    session-snapshot payload (``live=`` the dict from
+    checkpoint or session-snapshot payload (``live=`` the dict from
     :meth:`SimulationState.restore` — the whole columnar state graph,
     compiled model included, comes back as one pickle so shared
-    identities survive). Batch runs (:func:`run_fleet`) feed it
-    every minute from the sparse event table; sessions
-    (:mod:`repro.serve.session`) call :meth:`step` one ``advance()`` at
-    a time — the per-minute body is the same code either way, so a
-    stepped replay is bit-identical to the batch run by construction.
+    identities survive — plus the snapshot's ``next_minute``). Batch
+    runs (:func:`repro.runtime.driver.drive`) feed it every minute from
+    the sparse event table; sessions (:mod:`repro.serve.session`) call
+    :meth:`step` one ``advance()`` at a time — the per-minute body is
+    the same code either way, so a stepped replay is bit-identical to
+    the batch run by construction.
 
-    Entry validation (``measure_overhead``, checkpoint/resume rejection
-    for batch runs) stays with the callers; the stepper assumes a config
-    it can honor.
+    Entry validation (``measure_overhead``) stays with
+    :func:`repro.runtime.driver.open_stepper`; the stepper assumes a
+    config it can honor.
     """
 
     engine = "fleet"
 
-    def __init__(self, sim, *, live: dict | None = None):
+    def __init__(self, sim, *, live: dict | None = None, next_minute: int = 0):
         cfg = sim.config
         trace = sim.trace
         self.sim = sim
         self.cfg = cfg
         self.horizon = trace.horizon
         self.n_fn = n_fn = trace.n_functions
+        self.next_minute = next_minute
 
         if live is None:
             policy = sim.policy
@@ -827,7 +838,7 @@ class FleetStepper:
             self.ideal_series = (
                 np.zeros(self.horizon) if cfg.record_series else None
             )
-            self.next_minute = 0
+            self.n_checkpoints = 0
         else:
             # Single-payload restore: the columnar fleet state, the
             # compiled model and the variant tables come back with their
@@ -848,7 +859,7 @@ class FleetStepper:
             self.total_mb_minutes = live["total_mb_minutes"]
             self.mem_series = live["mem_series"]
             self.ideal_series = live["ideal_series"]
-            self.next_minute = live["next_minute"]
+            self.n_checkpoints = live["n_checkpoints"]
 
         # Hot-loop telemetry handles, mirroring the loop engines (each
         # None when its layer is off; columnar tallies ride ``obs``).
@@ -889,7 +900,7 @@ class FleetStepper:
             "total_mb_minutes": self.total_mb_minutes,
             "mem_series": self.mem_series,
             "ideal_series": self.ideal_series,
-            "next_minute": self.next_minute,
+            "n_checkpoints": self.n_checkpoints,
         }
 
     def step(self, t: int, inv_fids: np.ndarray, inv_counts: np.ndarray) -> None:
@@ -1065,6 +1076,16 @@ class FleetStepper:
         self.last_memory_mb = mem_t
         self.next_minute = t + 1
 
+    def idle_span(self, start: int, stop: int) -> None:
+        """Execute the idle minutes ``start .. stop-1``, one at a time."""
+        for t in range(start, stop):
+            self.step(t, NO_EVENTS, NO_EVENTS)
+
+    @property
+    def n_forced(self) -> int:
+        """Capacity-valve downgrades so far."""
+        return self.fleet.n_forced
+
     def finalize(self) -> RunResult:
         """Close the run and build its :class:`RunResult` (idempotent —
         the metric/obs finalizers below mutate, so the result is cached)."""
@@ -1125,54 +1146,9 @@ class FleetStepper:
             pool_stats=self.pool.stats if self.pool is not None else None,
             events=self.events,
             n_forced_downgrades=fleet.n_forced,
-            n_checkpoints=0,
+            n_checkpoints=self.n_checkpoints,
             obs=obs,
             **resilience,
         )
         return self._result
 
-
-def validate_fleet_config(cfg) -> None:
-    """Entry validation shared by :func:`run_fleet` and the session
-    layer: reject configs the columnar engine cannot honor."""
-    if cfg.measure_overhead:
-        raise ValueError(
-            "engine='fleet' cannot honor measure_overhead=True (Figure 9's "
-            "metric needs the reference loop's per-minute decision "
-            "cadence); use engine='auto' or 'reference'"
-        )
-
-
-def run_fleet(sim, checkpoint=None, resume_from=None) -> RunResult:
-    """Execute ``sim`` on the fleet engine.
-
-    Called by :meth:`Simulation.run` — use ``run(engine="fleet")`` (or
-    :func:`repro.api.simulate`) rather than calling
-    this directly. A thin driver over :class:`FleetStepper`: extracts
-    the sparse minute-major event table once, then feeds the stepper
-    every minute.
-    """
-    if checkpoint is not None or resume_from is not None:
-        raise ValueError(
-            "engine='fleet' does not support checkpoint/resume; use "
-            "engine='reference' or 'fast'"
-        )
-    validate_fleet_config(sim.config)
-
-    trace = sim.trace
-    horizon = trace.horizon
-    counts = trace.counts
-    stepper = FleetStepper(sim)
-
-    # Sparse minute-major event table: the per-minute kernels index only
-    # the invoking functions (fid-ascending within each minute, matching
-    # the reference's flatnonzero order).
-    ev_minute, ev_fid = np.nonzero(counts.T)
-    ev_count = counts[ev_fid, ev_minute]
-    minute_starts = np.searchsorted(ev_minute, np.arange(horizon + 1))
-
-    for t in range(horizon):
-        lo, hi = int(minute_starts[t]), int(minute_starts[t + 1])
-        stepper.step(t, ev_fid[lo:hi], ev_count[lo:hi])
-
-    return stepper.finalize()

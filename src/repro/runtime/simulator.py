@@ -36,16 +36,17 @@ from repro.obs.session import ObservabilityConfig, ObsSession
 from repro.runtime.checkpoint import CheckpointConfig, SimulationState
 from repro.runtime.container import ContainerPool
 from repro.runtime.costmodel import CostModel
+from repro.runtime.driver import drive, open_stepper
 from repro.runtime.events import EventKind, EventLog
 from repro.runtime.metrics import RunResult
 from repro.runtime.policy import KeepAlivePolicy
 from repro.runtime.schedule import KeepAliveSchedule
 from repro.traces.schema import Trace
 from repro.utils.rng import rng_from_seed
-from repro.utils.specs import parse_engine
 from repro.utils.validation import check_positive_int
 
 __all__ = [
+    "NO_EVENTS",
     "ReferenceStepper",
     "Simulation",
     "SimulationConfig",
@@ -53,6 +54,11 @@ __all__ = [
     "collect_resilience",
     "emit_downgrade",
 ]
+
+
+#: The ``fids``/``counts`` pair of an idle minute.
+NO_EVENTS = np.empty(0, dtype=np.int64)
+NO_EVENTS.flags.writeable = False
 
 
 def emit_downgrade(
@@ -295,7 +301,7 @@ class Simulation:
           Built for 10⁴–10⁵-function fleets; supports PULSE and the
           fixed baselines, carries a columnar observability session
           when ``config.observe`` is set, and errors on
-          ``measure_overhead`` and checkpoint/resume;
+          ``measure_overhead``;
         - ``None`` (default) — the historical default, equivalent to
           ``"reference"`` (the ``config.fast`` escape hatch it used to
           honor is gone; see :class:`SimulationConfig`).
@@ -305,16 +311,18 @@ class Simulation:
         and the durable sweep layer); selectors are case-insensitive.
 
         All loops produce identical metrics; ``wall_clock_s`` records
-        the elapsed engine time either way.
+        the elapsed engine time either way. Every engine runs through
+        the one batch driver (:mod:`repro.runtime.driver`).
 
         ``checkpoint`` enables periodic :class:`SimulationState`
-        snapshots (see :mod:`repro.runtime.checkpoint`); ``resume_from``
-        — a state or a path to one — continues an interrupted run from
-        its last snapshot, bit-identically to never having stopped. A
-        resume must use the same trace/assignment/policy/config that
-        produced the checkpoint (the durable sweep layer verifies this
-        via content hashes); the engine is taken from the checkpoint
-        unless explicitly overridden, and an explicit mismatch errors.
+        snapshots on every engine (see :mod:`repro.runtime.checkpoint`);
+        ``resume_from`` — a state or a path to one — continues an
+        interrupted run from its last snapshot, bit-identically to never
+        having stopped. A resume must use the same
+        trace/assignment/policy/config that produced the checkpoint (the
+        durable sweep layer verifies this via content hashes); the engine
+        is taken from the checkpoint unless explicitly overridden, and an
+        explicit mismatch errors, as does a ``session:*`` snapshot.
         """
         if checkpoint is not None and not isinstance(checkpoint, CheckpointConfig):
             raise TypeError(
@@ -322,98 +330,18 @@ class Simulation:
             )
         if isinstance(resume_from, (str, Path)):
             resume_from = SimulationState.load(resume_from)
-        if engine is not None:
-            engine = parse_engine(engine)
         t0 = time.perf_counter()
-        if engine == "fleet":
-            from repro.runtime.fleet import run_fleet
-
-            result = run_fleet(
-                self, checkpoint=checkpoint, resume_from=resume_from
-            )
-        elif self._resolve_engine(engine, resume_from):
-            from repro.runtime.fastpath import run_fast
-
-            result = run_fast(self, checkpoint=checkpoint, resume_from=resume_from)
-        else:
-            result = self._run_reference(
-                checkpoint=checkpoint, resume_from=resume_from
-            )
+        stepper = open_stepper(self, engine, resume_from)
+        drive(
+            stepper,
+            checkpoint=checkpoint,
+            bucket=resume_from.cursor[0] if resume_from is not None else 0,
+        )
+        result = stepper.finalize()
         wall = time.perf_counter() - t0
         if result.obs is not None and result.obs.spans_enabled:
             result.obs.spans.add("engine-total", wall)
         return replace(result, wall_clock_s=wall)
-
-    def _resolve_engine(
-        self, engine: str | None, resume_from: SimulationState | None = None
-    ) -> bool:
-        """Map the (already canonical) ``engine`` to "use the fast loop?"."""
-        cfg = self.config
-        if resume_from is not None:
-            # A checkpoint binds the run to the loop that captured it:
-            # the two engines' cursors are not interchangeable.
-            state_fast = resume_from.engine == "fast"
-            if engine in (None, "auto"):
-                if state_fast and cfg.measure_overhead:
-                    raise ValueError(
-                        "cannot resume a 'fast' checkpoint with "
-                        "measure_overhead=True (the fast loop never "
-                        "measures overhead)"
-                    )
-                return state_fast
-            if (engine == "fast") != state_fast:
-                raise ValueError(
-                    f"cannot resume a {resume_from.engine!r} checkpoint "
-                    f"with engine={engine!r}"
-                )
-            return state_fast
-        if engine == "auto":
-            return not cfg.measure_overhead
-        if engine == "fast":
-            if cfg.measure_overhead:
-                raise ValueError(
-                    "engine='fast' cannot honor measure_overhead=True "
-                    "(Figure 9's metric needs the reference loop's "
-                    "per-minute decision cadence); use engine='auto' or "
-                    "'reference'"
-                )
-            return True
-        # None (the historical default) and "reference" both take the
-        # minute-by-minute loop.
-        return False
-
-    def _run_reference(
-        self,
-        checkpoint: CheckpointConfig | None = None,
-        resume_from: SimulationState | None = None,
-    ) -> RunResult:
-        """The reference minute-by-minute loop (walks every minute).
-
-        A thin driver over :class:`ReferenceStepper`: the stepper owns
-        the per-minute semantics, this loop only feeds it minutes — the
-        same stepping path :class:`repro.serve.session.ControlSession`
-        drives one ``advance()`` at a time.
-        """
-        if resume_from is not None:
-            if resume_from.engine != "reference":
-                raise ValueError(
-                    "reference loop cannot resume a "
-                    f"{resume_from.engine!r} checkpoint"
-                )
-            stepper = ReferenceStepper(
-                self,
-                checkpoint,
-                live=resume_from.restore(),
-                next_minute=resume_from.next_minute,
-                cursor=resume_from.cursor,
-            )
-        else:
-            stepper = ReferenceStepper(self, checkpoint)
-        counts = self.trace.counts
-        for t in range(stepper.next_minute, self.trace.horizon):
-            fids = np.flatnonzero(counts[:, t])
-            stepper.step(t, fids, counts[fids, t])
-        return stepper.finalize()
 
 
 class ReferenceStepper:
@@ -425,14 +353,14 @@ class ReferenceStepper:
     :meth:`live_state` captures the loop's live objects in the exact
     checkpoint-payload shape :meth:`SimulationState.snapshot` pickles,
     and :meth:`finalize` produces the :class:`RunResult`. The batch
-    driver (:meth:`Simulation._run_reference`) and incremental sessions
+    driver (:func:`repro.runtime.driver.drive`) and incremental sessions
     (:mod:`repro.serve.session`) share this single implementation, so a
     stepped replay is bit-identical to a batch run by construction.
 
     Constructed either fresh (``live=None``: binds the policy and
     allocates run state) or from a restored checkpoint payload
     (``live=`` the dict from :meth:`SimulationState.restore`, plus the
-    checkpoint's ``next_minute``/``cursor``). Telemetry handles are
+    checkpoint's ``next_minute``). Telemetry handles are
     always re-derived from the (possibly restored) obs session: the
     metrics registry hands back the same counter for the same name, so
     a resumed run keeps accumulating where the snapshot left off.
@@ -443,11 +371,9 @@ class ReferenceStepper:
     def __init__(
         self,
         sim: Simulation,
-        checkpoint: CheckpointConfig | None = None,
         *,
         live: dict | None = None,
         next_minute: int = 0,
-        cursor: tuple | None = None,
     ):
         trace, cfg = sim.trace, sim.config
         self.sim = sim
@@ -455,7 +381,7 @@ class ReferenceStepper:
         self.assignment = sim.assignment
         self.horizon = trace.horizon
         self.n_fn = n_fn = trace.n_functions
-        self.checkpoint = checkpoint
+        self.next_minute = next_minute
 
         if live is None:
             policy = sim.policy
@@ -498,8 +424,6 @@ class ReferenceStepper:
                 else None
             )
             self.n_checkpoints = 0
-            self.next_minute = 0
-            self.cur_bucket = 0
         else:
             # Single-payload restore: every mutable object comes back with
             # shared identities intact (policy plan cache <-> schedule,
@@ -524,8 +448,6 @@ class ReferenceStepper:
             self.n_forced = live["n_forced"]
             self.injector = live["injector"]
             self.n_checkpoints = live["n_checkpoints"]
-            self.next_minute = next_minute
-            (self.cur_bucket,) = cursor
 
         # Hot-loop telemetry handles (each None when its layer is off).
         obs = self.obs
@@ -552,13 +474,6 @@ class ReferenceStepper:
         else:
             self.inv_counters = self.cold_counters = None
             self.warm_counter = self.mem_hist = None
-        self.ckpt_counter = (
-            # repro: lint-ok[RPR002] fleet.py rejects checkpoint/resume at
-            # entry, so this instrument is structurally absent there
-            met.counter("checkpoints_total", "engine checkpoints captured")
-            if met is not None and checkpoint is not None
-            else None
-        )
         if live is None:
             self.last_arrival: list[int | None] = (
                 [None] * n_fn if rec is not None else []
@@ -576,7 +491,6 @@ class ReferenceStepper:
             and self.injector.pressure_minutes is not None
         )
         self.valve_on = self.capacity is not None or has_pressure
-        self.every = checkpoint.every_minutes if checkpoint is not None else 0
         self.last_memory_mb = 0.0
         self._result: RunResult | None = None
 
@@ -618,23 +532,6 @@ class ReferenceStepper:
         ``next_minute``); the driver and the session layer both
         guarantee this.
         """
-        checkpoint = self.checkpoint
-        if checkpoint is not None and t // self.every > self.cur_bucket:
-            # Checkpoint hook: fires at the first minute of each cadence
-            # bucket, *before* the minute executes (next_minute == t).
-            # Counters are bumped before capture so the snapshot already
-            # contains them — a clean run and a resumed run then agree
-            # on every count, bit for bit.
-            self.cur_bucket = t // self.every
-            self.n_checkpoints += 1
-            if self.ckpt_counter is not None:
-                self.ckpt_counter.inc()
-            checkpoint.emit(
-                SimulationState.snapshot(
-                    "reference", t, (self.cur_bucket,), self.live_state()
-                )
-            )
-
         # Localize the hot names (the inner loop reads them many times);
         # mutated scalars are written back at the end of the minute.
         policy = self.policy
@@ -801,6 +698,11 @@ class ReferenceStepper:
         self.n_decisions = n_decisions
         self.last_memory_mb = mem_t
         self.next_minute = t + 1
+
+    def idle_span(self, start: int, stop: int) -> None:
+        """Execute the idle minutes ``start .. stop-1``, one at a time."""
+        for t in range(start, stop):
+            self.step(t, NO_EVENTS, NO_EVENTS)
 
     def finalize(self) -> RunResult:
         """Close the run and build its :class:`RunResult` (idempotent —

@@ -9,12 +9,18 @@ one simulated minute and returns that minute's control decisions —
 variant plans, cold starts, downgrades, capacity-valve actions — as the
 engine made them.
 
-There is **one stepping code path**. Sessions drive the exact stepper
-classes the batch drivers use (:class:`~repro.runtime.simulator.ReferenceStepper`,
-:class:`~repro.runtime.fastpath.FastStepper`,
-:class:`~repro.runtime.fleet.FleetStepper`), so a full-trace replay
-through ``advance()`` is bit-identical to ``Simulation.run()`` on every
-engine — pinned by the golden tests in ``tests/test_serve_session.py``.
+There is **one stepping code path**. Sessions open their stepper
+(:class:`~repro.runtime.simulator.ReferenceStepper`,
+:class:`~repro.runtime.fastpath.FastStepper` or
+:class:`~repro.runtime.fleet.FleetStepper`) through the same engine
+selection as ``Simulation.run()``
+(:func:`~repro.runtime.driver.open_stepper`), and every trace-driven
+stretch — :meth:`ControlSession.replay` and the gap before an
+``advance(minute)`` — runs through the same batch driver
+(:func:`~repro.runtime.driver.drive`). A full-trace replay through
+``advance()`` is therefore bit-identical to ``Simulation.run()`` on
+every engine — pinned by the golden tests in
+``tests/test_serve_session.py``.
 
 Two workload modes share the API:
 
@@ -27,7 +33,8 @@ Two workload modes share the API:
 
 ``snapshot()`` captures the session as a
 :class:`~repro.runtime.checkpoint.SimulationState` (the engine
-checkpoint format, ``engine="session:<name>"``) and
+checkpoint format, ``engine="session:<name>"``, with an empty cursor —
+the cadence bucket belongs to batch checkpoints) and
 ``ControlSession.restore()`` rebuilds it — in the same process or after
 a restart — bit-identically, by the same one-pickle-payload rule the
 engine checkpoints use.
@@ -47,15 +54,11 @@ from repro.faults.plan import FaultPlan
 from repro.models.variants import ModelFamily
 from repro.obs.session import ObservabilityConfig
 from repro.runtime.checkpoint import SimulationState
+from repro.runtime.driver import drive, open_stepper
 from repro.runtime.metrics import RunResult
 from repro.runtime.policy import KeepAlivePolicy
-from repro.runtime.simulator import (
-    ReferenceStepper,
-    Simulation,
-    SimulationConfig,
-)
+from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.traces.schema import FunctionSpec, Trace
-from repro.utils.specs import parse_engine
 from repro.utils.validation import check_positive_int
 
 __all__ = ["AdvanceResult", "ControlSession", "TraceMeta", "open_session"]
@@ -149,35 +152,11 @@ class ControlSession:
         self._span_added = False
         # The three steppers share the stepping surface by convention,
         # not by base class — dispatch stays duck-typed.
-        self.stepper: Any
-        if _restored is None:
-            live: dict | None = None
-            next_minute = 0
-            cursor: tuple = ()
-        else:
-            live, next_minute, cursor = _restored
-        engine = parse_engine(engine)
-        if engine == "fleet":
-            from repro.runtime.fleet import FleetStepper, validate_fleet_config
-
-            validate_fleet_config(sim.config)
-            self.engine = "fleet"
-            self.stepper = FleetStepper(sim, live=live)
-        else:
-            if sim._resolve_engine(engine):
-                from repro.runtime.fastpath import FastStepper
-
-                self.engine = "fast"
-                self.stepper = FastStepper(
-                    sim,
-                    live=live,
-                    prev_t=next_minute - 1 if live is not None else -1,
-                )
-            else:
-                self.engine = "reference"
-                self.stepper = ReferenceStepper(
-                    sim, live=live, next_minute=next_minute, cursor=cursor
-                )
+        live, next_minute = _restored if _restored is not None else (None, 0)
+        self.stepper: Any = open_stepper(
+            sim, engine, live=live, next_minute=next_minute
+        )
+        self.engine: str = self.stepper.engine
 
     # -- position ----------------------------------------------------------
 
@@ -227,25 +206,23 @@ class ControlSession:
                 f"({self.horizon} minutes)"
             )
         t0 = perf_counter()
-        counts = self.trace.counts
-        for t in range(start, minute):
-            fids = np.flatnonzero(counts[:, t])
-            self._step(t, fids, counts[fids, t])
+        if minute > start:
+            drive(stepper, stop=minute)
         obs = stepper.obs
         n_rec = len(obs.records) if obs is not None else 0
         inv0 = stepper.n_invocations
         cold0 = stepper.n_cold
-        forced0 = self._n_forced()
+        forced0 = stepper.n_forced
         fids, fid_counts = self._minute_events(minute, invocations)
-        self._step(minute, fids, fid_counts)
+        stepper.step(minute, fids, fid_counts)
         self._wall += perf_counter() - t0
         decisions = tuple(obs.records[n_rec:]) if obs is not None else ()
         return AdvanceResult(
             minute=minute,
             n_invocations=stepper.n_invocations - inv0,
             n_cold=stepper.n_cold - cold0,
-            n_forced_downgrades=self._n_forced() - forced0,
-            memory_mb=self._memory_mb(minute),
+            n_forced_downgrades=int(stepper.n_forced - forced0),
+            memory_mb=float(stepper.last_memory_mb),
             decisions=decisions,
         )
 
@@ -253,39 +230,11 @@ class ControlSession:
         """Drive every remaining minute from the trace and finish.
 
         Bit-identical to ``Simulation.run()`` on the session's engine:
-        the reference and fleet engines walk each minute through the
-        shared stepper, and the fast engine keeps its event-driven shape
-        (idle gaps settle as bulk spans, exactly the grouping
-        :func:`~repro.runtime.fastpath.run_fast` uses), so the
-        skip-idle-minutes advantage survives the session detour.
+        both run the same batch driver over the same stepper, so the
+        fast engine keeps its skip-idle-minutes advantage here too.
         """
         t0 = perf_counter()
-        stepper = self.stepper
-        counts = self.trace.counts
-        start = stepper.next_minute
-        if self.engine == "fast" and start < self.horizon:
-            ev_t, ev_fid = np.nonzero(counts.T)
-            ev_count = counts.T[ev_t, ev_fid]
-            k = int(np.searchsorted(ev_t, start))
-            group_ends = np.flatnonzero(np.diff(ev_t[k:])) + 1
-            begin = 0
-            for end in [*group_ends.tolist(), int(ev_t.size) - k]:
-                if end == begin:
-                    continue
-                t = int(ev_t[k + begin])
-                if stepper.prev_t + 1 < t:
-                    stepper.idle_span(stepper.prev_t + 1, t)
-                stepper.serve_minute(
-                    t,
-                    ev_fid[k + begin : k + end],
-                    ev_count[k + begin : k + end],
-                )
-                begin = end
-            stepper.idle_span(stepper.prev_t + 1, self.horizon)
-        else:
-            for t in range(start, self.horizon):
-                fids = np.flatnonzero(counts[:, t])
-                self._step(t, fids, counts[fids, t])
+        drive(self.stepper)
         self._wall += perf_counter() - t0
         return self.result()
 
@@ -370,9 +319,6 @@ class ControlSession:
         ``snapshot().save(path)``.
         """
         stepper = self.stepper
-        cursor: tuple = (
-            (stepper.cur_bucket,) if self.engine == "reference" else ()
-        )
         payload = {
             "live": stepper.live_state(),
             "meta": {
@@ -383,7 +329,7 @@ class ControlSession:
             },
         }
         return SimulationState.snapshot(
-            f"session:{self.engine}", stepper.next_minute, cursor, payload
+            f"session:{self.engine}", stepper.next_minute, (), payload
         )
 
     @classmethod
@@ -415,28 +361,10 @@ class ControlSession:
             sim,
             engine=name,
             online=meta["online"],
-            _restored=(live, state.next_minute, state.cursor),
+            _restored=(live, state.next_minute),
         )
 
-    # -- engine dispatch ---------------------------------------------------
-
-    def _step(self, t: int, fids: np.ndarray, fid_counts: np.ndarray) -> None:
-        if self.engine == "fast":
-            self.stepper.advance_minute(t, fids, fid_counts)
-        else:
-            self.stepper.step(t, fids, fid_counts)
-
-    def _n_forced(self) -> int:
-        if self.engine == "fleet":
-            return int(self.stepper.fleet.n_forced)
-        return int(self.stepper.n_forced)
-
-    def _memory_mb(self, t: int) -> float:
-        if self.engine == "fast":
-            # The fast stepper doesn't track a last-minute scalar; the
-            # schedule ledger answers the same question read-only.
-            return float(self.stepper.schedule.memory_at(t))
-        return float(self.stepper.last_memory_mb)
+    # -- workload ----------------------------------------------------------
 
     def _minute_events(
         self,

@@ -222,17 +222,22 @@ class TestRejections:
         with pytest.raises(ValueError, match="fleet"):
             sim.run(engine="fleet")
 
-    def test_checkpoint_rejected(self, small_trace, assignment, tmp_path):
-        from repro.runtime.checkpoint import CheckpointConfig
+    def test_checkpoint_accepted(self, small_trace, assignment, tmp_path):
+        # Checkpointing is no longer rejected: the shared batch driver
+        # snapshots the fleet stepper like the other engines (resume
+        # round trips in test_runtime_checkpoint.py).
+        from repro.runtime.checkpoint import CheckpointConfig, SimulationState
 
         sim = Simulation(
             small_trace, assignment, PulsePolicy(), SimulationConfig()
         )
-        with pytest.raises(ValueError, match="checkpoint"):
-            sim.run(
-                engine="fleet",
-                checkpoint=CheckpointConfig(path=tmp_path / "c.ckpt"),
-            )
+        path = tmp_path / "c.ckpt"
+        result = sim.run(
+            engine="fleet",
+            checkpoint=CheckpointConfig(path=path, every_minutes=240),
+        )
+        assert result.n_checkpoints == 2  # buckets 1 and 2 of 720 minutes
+        assert SimulationState.load(path).engine == "fleet"
 
     def test_observe_accepted(self, small_trace, assignment):
         # Observability is no longer rejected: the fleet engine carries

@@ -1,10 +1,10 @@
-"""Checkpoint/resume: bit-identical round-trips on both engines.
+"""Checkpoint/resume: bit-identical round-trips on every engine.
 
 The contract under test (see :mod:`repro.runtime.checkpoint`): resuming
 an interrupted run from any snapshot produces exactly the metrics the
 uninterrupted run produced — same summary, same memory series bytes,
-same observability counters — on both engines, with and without fault
-injection.
+same observability counters — on the reference, fast and fleet engines,
+with and without fault injection.
 """
 
 from __future__ import annotations
@@ -14,20 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import simulate
+from repro.api import make_policy, simulate
+from repro.serve.session import open_session
 from repro.models.zoo import default_zoo
 from repro.runtime.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointConfig,
     SimulationState,
 )
-from repro.runtime.simulator import SimulationConfig
+from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.traces.schema import FunctionSpec, Trace
 
 ZOO = default_zoo()
 FAMILIES = list(ZOO)
 
-ENGINES = ("reference", "fast")
+ENGINES = ("reference", "fast", "fleet")
 FAULT_SPECS = (None, "spawn=0.2,slow=0.1,seed=7")
 
 
@@ -90,17 +91,45 @@ class TestRoundTrip:
             assert _comparable(resumed) == _comparable(full)
             assert resumed.n_checkpoints == full.n_checkpoints
 
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_checkpointing_does_not_perturb_metrics(
-        self, tiny_trace, tiny_assignment
+        self, tiny_trace, tiny_assignment, engine
     ):
-        plain = simulate(tiny_trace, assignment=tiny_assignment, policy="pulse", engine="fast")
+        plain = simulate(tiny_trace, assignment=tiny_assignment, policy="pulse", engine=engine)
         checked = simulate(
-            tiny_trace, assignment=tiny_assignment, policy="pulse", engine="fast",
+            tiny_trace, assignment=tiny_assignment, policy="pulse", engine=engine,
             checkpoint=CheckpointConfig(
                 every_minutes=7, on_snapshot=lambda s: None
             ),
         )
+        assert checked.n_checkpoints > 0
         assert _comparable(plain) == _comparable(checked)
+
+    def test_one_cadence_rule_across_engines(self):
+        # Minutes 20..29 (bucket 2 of every=10) are all idle, and the
+        # other buckets' first events sit off the bucket boundary: every
+        # engine must capture before the same event groups.
+        matrix = np.zeros((3, 60), dtype=np.int64)
+        for fid, minutes in enumerate(((3, 14, 33), (5, 17, 41, 58), (12, 47))):
+            matrix[fid, list(minutes)] = 1 + fid
+        trace = _trace_from_matrix(matrix)
+        assignment = _assignment(trace)
+        seen = {}
+        for engine in ENGINES:
+            states: list[SimulationState] = []
+            result = simulate(
+                trace, assignment=assignment, policy="pulse", engine=engine,
+                checkpoint=CheckpointConfig(
+                    every_minutes=10, on_snapshot=states.append
+                ),
+            )
+            assert result.n_checkpoints == len(states)
+            seen[engine] = [(s.next_minute, s.cursor) for s in states]
+        # Bucket 1 captures at its first event (minute 12, after minute
+        # 5's group); bucket 2 is idle; buckets 3, 4, 5 capture before
+        # minutes 33, 41 and 58.
+        assert seen["reference"] == [(6, (1,)), (18, (3,)), (34, (4,)), (48, (5,))]
+        assert seen["fast"] == seen["fleet"] == seen["reference"]
 
     def test_observed_resume_restores_counters(
         self, tiny_trace, tiny_assignment
@@ -125,7 +154,7 @@ class TestRoundTrip:
         assert _comparable(resumed) == _comparable(full)
 
     @given(matrix=small_traces, every=st.integers(min_value=3, max_value=17),
-           engine_idx=st.integers(min_value=0, max_value=1))
+           engine_idx=st.integers(min_value=0, max_value=2))
     @settings(max_examples=15, deadline=None)
     def test_random_traces_round_trip(self, matrix, every, engine_idx):
         trace = _trace_from_matrix(matrix)
@@ -167,6 +196,24 @@ class TestStatePersistence:
         )
         assert _comparable(resumed) == _comparable(full)
 
+    def test_load_rejects_flipped_payload_byte(
+        self, tiny_trace, tiny_assignment, tmp_path
+    ):
+        path = tmp_path / "run.ckpt"
+        simulate(
+            tiny_trace, assignment=tiny_assignment, policy="pulse",
+            engine="fast",
+            checkpoint=CheckpointConfig(path=path, every_minutes=25),
+        )
+        raw = bytearray(path.read_bytes())
+        # One base64 digit in the middle of the payload, swapped for
+        # another valid digit: still decodable, different bytes.
+        i = raw.index(b'"payload_b64":"') + len(b'"payload_b64":"') + 40
+        raw[i] = ord("A") if raw[i] != ord("A") else ord("B")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="sha256"):
+            SimulationState.load(path)
+
     def test_load_rejects_foreign_payload(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"not a checkpoint")
@@ -204,6 +251,31 @@ class TestGuards:
                 tiny_trace, assignment=tiny_assignment, policy="pulse", engine="reference",
                 resume_from=states[0],
             )
+
+    def test_fleet_checkpoint_refused_on_fast(self, tiny_trace, tiny_assignment):
+        states: list[SimulationState] = []
+        simulate(
+            tiny_trace, assignment=tiny_assignment, policy="pulse",
+            engine="fleet",
+            checkpoint=CheckpointConfig(every_minutes=30,
+                                        on_snapshot=states.append),
+        )
+        with pytest.raises(ValueError, match="'fleet'.*'fast'"):
+            simulate(
+                tiny_trace, assignment=tiny_assignment, policy="pulse",
+                engine="fast", resume_from=states[0],
+            )
+
+    def test_session_snapshot_refused_by_run(self, tiny_trace, tiny_assignment):
+        session = open_session(
+            tiny_trace, policy="pulse", assignment=tiny_assignment,
+            engine="fast",
+        )
+        session.advance(10)
+        state = session.snapshot()
+        sim = Simulation(tiny_trace, tiny_assignment, make_policy("pulse"))
+        with pytest.raises(ValueError, match="'session:fast'.*'fast'"):
+            sim.run(engine="fast", resume_from=state)
 
     def test_config_requires_sink(self):
         with pytest.raises(ValueError):

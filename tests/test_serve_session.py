@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.checkpoint import SimulationState
+from repro.runtime.checkpoint import CHECKPOINT_SCHEMA_VERSION, SimulationState
 from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.serve import AdvanceResult, ControlSession, TraceMeta, open_session
 from repro.serve.session import open_session as session_open
@@ -298,7 +298,10 @@ class TestSnapshotRestore:
             engine=state.engine, next_minute=state.next_minute,
             cursor=state.cursor, payload=v2_bytes, schema_version=2,
         )
-        version_msg = r"schema v2 is not readable by this build \(expects v3\)"
+        version_msg = (
+            r"schema v2 is not readable by this build "
+            rf"\(expects v{CHECKPOINT_SCHEMA_VERSION}\)"
+        )
         with pytest.raises(ValueError, match=version_msg):
             ControlSession.restore(v2)
         path = v2.save(tmp_path / "v2.ckpt")
