@@ -11,9 +11,9 @@ replaces both:
   metadata (description, natural keep-alive window);
 - a **simulate facade**: :func:`simulate` runs one policy over one
   trace on an explicitly chosen engine (``"auto"``/``"reference"``/
-  ``"fast"``), optionally under a :class:`~repro.faults.plan.FaultPlan`,
-  hiding the ``Simulation``/fastpath split and the deprecated
-  ``SimulationConfig(fast=...)`` boolean.
+  ``"fast"``/``"fleet"``), optionally under a
+  :class:`~repro.faults.plan.FaultPlan`, hiding the ``Simulation``/
+  engine split (the ``SimulationConfig(fast=...)`` boolean is gone).
 
 Factories registered here must be picklable (they fan out across the
 experiment runner's process pools), which is why :func:`make_policy`

@@ -47,8 +47,8 @@ snapshots.
 
 On disk a snapshot is the JSON wire envelope
 (:meth:`SimulationState.to_wire_json`), so :meth:`SimulationState.load`
-checks the format, the schema version and the payload's SHA-256 before
-anything is unpickled.
+checks the format, the schema version and one SHA-256 over its header
+and payload before anything is unpickled.
 """
 
 from __future__ import annotations
@@ -99,7 +99,13 @@ __all__ = [
 #: ``next_minute``, which rides on ``SimulationState.next_minute`` as
 #: on the other engines. ``save``/``load`` write and read the JSON wire
 #: envelope instead of a pickled ``SimulationState``.
-CHECKPOINT_SCHEMA_VERSION = 4
+#: v5: the envelope's ``payload_sha256`` digests the canonical header
+#: (``format``, ``schema_version``, ``engine``, ``next_minute``,
+#: ``cursor``) together with the payload, so a hand-edited or corrupted
+#: header is refused instead of resuming at the wrong minute. The key set
+#: and the pickle layout are unchanged; v4 envelopes fail the version
+#: check.
+CHECKPOINT_SCHEMA_VERSION = 5
 
 #: The schema manifest: the exact field set each engine's
 #: ``live_state()`` pickles into the payload, per engine key. This is
@@ -210,6 +216,18 @@ WIRE_FIELDS: tuple[str, ...] = (
 )
 
 
+def _envelope_digest(
+    schema_version: Any, engine: Any, next_minute: Any, cursor: Any,
+    payload: bytes,
+) -> str:
+    """SHA-256 over the envelope's canonical header and the payload, so
+    neither can change without the other noticing."""
+    header = canonical_json(
+        [WIRE_FORMAT, schema_version, engine, next_minute, cursor]
+    )
+    return sha256_bytes(header.encode("utf-8") + b"\n" + payload)
+
+
 @dataclass(frozen=True)
 class SimulationState:
     """One engine checkpoint: where the run is, plus everything mutable.
@@ -262,10 +280,11 @@ class SimulationState:
         This is the format snapshots travel in over HTTP (and the
         on-disk form the serve-layer journal compacts to): a versioned,
         inspectable JSON object instead of a raw pickle stream. The
-        pickle payload rides inside as base64 with a SHA-256 beside it,
-        so the envelope round-trips **bit-identically** — ``payload``
-        bytes are preserved exactly — while transport corruption and
-        schema drift are detected before anything is unpickled.
+        pickle payload rides inside as base64 with a SHA-256 of the
+        header and the payload beside it, so the envelope round-trips
+        **bit-identically** — ``payload`` bytes are preserved exactly —
+        while transport corruption, an edited header and schema drift
+        are detected before anything is unpickled.
         Deserializing the payload still executes pickle bytecode, so
         the serving layer only accepts envelopes from authenticated
         callers (see the bearer-token gate in :mod:`repro.serve.app`).
@@ -277,7 +296,10 @@ class SimulationState:
                 "engine": self.engine,
                 "next_minute": self.next_minute,
                 "cursor": list(self.cursor),
-                "payload_sha256": sha256_bytes(self.payload),
+                "payload_sha256": _envelope_digest(
+                    self.schema_version, self.engine, self.next_minute,
+                    list(self.cursor), self.payload,
+                ),
                 "payload_b64": base64.b64encode(self.payload).decode("ascii"),
             }
         )
@@ -289,7 +311,7 @@ class SimulationState:
         Raises ``ValueError`` on anything that is not a well-formed,
         current-version, integrity-intact envelope — undecodable JSON,
         a foreign ``format`` tag, a schema-version mismatch, missing
-        keys, or a payload whose SHA-256 does not match.
+        keys, or a header or payload whose SHA-256 does not match.
         """
         if isinstance(text, bytes):
             text = text.decode("utf-8", errors="replace")
@@ -317,10 +339,12 @@ class SimulationState:
             payload = base64.b64decode(obj["payload_b64"], validate=True)
         except (binascii.Error, TypeError) as exc:
             raise ValueError(f"undecodable snapshot payload: {exc}") from exc
-        digest = sha256_bytes(payload)
+        digest = _envelope_digest(
+            version, obj["engine"], obj["next_minute"], obj["cursor"], payload
+        )
         if digest != obj["payload_sha256"]:
             raise ValueError(
-                "snapshot payload corrupt: sha256 mismatch "
+                "snapshot header or payload corrupt: sha256 mismatch "
                 f"(expected {obj['payload_sha256']}, got {digest})"
             )
         cursor = obj["cursor"]

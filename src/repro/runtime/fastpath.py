@@ -8,9 +8,11 @@ idle overhead: the schedule can only change at minutes with invocations
 (plans), during a policy review that actually flattens a peak, or under
 the capacity pressure valve.
 
-This module exploits that. :class:`FastStepper` owns the run state and
-the per-minute semantics: :meth:`~FastStepper.step` serves/plans one
-event minute reading the schedule's entry maps directly, and
+This module exploits that. :class:`FastStepper` adds the per-minute
+semantics to the shared stepper core
+(:class:`~repro.runtime.driver.Stepper`): :meth:`~FastStepper.step`
+serves/plans one event minute reading the schedule's entry maps
+directly, and
 :meth:`~FastStepper.idle_span` accounts a run of idle minutes
 analytically from the schedule's incremental per-minute memory ledger
 (``KeepAliveSchedule.memory_slice``) — the ledger between two events is
@@ -54,14 +56,11 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.faults.injector import FaultInjector
-from repro.obs.session import ObsSession
-from repro.runtime.container import ContainerPool
-from repro.runtime.events import EventKind, EventLog
-from repro.runtime.metrics import RunResult
+from repro.runtime.driver import Stepper
+from repro.runtime.events import EventKind
 from repro.runtime.policy import KeepAlivePolicy
 from repro.runtime.schedule import KeepAliveSchedule
-from repro.runtime.simulator import apply_capacity_valve, collect_resilience
+from repro.runtime.simulator import apply_capacity_valve
 from repro.utils.rng import rng_from_seed
 
 __all__ = ["FastStepper"]
@@ -73,17 +72,12 @@ def _policy_has_review(policy: KeepAlivePolicy) -> bool:
     return type(policy).review_minute is not KeepAlivePolicy.review_minute
 
 
-class FastStepper:
+class FastStepper(Stepper):
     """The fast engine's run state, steppable one minute at a time.
 
-    Constructed fresh (``live=None``: binds the policy, allocates run
-    state) or from a restored checkpoint payload (``live=`` the dict from
-    :meth:`SimulationState.restore` plus the checkpoint's
-    ``next_minute``). Telemetry handles are re-derived from the (possibly
-    restored) obs session — the metrics registry hands back the same
-    counter for the same name, so a resumed run keeps accumulating where
-    the snapshot left off.
-
+    The shared core (:class:`~repro.runtime.driver.Stepper`) owns
+    construction, restore and :meth:`finalize`; this class adds the
+    schedule-reading :meth:`step` and the bulk :meth:`idle_span`.
     ``next_minute`` is the first minute not yet accounted. The batch
     driver jumps event minute to event minute and back-fills idle spans
     in bulk; sessions call :meth:`step` for every minute in order. Both
@@ -92,88 +86,21 @@ class FastStepper:
 
     engine = "fast"
 
-    def __init__(self, sim, *, live: dict | None = None, next_minute: int = 0):
-        trace, cfg = sim.trace, sim.config
-        self.sim = sim
-        self.cfg = cfg
-        self.horizon = trace.horizon
-        self.n_fn = n_fn = trace.n_functions
+    def _fresh_state(self) -> None:
+        self.schedule = KeepAliveSchedule(
+            self.n_fn, self.cfg.keep_alive_window, horizon_hint=self.horizon
+        )
+        self.n_warm = 0
+        self.capacity_rng = rng_from_seed(self.cfg.capacity_seed)
+        self.n_forced = 0
+        self.last_arrival: list[int | None] = (
+            [None] * self.n_fn if self.rec is not None else []
+        )
 
-        if live is None:
-            policy = sim.policy
-            self.events = EventLog() if cfg.record_events else None
-            self.obs = (
-                ObsSession(cfg.observe) if cfg.observe is not None else None
-            )
-            if self.obs is not None or self.events is not None:
-                # Before bind, so on_bind can wire policy sub-components.
-                policy.attach_observability(self.obs, self.events)
-            policy.bind(trace, sim.assignment, cfg.keep_alive_window)
-            self.policy = policy
-            self.schedule = KeepAliveSchedule(
-                n_fn, cfg.keep_alive_window, horizon_hint=self.horizon
-            )
-            self.pool = (
-                ContainerPool(self.events)
-                if (cfg.track_containers or cfg.record_events)
-                else None
-            )
-            self.service_time = 0.0
-            self.accuracy_sum = 0.0
-            self.n_invocations = 0
-            self.n_warm = 0
-            self.n_cold = 0
-            self.total_mb_minutes = 0.0
-            self.mem_series = (
-                np.zeros(self.horizon) if cfg.record_series else None
-            )
-            self.ideal_series = (
-                np.zeros(self.horizon) if cfg.record_series else None
-            )
-            self.capacity_rng = rng_from_seed(cfg.capacity_seed)
-            self.n_forced = 0
-            self.injector = (
-                FaultInjector(cfg.faults, self.horizon)
-                if cfg.faults is not None and cfg.faults.injects_runtime
-                else None
-            )
-            self.n_checkpoints = 0
-        else:
-            # Single-payload restore (see runtime.checkpoint): shared
-            # object identities survive, and attach_observability/bind
-            # are NOT re-run — the restored policy already carries its
-            # bound state.
-            self.policy = live["policy"]
-            self.events = live["events"]
-            self.obs = live["obs"]
-            self.schedule = live["schedule"]
-            self.pool = live["pool"]
-            self.service_time = live["service_time"]
-            self.accuracy_sum = live["accuracy_sum"]
-            self.n_invocations = live["n_invocations"]
-            self.n_warm = live["n_warm"]
-            self.n_cold = live["n_cold"]
-            self.total_mb_minutes = live["total_mb_minutes"]
-            self.mem_series = live["mem_series"]
-            self.ideal_series = live["ideal_series"]
-            self.capacity_rng = live["capacity_rng"]
-            self.n_forced = live["n_forced"]
-            self.injector = live["injector"]
-            self.n_checkpoints = live["n_checkpoints"]
-
-        # Hot-loop telemetry handles (each None when its layer is off);
-        # the instrumentation mirrors the reference loop exactly — same
+    def _derived_state(self) -> None:
+        # The instrumentation mirrors the reference loop exactly — same
         # counters, same record points — so traces are engine-independent.
-        obs = self.obs
-        self.rec = rec = (
-            obs if obs is not None and obs.decisions_enabled else None
-        )
-        self.met = met = (
-            obs.metrics if obs is not None and obs.metrics_enabled else None
-        )
-        self.spans = (
-            obs.spans if obs is not None and obs.spans_enabled else None
-        )
+        n_fn, met = self.n_fn, self.met
         if met is not None:
             _inv = met.counter("invocations_total", "invocations served")
             _cold = met.counter("cold_starts_total", "user-visible cold starts")
@@ -189,26 +116,10 @@ class FastStepper:
         else:
             self.inv_counters = self.cold_counters = None
             self.warm_counter = self.mem_metric = self.mem_hist = None
-        if live is None:
-            self.last_arrival: list[int | None] = (
-                [None] * n_fn if rec is not None else []
-            )
-        else:
-            self.last_arrival = live["last_arrival"]
-
         self.highest_mb = np.array(
-            [sim.assignment[fid].highest.memory_mb for fid in range(n_fn)]
+            [self.assignment[fid].highest.memory_mb for fid in range(n_fn)]
         )
-        self.assignment = sim.assignment
-        self.capacity = cfg.memory_capacity_mb
         self.has_review = _policy_has_review(self.policy)
-        has_pressure = (
-            self.injector is not None
-            and self.injector.pressure_minutes is not None
-        )
-        # The valve must check the ledger every minute when a standing
-        # cap or a fault plan's transient pressure spikes are configured.
-        self.valve_on = self.capacity is not None or has_pressure
         self.entries = self.schedule._entries  # direct read on the hot path
         self.has_observe = (
             type(self.policy).observe_invocation
@@ -225,8 +136,6 @@ class FastStepper:
         # In the same configuration, the event-minute commit collapses to
         # a single ledger read.
         self.simple_commit = not self.per_minute_idle
-        self.next_minute = next_minute
-        self._result: RunResult | None = None
 
     @property
     def last_memory_mb(self) -> float:
@@ -481,49 +390,3 @@ class FastStepper:
         if self.ideal_series is not None:
             self.ideal_series[t] = self.highest_mb[fids].sum()
         self.next_minute = t + 1
-
-    def finalize(self) -> RunResult:
-        """Close the run (every minute accounted) and build its
-        :class:`RunResult` (idempotent — the metric gauges below mutate,
-        so the result is cached)."""
-        if self._result is not None:
-            return self._result
-        cfg = self.cfg
-        n_invocations = self.n_invocations
-        mean_accuracy = (
-            self.accuracy_sum / n_invocations if n_invocations else 0.0
-        )
-        met = self.met
-        if met is not None:
-            met.counter(
-                "forced_downgrades_total", "capacity-valve downgrades"
-            ).inc(self.n_forced)
-            met.gauge("horizon_minutes").set(self.horizon)
-            met.gauge("n_functions").set(self.n_fn)
-            met.gauge("keepalive_mb_minutes").set(self.total_mb_minutes)
-        resilience = collect_resilience(
-            self.policy, self.injector, self.horizon
-        )
-        self._result = RunResult(
-            policy_name=self.policy.name,
-            n_invocations=n_invocations,
-            n_warm=self.n_warm,
-            n_cold=self.n_cold,
-            total_service_time_s=self.service_time,
-            keepalive_cost_usd=cfg.cost_model.minute_cost(
-                self.total_mb_minutes
-            ),
-            mean_accuracy=mean_accuracy,
-            policy_overhead_s=0.0,
-            n_policy_decisions=0,
-            memory_series_mb=self.mem_series,
-            ideal_memory_series_mb=self.ideal_series,
-            pool_stats=self.pool.stats if self.pool is not None else None,
-            events=self.events,
-            n_forced_downgrades=self.n_forced,
-            n_checkpoints=self.n_checkpoints,
-            obs=self.obs,
-            **resilience,
-        )
-        return self._result
-

@@ -80,22 +80,16 @@ from repro.core.thresholds import (
 from repro.core.utility import UtilityWeights
 from repro.faults.injector import FaultInjector
 from repro.obs.fleet import CANDIDATE_CAP, FleetObsSession
-from repro.obs.session import NULL_OBS
 from repro.runtime.columnar import (
     ColumnarEstimator,
     RingSchedule,
     VariantTables,
     seq_fold,
 )
-from repro.runtime.container import ContainerPool
+from repro.runtime.driver import Stepper
 from repro.runtime.events import EventKind, EventLog
-from repro.runtime.metrics import RunResult
 from repro.runtime.policy import KeepAlivePolicy
-from repro.runtime.simulator import (
-    NO_EVENTS,
-    collect_resilience,
-    emit_downgrade,
-)
+from repro.runtime.simulator import emit_downgrade
 from repro.utils.rng import rng_from_seed
 
 __all__ = ["FleetState", "FleetStepper"]
@@ -758,18 +752,17 @@ def _vector_levels(
 # -- the engine --------------------------------------------------------------
 
 
-class FleetStepper:
+class FleetStepper(Stepper):
     """The columnar fleet engine's run state, steppable one minute at a
     time.
 
-    Constructed fresh (``live=None``: compiles the policy into its
-    vectorized model, builds the columnar state) or from a restored
-    checkpoint or session-snapshot payload (``live=`` the dict from
-    :meth:`SimulationState.restore` — the whole columnar state graph,
-    compiled model included, comes back as one pickle so shared
-    identities survive — plus the snapshot's ``next_minute``). Batch
-    runs (:func:`repro.runtime.driver.drive`) feed it every minute from
-    the sparse event table; sessions (:mod:`repro.serve.session`) call
+    The shared core (:class:`~repro.runtime.driver.Stepper`) owns
+    construction, restore, idle spans and :meth:`finalize`; a fresh
+    stepper adds the compiled policy model, the variant tables and the
+    columnar :class:`FleetState`, which a restore brings back in the same
+    one pickle as the rest, so shared identities survive. Batch runs
+    (:func:`repro.runtime.driver.drive`) feed it every minute from the
+    sparse event table; sessions (:mod:`repro.serve.session`) call
     :meth:`step` one ``advance()`` at a time — the per-minute body is
     the same code either way, so a stepped replay is bit-identical to
     the batch run by construction.
@@ -781,105 +774,58 @@ class FleetStepper:
 
     engine = "fleet"
 
-    def __init__(self, sim, *, live: dict | None = None, next_minute: int = 0):
-        cfg = sim.config
-        trace = sim.trace
-        self.sim = sim
-        self.cfg = cfg
-        self.horizon = trace.horizon
-        self.n_fn = n_fn = trace.n_functions
-        self.next_minute = next_minute
+    def _open_obs(self) -> FleetObsSession:
+        return FleetObsSession(
+            self.cfg.observe, n_functions=self.n_fn, horizon=self.horizon
+        )
 
-        if live is None:
-            policy = sim.policy
-            self.events = EventLog() if cfg.record_events else None
-            self.obs = (
-                FleetObsSession(
-                    cfg.observe,
-                    n_functions=n_fn,
-                    horizon=self.horizon,
-                )
-                if cfg.observe is not None
-                else None
-            )
-            if self.obs is not None or self.events is not None:
-                policy.attach_observability(
-                    self.obs if self.obs is not None else NULL_OBS, self.events
-                )
-            policy.bind(trace, sim.assignment, cfg.keep_alive_window)
-            self.policy = policy
-            self.model = _compile_policy(policy, n_fn, cfg.keep_alive_window)
-            self.tables = VariantTables(sim.assignment, n_fn)
-            self.fleet = FleetState(
-                n_fn, cfg.keep_alive_window, self.tables, self.model,
-                cfg.capacity_seed,
-                self.obs.sample_fids
-                if self.obs is not None
-                else np.empty(0, dtype=np.int64),
-            )
-            self.pool = (
-                ContainerPool(self.events)
-                if (cfg.track_containers or cfg.record_events)
-                else None
-            )
-            self.injector = (
-                FaultInjector(cfg.faults, self.horizon)
-                if cfg.faults is not None and cfg.faults.injects_runtime
-                else None
-            )
-            self.service_time = 0.0
-            self.accuracy_sum = 0.0
-            self.n_invocations = 0
-            self.n_cold = 0
-            self.total_mb_minutes = 0.0
-            self.mem_series = (
-                np.zeros(self.horizon) if cfg.record_series else None
-            )
-            self.ideal_series = (
-                np.zeros(self.horizon) if cfg.record_series else None
-            )
-            self.n_checkpoints = 0
-        else:
-            # Single-payload restore: the columnar fleet state, the
-            # compiled model and the variant tables come back with their
-            # shared identities intact; attach_observability/bind and
-            # _compile_policy are NOT re-run.
-            self.policy = live["policy"]
-            self.events = live["events"]
-            self.obs = live["obs"]
-            self.model = live["model"]
-            self.tables = live["tables"]
-            self.fleet = live["fleet"]
-            self.pool = live["pool"]
-            self.injector = live["injector"]
-            self.service_time = live["service_time"]
-            self.accuracy_sum = live["accuracy_sum"]
-            self.n_invocations = live["n_invocations"]
-            self.n_cold = live["n_cold"]
-            self.total_mb_minutes = live["total_mb_minutes"]
-            self.mem_series = live["mem_series"]
-            self.ideal_series = live["ideal_series"]
-            self.n_checkpoints = live["n_checkpoints"]
+    def _fresh_state(self) -> None:
+        cfg = self.cfg
+        self.model = _compile_policy(
+            self.policy, self.n_fn, cfg.keep_alive_window
+        )
+        self.tables = VariantTables(self.assignment, self.n_fn)
+        self.fleet = FleetState(
+            self.n_fn, cfg.keep_alive_window, self.tables, self.model,
+            cfg.capacity_seed,
+            self.obs.sample_fids
+            if self.obs is not None
+            else np.empty(0, dtype=np.int64),
+        )
 
-        # Hot-loop telemetry handles, mirroring the loop engines (each
-        # None when its layer is off; columnar tallies ride ``obs``).
-        obs = self.obs
-        self.rec = obs if obs is not None and obs.decisions_enabled else None
-        self.met = (
-            obs.metrics if obs is not None and obs.metrics_enabled else None
-        )
-        self.spans = (
-            obs.spans if obs is not None and obs.spans_enabled else None
-        )
-        self.capacity = cfg.memory_capacity_mb
-        has_pressure = (
-            self.injector is not None
-            and self.injector.pressure_minutes is not None
-        )
-        self.valve_on = self.capacity is not None or has_pressure
+    def _derived_state(self) -> None:
         self.is_pulse = self.model.kind == "pulse"
-        self.last_memory_mb = 0.0
-        self._result: RunResult | None = None
+
+    def _close_metrics(self, met) -> None:
+        # The shared cross-engine metric names. The loop engines label
+        # invocation/cold counters per function; per-function series
+        # cannot scale to 100k fids, so the fleet reports the run totals
+        # unlabeled, and the columnar extras after the shared gauges.
+        assert self.obs is not None
+        met.counter("invocations_total", "invocations served").inc(
+            self.n_invocations
+        )
+        met.counter("cold_starts_total", "user-visible cold starts").inc(
+            self.n_cold
+        )
+        met.counter("warm_starts_total", "invocations served warm").inc(
+            self.n_warm
+        )
+        met.histogram(
+            "keepalive_mb", "per-minute committed keep-alive memory"
+        ).observe_many(self.obs.mem_series)
+        super()._close_metrics(met)
+        self.obs.finalize_fleet_metrics()
+
+    @property
+    def n_forced(self) -> int:
+        """Capacity-valve downgrades so far."""
+        return self.fleet.n_forced
+
+    @property
+    def n_warm(self) -> int:
+        """Invocations served warm so far."""
+        return self.n_invocations - self.n_cold
 
     def live_state(self) -> dict:
         """The columnar state graph, in session-snapshot payload shape
@@ -1075,80 +1021,3 @@ class FleetStepper:
         self.n_cold = n_cold
         self.last_memory_mb = mem_t
         self.next_minute = t + 1
-
-    def idle_span(self, start: int, stop: int) -> None:
-        """Execute the idle minutes ``start .. stop-1``, one at a time."""
-        for t in range(start, stop):
-            self.step(t, NO_EVENTS, NO_EVENTS)
-
-    @property
-    def n_forced(self) -> int:
-        """Capacity-valve downgrades so far."""
-        return self.fleet.n_forced
-
-    def finalize(self) -> RunResult:
-        """Close the run and build its :class:`RunResult` (idempotent —
-        the metric/obs finalizers below mutate, so the result is cached)."""
-        if self._result is not None:
-            return self._result
-        cfg = self.cfg
-        fleet = self.fleet
-        obs = self.obs
-        met = self.met
-        n_invocations = self.n_invocations
-        n_cold = self.n_cold
-        mean_accuracy = (
-            self.accuracy_sum / n_invocations if n_invocations else 0.0
-        )
-        if met is not None:
-            assert obs is not None
-            # The shared cross-engine metric names. The loop engines
-            # label invocation/cold counters per function; per-function
-            # series cannot scale to 100k fids, so the fleet reports the
-            # run totals unlabeled.
-            met.counter("invocations_total", "invocations served").inc(
-                n_invocations
-            )
-            met.counter("cold_starts_total", "user-visible cold starts").inc(
-                n_cold
-            )
-            met.counter("warm_starts_total", "invocations served warm").inc(
-                n_invocations - n_cold
-            )
-            met.histogram(
-                "keepalive_mb", "per-minute committed keep-alive memory"
-            ).observe_many(obs.mem_series)
-            met.counter(
-                "forced_downgrades_total", "capacity-valve downgrades"
-            ).inc(fleet.n_forced)
-            met.gauge("horizon_minutes").set(self.horizon)
-            met.gauge("n_functions").set(self.n_fn)
-            met.gauge("keepalive_mb_minutes").set(self.total_mb_minutes)
-        if obs is not None:
-            obs.finalize_fleet_metrics()
-        resilience = collect_resilience(
-            self.policy, self.injector, self.horizon
-        )
-        self._result = RunResult(
-            policy_name=self.policy.name,
-            n_invocations=n_invocations,
-            n_warm=n_invocations - n_cold,
-            n_cold=n_cold,
-            total_service_time_s=self.service_time,
-            keepalive_cost_usd=cfg.cost_model.minute_cost(
-                self.total_mb_minutes
-            ),
-            mean_accuracy=mean_accuracy,
-            policy_overhead_s=0.0,
-            n_policy_decisions=0,
-            memory_series_mb=self.mem_series,
-            ideal_memory_series_mb=self.ideal_series,
-            pool_stats=self.pool.stats if self.pool is not None else None,
-            events=self.events,
-            n_forced_downgrades=fleet.n_forced,
-            n_checkpoints=self.n_checkpoints,
-            obs=obs,
-            **resilience,
-        )
-        return self._result
-

@@ -29,14 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.models.variants import ModelFamily
 from repro.obs.session import ObservabilityConfig, ObsSession
 from repro.runtime.checkpoint import CheckpointConfig, SimulationState
-from repro.runtime.container import ContainerPool
 from repro.runtime.costmodel import CostModel
-from repro.runtime.driver import drive, open_stepper
+from repro.runtime.driver import Stepper, drive, open_stepper
 from repro.runtime.events import EventKind, EventLog
 from repro.runtime.metrics import RunResult
 from repro.runtime.policy import KeepAlivePolicy
@@ -46,19 +44,12 @@ from repro.utils.rng import rng_from_seed
 from repro.utils.validation import check_positive_int
 
 __all__ = [
-    "NO_EVENTS",
     "ReferenceStepper",
     "Simulation",
     "SimulationConfig",
     "apply_capacity_valve",
-    "collect_resilience",
     "emit_downgrade",
 ]
-
-
-#: The ``fids``/``counts`` pair of an idle minute.
-NO_EVENTS = np.empty(0, dtype=np.int64)
-NO_EVENTS.flags.writeable = False
 
 
 def emit_downgrade(
@@ -94,32 +85,6 @@ def emit_downgrade(
             minute, victim, from_name, to_name,
             candidates=candidates, forced=forced,
         )
-
-
-def collect_resilience(
-    policy: KeepAlivePolicy, injector: FaultInjector | None, horizon: int
-) -> dict[str, int]:
-    """The run's resilience counters, as ``RunResult`` kwargs.
-
-    Shared by both engine loops. Spawn counters come from the fault
-    injector; policy-fault counters come from the policy itself when it
-    exposes ``resilience_stats`` (duck-typed — only
-    :class:`~repro.faults.isolation.ResilientPolicy` does, so plain
-    policies pay a single ``getattr``).
-    """
-    out = {
-        "n_spawn_failures": 0,
-        "n_retries": 0,
-        "n_policy_faults": 0,
-        "n_degraded_minutes": 0,
-    }
-    if injector is not None:
-        out["n_spawn_failures"] = injector.n_spawn_failures
-        out["n_retries"] = injector.n_retries
-    stats = getattr(policy, "resilience_stats", None)
-    if stats is not None:
-        out.update(stats(horizon))
-    return out
 
 
 def apply_capacity_valve(
@@ -189,14 +154,6 @@ class SimulationConfig:
     downgraded" pressure valve that PULSE's utility-guided flattening is
     designed to preempt. ``None`` (default) disables the cap.
 
-    ``fast`` is the **removed** pre-``engine`` loop selector. Its
-    deprecation cycle (warn, then raise) is complete: constructing
-    ``SimulationConfig(fast=True)`` now raises :class:`ValueError`
-    pointing at ``Simulation.run(engine=...)`` /
-    :func:`repro.api.simulate`. The field survives one more release so
-    the error is a clear message rather than an opaque
-    ``TypeError: unexpected keyword argument``.
-
     ``faults`` attaches a :class:`~repro.faults.plan.FaultPlan`: seeded
     platform faults (spawn failures/retries, cold-start slowdowns,
     memory-pressure spikes, trace perturbations) injected identically on
@@ -212,7 +169,6 @@ class SimulationConfig:
     record_events: bool = False
     memory_capacity_mb: float | None = None
     capacity_seed: int = 0
-    fast: bool = False
     faults: FaultPlan | None = None
     #: Observability (:mod:`repro.obs`): ``None``/``False`` disables the
     #: layer entirely (no recorder, no allocations); ``True`` enables all
@@ -223,13 +179,6 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         check_positive_int("keep_alive_window", self.keep_alive_window)
-        if self.fast:
-            raise ValueError(
-                "SimulationConfig(fast=True) was removed at the end of its "
-                "deprecation cycle; select the loop per run instead: "
-                "Simulation.run(engine='fast') (or 'auto'), or "
-                "repro.api.simulate(..., engine='fast')"
-            )
         if self.memory_capacity_mb is not None and self.memory_capacity_mb <= 0:
             raise ValueError(
                 f"memory_capacity_mb must be positive, got {self.memory_capacity_mb}"
@@ -303,8 +252,7 @@ class Simulation:
           when ``config.observe`` is set, and errors on
           ``measure_overhead``;
         - ``None`` (default) — the historical default, equivalent to
-          ``"reference"`` (the ``config.fast`` escape hatch it used to
-          honor is gone; see :class:`SimulationConfig`).
+          ``"reference"``.
 
         Spelling is validated by :func:`repro.utils.specs.parse_engine`
         (the one engine vocabulary shared with the CLI, the API facade
@@ -344,122 +292,35 @@ class Simulation:
         return replace(result, wall_clock_s=wall)
 
 
-class ReferenceStepper:
+class ReferenceStepper(Stepper):
     """The reference engine, one minute at a time.
 
-    Owns all run state of the minute-by-minute loop and exposes it
-    incrementally: :meth:`step` executes exactly one minute (§5 order of
-    operations — pre-warm, serve+plan, review, valve, commit),
-    :meth:`live_state` captures the loop's live objects in the exact
-    checkpoint-payload shape :meth:`SimulationState.snapshot` pickles,
-    and :meth:`finalize` produces the :class:`RunResult`. The batch
-    driver (:func:`repro.runtime.driver.drive`) and incremental sessions
+    :meth:`step` executes exactly one minute (§5 order of operations —
+    pre-warm, serve+plan, review, valve, commit); the shared core
+    (:class:`~repro.runtime.driver.Stepper`) owns construction, restore,
+    idle spans and :meth:`finalize`. The batch driver
+    (:func:`repro.runtime.driver.drive`) and incremental sessions
     (:mod:`repro.serve.session`) share this single implementation, so a
     stepped replay is bit-identical to a batch run by construction.
-
-    Constructed either fresh (``live=None``: binds the policy and
-    allocates run state) or from a restored checkpoint payload
-    (``live=`` the dict from :meth:`SimulationState.restore`, plus the
-    checkpoint's ``next_minute``). Telemetry handles are
-    always re-derived from the (possibly restored) obs session: the
-    metrics registry hands back the same counter for the same name, so
-    a resumed run keeps accumulating where the snapshot left off.
     """
 
     engine = "reference"
 
-    def __init__(
-        self,
-        sim: Simulation,
-        *,
-        live: dict | None = None,
-        next_minute: int = 0,
-    ):
-        trace, cfg = sim.trace, sim.config
-        self.sim = sim
-        self.cfg = cfg
-        self.assignment = sim.assignment
-        self.horizon = trace.horizon
-        self.n_fn = n_fn = trace.n_functions
-        self.next_minute = next_minute
+    def _fresh_state(self) -> None:
+        self.schedule = KeepAliveSchedule(
+            self.n_fn, self.cfg.keep_alive_window, horizon_hint=self.horizon
+        )
+        self.n_warm = 0
+        self.overhead = 0.0
+        self.n_decisions = 0
+        self.capacity_rng = rng_from_seed(self.cfg.capacity_seed)
+        self.n_forced = 0
+        self.last_arrival: list[int | None] = (
+            [None] * self.n_fn if self.rec is not None else []
+        )
 
-        if live is None:
-            policy = sim.policy
-            self.events = EventLog() if cfg.record_events else None
-            self.obs = (
-                ObsSession(cfg.observe) if cfg.observe is not None else None
-            )
-            if self.obs is not None or self.events is not None:
-                # Before bind, so on_bind can wire policy sub-components.
-                policy.attach_observability(self.obs, self.events)
-            policy.bind(trace, sim.assignment, cfg.keep_alive_window)
-            self.policy = policy
-            self.schedule = KeepAliveSchedule(
-                n_fn, cfg.keep_alive_window, horizon_hint=self.horizon
-            )
-            self.pool = (
-                ContainerPool(self.events)
-                if (cfg.track_containers or cfg.record_events)
-                else None
-            )
-            self.service_time = 0.0
-            self.accuracy_sum = 0.0
-            self.n_invocations = 0
-            self.n_warm = 0
-            self.n_cold = 0
-            self.overhead = 0.0
-            self.n_decisions = 0
-            self.total_mb_minutes = 0.0
-            self.mem_series = (
-                np.zeros(self.horizon) if cfg.record_series else None
-            )
-            self.ideal_series = (
-                np.zeros(self.horizon) if cfg.record_series else None
-            )
-            self.capacity_rng = rng_from_seed(cfg.capacity_seed)
-            self.n_forced = 0
-            self.injector = (
-                FaultInjector(cfg.faults, self.horizon)
-                if cfg.faults is not None and cfg.faults.injects_runtime
-                else None
-            )
-            self.n_checkpoints = 0
-        else:
-            # Single-payload restore: every mutable object comes back with
-            # shared identities intact (policy plan cache <-> schedule,
-            # events <-> pool). attach_observability/bind are NOT re-run —
-            # the restored policy already carries its bound state.
-            self.policy = live["policy"]
-            self.events = live["events"]
-            self.obs = live["obs"]
-            self.schedule = live["schedule"]
-            self.pool = live["pool"]
-            self.service_time = live["service_time"]
-            self.accuracy_sum = live["accuracy_sum"]
-            self.n_invocations = live["n_invocations"]
-            self.n_warm = live["n_warm"]
-            self.n_cold = live["n_cold"]
-            self.overhead = live["overhead"]
-            self.n_decisions = live["n_decisions"]
-            self.total_mb_minutes = live["total_mb_minutes"]
-            self.mem_series = live["mem_series"]
-            self.ideal_series = live["ideal_series"]
-            self.capacity_rng = live["capacity_rng"]
-            self.n_forced = live["n_forced"]
-            self.injector = live["injector"]
-            self.n_checkpoints = live["n_checkpoints"]
-
-        # Hot-loop telemetry handles (each None when its layer is off).
-        obs = self.obs
-        self.rec = rec = (
-            obs if obs is not None and obs.decisions_enabled else None
-        )
-        self.met = met = (
-            obs.metrics if obs is not None and obs.metrics_enabled else None
-        )
-        self.spans = (
-            obs.spans if obs is not None and obs.spans_enabled else None
-        )
+    def _derived_state(self) -> None:
+        n_fn, met = self.n_fn, self.met
         if met is not None:
             _inv = met.counter("invocations_total", "invocations served")
             _cold = met.counter("cold_starts_total", "user-visible cold starts")
@@ -474,25 +335,10 @@ class ReferenceStepper:
         else:
             self.inv_counters = self.cold_counters = None
             self.warm_counter = self.mem_hist = None
-        if live is None:
-            self.last_arrival: list[int | None] = (
-                [None] * n_fn if rec is not None else []
-            )
-        else:
-            self.last_arrival = live["last_arrival"]
-
         self.highest_mb = np.array(
-            [sim.assignment[fid].highest.memory_mb for fid in range(n_fn)]
+            [self.assignment[fid].highest.memory_mb for fid in range(n_fn)]
         )
-        self.measure = cfg.measure_overhead
-        self.capacity = cfg.memory_capacity_mb
-        has_pressure = (
-            self.injector is not None
-            and self.injector.pressure_minutes is not None
-        )
-        self.valve_on = self.capacity is not None or has_pressure
-        self.last_memory_mb = 0.0
-        self._result: RunResult | None = None
+        self.measure = self.cfg.measure_overhead
 
     def live_state(self) -> dict:
         """The loop's live objects, in the checkpoint-payload shape.
@@ -698,52 +544,3 @@ class ReferenceStepper:
         self.n_decisions = n_decisions
         self.last_memory_mb = mem_t
         self.next_minute = t + 1
-
-    def idle_span(self, start: int, stop: int) -> None:
-        """Execute the idle minutes ``start .. stop-1``, one at a time."""
-        for t in range(start, stop):
-            self.step(t, NO_EVENTS, NO_EVENTS)
-
-    def finalize(self) -> RunResult:
-        """Close the run and build its :class:`RunResult` (idempotent —
-        the metric gauges below mutate, so the result is cached)."""
-        if self._result is not None:
-            return self._result
-        cfg = self.cfg
-        n_invocations = self.n_invocations
-        mean_accuracy = (
-            self.accuracy_sum / n_invocations if n_invocations else 0.0
-        )
-        met = self.met
-        if met is not None:
-            met.counter(
-                "forced_downgrades_total", "capacity-valve downgrades"
-            ).inc(self.n_forced)
-            met.gauge("horizon_minutes").set(self.horizon)
-            met.gauge("n_functions").set(self.n_fn)
-            met.gauge("keepalive_mb_minutes").set(self.total_mb_minutes)
-        resilience = collect_resilience(
-            self.policy, self.injector, self.horizon
-        )
-        self._result = RunResult(
-            policy_name=self.policy.name,
-            n_invocations=n_invocations,
-            n_warm=self.n_warm,
-            n_cold=self.n_cold,
-            total_service_time_s=self.service_time,
-            keepalive_cost_usd=cfg.cost_model.minute_cost(
-                self.total_mb_minutes
-            ),
-            mean_accuracy=mean_accuracy,
-            policy_overhead_s=self.overhead,
-            n_policy_decisions=self.n_decisions,
-            memory_series_mb=self.mem_series,
-            ideal_memory_series_mb=self.ideal_series,
-            pool_stats=self.pool.stats if self.pool is not None else None,
-            events=self.events,
-            n_forced_downgrades=self.n_forced,
-            n_checkpoints=self.n_checkpoints,
-            obs=self.obs,
-            **resilience,
-        )
-        return self._result

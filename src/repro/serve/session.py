@@ -150,8 +150,10 @@ class ControlSession:
         self.online = online
         self._wall = 0.0
         self._span_added = False
-        # The three steppers share the stepping surface by convention,
-        # not by base class — dispatch stays duck-typed.
+        # Every engine's stepper subclasses runtime.driver.Stepper. The
+        # handle stays untyped because two values read per advance
+        # (n_forced, last_memory_mb) are attributes on some engines and
+        # properties on others.
         live, next_minute = _restored if _restored is not None else (None, 0)
         self.stepper: Any = open_stepper(
             sim, engine, live=live, next_minute=next_minute
@@ -355,7 +357,9 @@ class ControlSession:
         sim = object.__new__(Simulation)
         sim.trace = meta["trace"]
         sim.assignment = meta["assignment"]
-        sim.policy = live["policy"]
+        # .get: a payload without a policy is refused by the stepper's
+        # restore, which names every missing or unexpected key.
+        sim.policy = live.get("policy")
         sim.config = meta["config"]
         return cls(
             sim,

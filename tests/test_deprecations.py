@@ -1,6 +1,6 @@
-"""The api_redesign deprecation cycle, final stage: the PR-3 shims
-(``SimulationConfig(fast=True)``, the ``repro.cli`` module-attribute
-shims) now *raise* with a message naming the replacement."""
+"""The api_redesign deprecation cycle, final stage: the removed
+``SimulationConfig.fast`` field is gone entirely, and the ``repro.cli``
+module-attribute shims *raise* with a message naming the replacement."""
 
 from __future__ import annotations
 
@@ -12,14 +12,15 @@ from repro.runtime.simulator import Simulation, SimulationConfig
 
 class TestFastFlagRemoved:
     def test_fast_true_raises_with_pointer(self):
-        with pytest.raises(ValueError, match="engine='fast'"):
+        # The field is deleted; the RPR004 lint still flags ``fast=``
+        # statically with the pointer to ``engine=``.
+        with pytest.raises(TypeError, match="fast"):
             SimulationConfig(fast=True)
 
     def test_fast_false_still_accepted(self, tiny_trace, tiny_assignment):
-        # The field survives one release for the clear error message;
-        # the default (False) stays a no-op and emits no warnings
-        # (filterwarnings turns repro-internal DeprecationWarnings into
-        # errors suite-wide).
+        # The default config runs and emits no warnings (filterwarnings
+        # turns repro-internal DeprecationWarnings into errors
+        # suite-wide).
         Simulation(
             tiny_trace, tiny_assignment, PulsePolicy(), SimulationConfig()
         ).run()
