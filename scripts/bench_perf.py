@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
-"""Engine performance benchmark: reference vs fast path vs fleet kernel.
+"""Engine performance benchmark: reference loop vs fleet kernel.
 
-Times single runs of representative policies (fixed highest / fixed
-lowest / PULSE) on the default 2-day synthetic trace in the lean engine
-configuration (``record_series=False, track_containers=False,
-record_events=False``), plus sweep throughput through
-``run_policies`` at ``n_jobs`` in {1, 4}, plus the **fleet scaling
-curve**: PULSE runs at 12 / 1k / 10k / 100k functions per engine, each
-in its own subprocess so the reported peak RSS belongs to that point
-alone. Writes ``BENCH_perf.json``.
+Times observed vs unobserved PULSE runs on the default 2-day synthetic
+trace in the lean engine configuration (``record_series=False,
+track_containers=False, record_events=False``), plus sweep throughput
+through ``run_policies`` at ``n_jobs`` in {1, 4}, plus the **fleet
+scaling curve**: PULSE runs at 12 / 1k / 10k / 100k functions per
+engine, each in its own subprocess so the reported peak RSS belongs to
+that point alone. Writes ``BENCH_perf.json``.
 
 Methodology
 -----------
 Wall-clock noise on runs this short (~10-50 ms) is large, so each
-(reference, fast) pair is timed *interleaved* (ref fast ref fast ...)
+(unobserved, observed) pair is timed *interleaved* (off on off on ...)
 with the GC suspended around each sample, and both best-of-N (min) and
-median are reported; the speedup headline uses the min, the
+median are reported; the overhead headline uses the min, the
 least-noise-contaminated estimate (see ``repro.utils.profiling``).
 Scaling-curve points run for seconds-to-minutes, where a single sample
 is noise-safe; trace generation happens before the timer starts but
@@ -31,7 +30,7 @@ CI perf-smoke gates (all optional flags)::
     --gate-1k-seconds 120     fail if the 1k-function fleet point is slower
     --baseline scripts/perf_baseline.json --max-regression 0.2
                               fail if the machine-normalized 1k fleet
-                              throughput (vs the run's own 12-fn fast
+                              throughput (vs the run's own 12-fn reference
                               calibration sample) regressed >20% against
                               the committed --quick report
     --gate-obs-overhead 0.10  fail if fleet observability (columnar
@@ -70,45 +69,11 @@ POLICIES = {
 }
 
 
-def bench_single_runs(trace, assignment, repeats: int) -> dict:
-    """Interleaved ref-vs-fast timing of one lean run per policy."""
-    lean = SimulationConfig(
-        record_series=False, track_containers=False, record_events=False
-    )
-    out = {}
-    for name, factory in POLICIES.items():
-
-        def run(engine: str) -> None:
-            Simulation(trace, assignment, factory(), lean).run(engine=engine)
-
-        ref_t, fast_t = interleaved_best_of(
-            [lambda: run("reference"), lambda: run("fast")], repeats=repeats
-        )
-        out[name] = {
-            "reference": ref_t.as_dict(),
-            "fast": fast_t.as_dict(),
-            "speedup_best": ref_t.best / fast_t.best,
-            "speedup_median": ref_t.median / fast_t.median,
-            "fast_runs_per_s": 1.0 / fast_t.best,
-            "fast_minutes_per_s": trace.horizon / fast_t.best,
-            "reference_runs_per_s": 1.0 / ref_t.best,
-            "reference_minutes_per_s": trace.horizon / ref_t.best,
-        }
-        print(
-            f"{name:14s} ref {ref_t.best * 1e3:7.2f} ms   "
-            f"fast {fast_t.best * 1e3:7.2f} ms   "
-            f"speedup x{out[name]['speedup_best']:.2f} (min) "
-            f"x{out[name]['speedup_median']:.2f} (med)"
-        )
-    return out
-
-
 def bench_observability(trace, assignment, repeats: int) -> dict:
-    """Observed vs unobserved PULSE runs on the fast path.
+    """Observed vs unobserved PULSE runs on the reference loop.
 
     The disabled path must be free (``observe=None`` leaves only
-    ``is not None`` tests in the hot loops), so ``unobserved`` here is
-    directly comparable to the lean single-run numbers above; the
+    ``is not None`` tests in the hot loops), so the
     ``overhead_enabled`` ratio is the full price of recording every
     decision, metric and span.
     """
@@ -118,7 +83,9 @@ def bench_observability(trace, assignment, repeats: int) -> dict:
 
     def run(observe: bool) -> None:
         cfg = replace(lean, observe=observe)
-        Simulation(trace, assignment, PulsePolicy(), cfg).run(engine="fast")
+        Simulation(trace, assignment, PulsePolicy(), cfg).run(
+            engine="reference"
+        )
 
     off_t, on_t = interleaved_best_of(
         [lambda: run(False), lambda: run(True)], repeats=repeats
@@ -148,7 +115,7 @@ def bench_sweep(trace, n_runs: int, repeats: int) -> dict:
             seed=SEED,
             n_jobs=n_jobs,
             sim=SimulationConfig(record_series=False, track_containers=False),
-            engine="fast",
+            engine="reference",
         )
 
         def sweep() -> None:
@@ -175,16 +142,16 @@ def bench_sweep(trace, n_runs: int, repeats: int) -> dict:
 # The 1k point is identical in quick and full mode so the CI smoke can
 # regression-gate against the committed full-mode baseline.
 SCALING_POINTS = [
-    (12, 1440, ("reference", "fast", "fleet")),
-    (1_000, 240, ("fast", "fleet")),
-    (10_000, 120, ("fast", "fleet")),
+    (12, 1440, ("reference", "fleet")),
+    (1_000, 240, ("reference", "fleet")),
+    (10_000, 120, ("reference", "fleet")),
     (100_000, 120, ("fleet",)),
 ]
 QUICK_SCALING_POINTS = [
-    # Same horizons as the full-mode points so the 12-fn fast sample can
-    # serve as a machine-speed calibration against the committed
-    # baseline (see the --baseline gate).
-    (12, 1440, ("fast", "fleet")),
+    # Same horizons as the full-mode points so the 12-fn reference
+    # sample can serve as a machine-speed calibration against the
+    # committed baseline (see the --baseline gate).
+    (12, 1440, ("reference", "fleet")),
     (1_000, 240, ("fleet",)),
 ]
 # Obs-overhead points: fleet-engine obs-on vs obs-off at these
@@ -197,10 +164,11 @@ QUICK_SCALING_POINTS = [
 OBS_OVERHEAD_POINTS = [(10_000, 120), (1_000, 240)]
 OBS_TRACE_SAMPLE = 8
 # A scaling point that cannot finish inside this budget is recorded as a
-# DNF instead of stalling the whole bench (the fastpath's per-minute pool
-# scans go quadratic in fleet size, so at 10k+ it may simply never come
-# back in reasonable time -- which is the very gap the fleet engine
-# closes). A DNF by `fast` turns the fleet speedup into a lower bound.
+# DNF instead of stalling the whole bench (the reference loop does
+# Python work per function per minute, so at 10k+ functions it may not
+# come back in reasonable time -- which is the very gap the fleet engine
+# closes). A DNF by `reference` turns the fleet speedup into a lower
+# bound.
 PER_POINT_TIMEOUT_S = 900.0
 
 
@@ -291,26 +259,26 @@ def bench_fleet_scaling(quick: bool) -> dict:
                 f"{sample['fn_minutes_per_s']:>12,.0f} fn-min/s  "
                 f"rss {sample['peak_rss_mb']:8.1f} MB"
             )
-        fast = entry["engines"].get("fast")
+        ref = entry["engines"].get("reference")
         fleet = entry["engines"].get("fleet")
-        if fast and fleet and "seconds" in fleet:
-            if "seconds" in fast:
-                entry["speedup_fleet_vs_fast"] = (
-                    fast["seconds"] / fleet["seconds"]
+        if ref and fleet and "seconds" in fleet:
+            if "seconds" in ref:
+                entry["speedup_fleet_vs_reference"] = (
+                    ref["seconds"] / fleet["seconds"]
                 )
-            else:  # fast DNF: report the timeout-derived lower bound
-                entry["speedup_fleet_vs_fast"] = (
-                    fast["timeout_s"] / fleet["seconds"]
+            else:  # reference DNF: report the timeout-derived lower bound
+                entry["speedup_fleet_vs_reference"] = (
+                    ref["timeout_s"] / fleet["seconds"]
                 )
                 entry["speedup_is_lower_bound"] = True
         points.append(entry)
     return {
         "policy": "pulse",
         "note": (
-            "fleet is SLOWER than fast below the crossover (~0.32x at 12 "
-            "functions): the columnar kernel pays fixed per-minute vector "
+            "fleet is SLOWER than reference below the crossover at 12 "
+            "functions: the columnar kernel pays fixed per-minute vector "
             "overhead that only amortizes with fleet size. Expected — use "
-            "fast (or auto) up to ~1k functions, fleet above."
+            "reference (or auto) for small fleets, fleet for large ones."
         ),
         "points": points,
     }
@@ -486,8 +454,8 @@ def main() -> None:
         default=0.2,
         help="allowed fractional drop of the machine-normalized 1k-fleet "
         "throughput (1k fleet fn-min/s divided by the same run's 12-fn "
-        "fast sample, so a uniformly slower CI runner cancels out) vs "
-        "--baseline",
+        "reference sample, so a uniformly slower CI runner cancels out) "
+        "vs --baseline",
     )
     args = parser.parse_args()
 
@@ -538,11 +506,10 @@ def main() -> None:
             "cpus": os.cpu_count(),
         },
         "methodology": (
-            "per-policy interleaved reference/fast timing, GC suspended "
-            "around each sample, best-of-N (min) and median reported; "
-            "headline speedup uses the min"
+            "interleaved unobserved/observed timing, GC suspended around "
+            "each sample, best-of-N (min) and median reported; headline "
+            "overhead uses the min"
         ),
-        "single_run": bench_single_runs(trace, assignment, repeats),
         "observability": bench_observability(trace, assignment, repeats),
         "sweep": (
             {} if args.quick else bench_sweep(trace, n_runs=24, repeats=2)
@@ -583,19 +550,20 @@ def main() -> None:
     if baseline is not None:
         # Absolute fn-min/s are not comparable across machines (CI
         # runners are slower than wherever the baseline was produced),
-        # so both sides are normalized by their own 12-fn fast sample —
+        # so both sides are normalized by their own 12-fn reference sample —
         # a same-process calibration of raw single-core speed. Both
         # modes run that point at the same horizon for this reason.
         ratios = []
         for name, rep in (("baseline", baseline), ("current", report)):
             fleet_1k = _scaling_point(rep, 1_000, "fleet")
-            fast_12 = _scaling_point(rep, 12, "fast")
-            if fleet_1k is None or fast_12 is None:
+            ref_12 = _scaling_point(rep, 12, "reference")
+            if fleet_1k is None or ref_12 is None:
                 raise SystemExit(
-                    f"{name} report lacks the 1k fleet or 12-fn fast point"
+                    f"{name} report lacks the 1k fleet or 12-fn reference "
+                    "point"
                 )
             ratios.append(
-                fleet_1k["fn_minutes_per_s"] / fast_12["fn_minutes_per_s"]
+                fleet_1k["fn_minutes_per_s"] / ref_12["fn_minutes_per_s"]
             )
         base_ratio, our_ratio = ratios
         if our_ratio < base_ratio * (1.0 - args.max_regression):
@@ -614,18 +582,13 @@ def main() -> None:
                 f"warm-cache lint speedup x{lint_speedup:.1f} below the "
                 "x3 target"
             )
-        fixed = report["single_run"]["fixed-highest"]["speedup_best"]
-        if fixed < 3.0:
-            raise SystemExit(
-                f"fixed-policy speedup x{fixed:.2f} below the x3 target"
-            )
         for point in report["fleet_scaling"]["points"]:
-            if point["n_functions"] == 10_000 and "speedup_fleet_vs_fast" in point:
-                if point["speedup_fleet_vs_fast"] < 10.0:
+            speedup = point.get("speedup_fleet_vs_reference")
+            if point["n_functions"] == 10_000 and speedup is not None:
+                if speedup < 10.0:
                     raise SystemExit(
-                        f"fleet speedup over fastpath at 10k functions is "
-                        f"x{point['speedup_fleet_vs_fast']:.1f}, below the "
-                        f"x10 target"
+                        f"fleet speedup over the reference loop at 10k "
+                        f"functions is x{speedup:.1f}, below the x10 target"
                     )
 
 

@@ -72,7 +72,7 @@ def make_spec(n_functions: int, horizon: int, seed: int) -> dict:
             "seed": seed,
         },
         "policy": "pulse",
-        "engine": "fast",
+        "engine": "reference",
         # Lean telemetry: decision records off keeps the payloads small
         # and measures the stepping path, not JSON encoding of records.
         "observe": False,
@@ -215,7 +215,7 @@ def bench(sessions: int, minutes: int, n_functions: int,
             "minutes_per_session": minutes,
             "n_functions": n_functions,
             "client_workers": workers,
-            "engine": "fast",
+            "engine": "reference",
             "create_seconds": create_s,
             "http": {
                 "seconds": http_s,

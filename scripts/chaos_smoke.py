@@ -1,7 +1,8 @@
 """Chaos smoke: kill a durable sweep mid-flight, resume it, diff artifacts.
 
 The end-to-end durability drill the CI chaos job runs, once per engine
-(``fast`` and ``fleet``; both checkpoint through the same batch driver):
+(``reference`` and ``fleet``; both checkpoint through the same batch
+driver):
 
 1. an uninterrupted sweep produces the baseline artifacts;
 2. the same sweep runs with worker chaos (``--chaos kill:1``: every
@@ -34,7 +35,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
 
-ENGINES = ("fast", "fleet")
+ENGINES = ("reference", "fleet")
 
 
 def sweep_args(engine: str) -> list[str]:

@@ -3,7 +3,7 @@
 byte-diff against the batch path.
 
 The serving-layer counterpart of ``chaos_smoke.py`` — per engine
-(reference, fast, fleet):
+(reference, fleet):
 
 1. boot ``repro serve`` as a subprocess with ``--journal-dir``;
 2. open ``N_TENANTS`` concurrent sessions (mixed clean/fault-plan
@@ -48,7 +48,7 @@ ENV = {
     "PYTHONUNBUFFERED": "1",
 }
 
-ENGINES = ("reference", "fast", "fleet")
+ENGINES = ("reference", "fleet")
 N_TENANTS = 20
 N_FUNCTIONS = 6
 MINUTES = 48

@@ -36,7 +36,7 @@ SPEC = {
         "seed": 2024,
     },
     "policy": "pulse",
-    "engine": "fast",
+    "engine": "reference",
     "observe": True,
 }
 

@@ -3,7 +3,7 @@ replay harness.
 
 The repro's headline guarantee is that a run is a pure function of
 ``(trace, assignment, policy, config, seed)``: the golden equivalence
-tests pin fast-vs-reference bit-identity and the paper tables are only
+tests pin fleet-vs-reference bit-identity and the paper tables are only
 meaningful if replaying them reproduces the same numbers. One stray
 ``random.random()`` or ``time.time()`` inside the engine silently breaks
 that. This rule bans, inside the determinism-scoped packages

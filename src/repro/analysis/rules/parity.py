@@ -1,8 +1,8 @@
-"""RPR002 — engine parity: the reference and fast loops must speak the
+"""RPR002 — engine parity: the reference and fleet loops must speak the
 same surface.
 
 ``runtime/simulator.py`` (the reference minute loop) and
-``runtime/fastpath.py`` (the event-driven loop) are contractually
+``runtime/fleet.py`` (the columnar fleet-scale loop) are contractually
 metric-identical — the golden tests pin bit-equality, but only for the
 configurations they sample. A handler added to one loop and forgotten in
 the other (a new :class:`~repro.runtime.events.EventKind`, a new
@@ -26,12 +26,10 @@ which are structural to the columnar engine and therefore carved out in
 the rule itself rather than re-waived at every call site.
 
 Engine files are recognised by basename (``simulator.py`` /
-``fastpath.py`` / ``fleet.py``) and compared pairwise per directory, so
-a fixture copy of the set in a test sandbox is checked exactly like the
-real one. ``fleet.py`` (the columnar fleet-scale loop) joins the
-comparison wherever it sits next to at least one of the other two, on
-every category — including the obs-hook and metric surfaces, now that
-the fleet engine carries a real observability session
+``fleet.py``) and compared per directory, so a fixture copy of the pair
+in a test sandbox is checked exactly like the real one. Every category
+is compared, including the obs-hook and metric surfaces: the fleet
+engine carries a real observability session
 (:class:`~repro.obs.fleet.FleetObsSession`).
 """
 
@@ -52,12 +50,11 @@ from repro.analysis.engine import (
 __all__ = ["EngineParityRule"]
 
 REFERENCE_BASENAME = "simulator.py"
-FAST_BASENAME = "fastpath.py"
 FLEET_BASENAME = "fleet.py"
 
-#: Comparison order: every pair of these present in one directory is
-#: cross-checked (reference first, so its findings sort first).
-_ENGINE_BASENAMES = (REFERENCE_BASENAME, FAST_BASENAME, FLEET_BASENAME)
+#: Comparison order: a pair present in one directory is cross-checked
+#: (reference first, so its findings sort first).
+_ENGINE_BASENAMES = (REFERENCE_BASENAME, FLEET_BASENAME)
 
 _METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
 
@@ -70,8 +67,8 @@ _METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
 #: mirrors the shared helper — the obs-surface analogue lives in
 #: ``simulator.py``). These names are exempt from the one-sided check
 #: when the *fleet* engine is the side that references them; any other
-#: asymmetry (including these names appearing one-sided in
-#: simulator/fastpath) still fails. Pinned by
+#: asymmetry (including these names appearing only in simulator.py)
+#: still fails. Pinned by
 #: ``tests/test_analysis_rules.py``.
 FLEET_REDUCER_CARVEOUTS = frozenset({"record_peak", "record_downgrade"})
 
@@ -122,7 +119,7 @@ def _surface(module: SourceModule) -> _EngineSurface:
 
 @register_rule
 class EngineParityRule(Rule):
-    """Cross-check simulator.py vs fastpath.py for one-sided references."""
+    """Cross-check simulator.py vs fleet.py for one-sided references."""
 
     id = "RPR002"
     severity = Severity.ERROR
@@ -141,32 +138,30 @@ class EngineParityRule(Rule):
                 groups.setdefault(key, {})[name] = module
         out: list[Finding] = []
         for group in groups.values():
-            present = [
-                group[name] for name in _ENGINE_BASENAMES if name in group
-            ]
-            for i, first in enumerate(present):
-                for second in present[i + 1 :]:
-                    out.extend(self._compare(first, second))
+            if len(group) == len(_ENGINE_BASENAMES):
+                out.extend(
+                    self._compare(group[REFERENCE_BASENAME], group[FLEET_BASENAME])
+                )
         return out
 
     def _compare(
-        self, reference: SourceModule, fast: SourceModule
+        self, reference: SourceModule, other: SourceModule
     ) -> Iterator[Finding]:
         surf_ref = _surface(reference)
-        surf_fast = _surface(fast)
+        surf_other = _surface(other)
         categories: list[tuple[str, dict[str, ast.AST], dict[str, ast.AST]]] = [
-            ("EventKind", surf_ref.event_kinds, surf_fast.event_kinds),
+            ("EventKind", surf_ref.event_kinds, surf_other.event_kinds),
             (
                 "RunResult kwarg",
                 surf_ref.run_result_kwargs,
-                surf_fast.run_result_kwargs,
+                surf_other.run_result_kwargs,
             ),
-            ("obs hook", surf_ref.obs_hooks, surf_fast.obs_hooks),
-            ("metric", surf_ref.metric_names, surf_fast.metric_names),
+            ("obs hook", surf_ref.obs_hooks, surf_other.obs_hooks),
+            ("metric", surf_ref.metric_names, surf_other.metric_names),
         ]
-        for label, in_ref, in_fast in categories:
-            yield from self._one_sided(label, reference, in_ref, fast, in_fast)
-            yield from self._one_sided(label, fast, in_fast, reference, in_ref)
+        for label, in_ref, in_other in categories:
+            yield from self._one_sided(label, reference, in_ref, other, in_other)
+            yield from self._one_sided(label, other, in_other, reference, in_ref)
 
     def _one_sided(
         self,

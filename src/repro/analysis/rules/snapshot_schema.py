@@ -11,7 +11,7 @@ number many minutes later. This rule makes the schema explicit and
 machine-checks it against a golden manifest in the checkpoint module:
 
 - ``SNAPSHOT_FIELDS`` maps each engine key (``reference`` /
-  ``fast`` / ``fleet`` — by engine file basename) to the exact key set
+  ``fleet`` — by engine file basename) to the exact key set
   its ``live_state()`` returns. Any drift between the dict literal in
   the engine and the manifest is a finding: updating the manifest is
   the reviewed act that accompanies a version bump;
@@ -56,7 +56,6 @@ CHECKPOINT_BASENAME = "checkpoint.py"
 #: Engine file basename -> its key in the ``SNAPSHOT_FIELDS`` manifest.
 ENGINE_KEYS = {
     "simulator.py": "reference",
-    "fastpath.py": "fast",
     "fleet.py": "fleet",
 }
 

@@ -11,7 +11,7 @@ replaces both:
   metadata (description, natural keep-alive window);
 - a **simulate facade**: :func:`simulate` runs one policy over one
   trace on an explicitly chosen engine (``"auto"``/``"reference"``/
-  ``"fast"``/``"fleet"``), optionally under a
+  ``"fleet"``), optionally under a
   :class:`~repro.faults.plan.FaultPlan`, hiding the ``Simulation``/
   engine split (the ``SimulationConfig(fast=...)`` boolean is gone).
 
@@ -226,9 +226,8 @@ def simulate(
       instance, or a registry name (constructed fresh via
       :func:`make_policy`, at the policy's natural keep-alive window
       unless ``config`` overrides it);
-    - ``engine`` — ``"auto"`` (fast unless the config needs the
-      reference cadence), ``"reference"``, ``"fast"``, or ``"fleet"``
-      (the columnar fleet-scale kernel, see
+    - ``engine`` — ``"auto"`` or ``"reference"`` (the reference minute
+      loop), or ``"fleet"`` (the columnar kernel for large fleets, see
       :mod:`repro.runtime.fleet`);
     - ``faults`` — a :class:`~repro.faults.plan.FaultPlan` or a compact
       spec string (``"spawn=0.1,pressure=0.05,pressure-mb=4000"``),

@@ -666,10 +666,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trace-sample", type=int, default=0, metavar="N",
                        help="record full decision traces for a "
                             "deterministic sample of N function ids "
-                            "(fleet engine; loop engines always record "
-                            "every function; implies --observe)")
+                            "(fleet engine; the reference engine always "
+                            "records every function; implies --observe)")
     p_sim.add_argument("--engine", choices=ENGINES, default="auto",
-                       help="simulation engine (all are metric-identical)")
+                       help="simulation engine (both are metric-identical)")
     p_sim.add_argument("--faults", metavar="SPEC",
                        help="fault plan, e.g. "
                             "'spawn=0.1,slow=0.05,drop=0.01,seed=7'")

@@ -160,23 +160,6 @@ class PulsePolicy(KeepAlivePolicy):
             # Still feed the detector so diagnostics stay meaningful.
             self._gopt.detector.observe(schedule.memory_at(minute))
 
-    def idle_review(self, minute: int, schedule: KeepAliveSchedule) -> bool:
-        """O(1) per-minute detector feed for the fast engine.
-
-        Mirrors :meth:`review_minute` exactly on non-peak minutes (the
-        detector observes the minute's demand with no flattening, which is
-        precisely what the full review does when ``is_peak`` is false);
-        defers to the full review when the minute is a peak so Algorithm 2
-        (or the MILP subclass's solver) runs unchanged.
-        """
-        assert self._gopt is not None
-        detector = self._gopt.detector
-        demand = schedule.memory_at(minute)
-        if self.config.enable_global and detector.is_peak(demand):
-            return True
-        detector.observe(demand)
-        return False
-
     # -- diagnostics ---------------------------------------------------------
     @property
     def n_downgrades(self) -> int:

@@ -54,6 +54,7 @@ from repro.runtime.simulator import Simulation
 from repro.traces.schema import IngestReport, Trace
 from repro.utils.atomicio import atomic_write_json
 from repro.utils.rng import rng_from_seed
+from repro.utils.specs import parse_engine
 from repro.utils.validation import check_positive_int
 
 __all__ = ["DurableSweepConfig", "SweepResult", "run_durable_sweep"]
@@ -271,6 +272,11 @@ def run_durable_sweep(
         manifest.save(out_dir / "manifest.json")
     else:
         manifest = resume
+        # A manifest naming a retired engine fails here with the valid
+        # engines, not below as an opaque config-hash mismatch.
+        parse_engine(
+            manifest.sweep_config.get("engine"), flag="the manifest's engine"
+        )
         manifest.verify_trace(trace)
         if manifest.config_sha256 != config_hash(sweep_config):
             raise ValueError(

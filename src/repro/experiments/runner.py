@@ -101,9 +101,9 @@ class ExperimentConfig:
     n_jobs: int = 1
     sim: SimulationConfig = field(default_factory=SimulationConfig)
     #: Engine every run dispatches on (see ``Simulation.run``): "auto"
-    #: picks the fast loop except where the config needs the reference
-    #: cadence — all loops are metric-identical, so this is speed only.
-    #: "fleet" selects the columnar fleet-scale kernel.
+    #: and "reference" run the reference minute loop, "fleet" the
+    #: columnar kernel for large fleets. Both engines are
+    #: metric-identical, so this is speed only.
     engine: str = "auto"
 
     def __post_init__(self) -> None:

@@ -8,7 +8,7 @@ Three pieces:
   on the CLI as ``--faults spawn=0.1,pressure=0.05,pressure-mb=4000``.
 - :class:`~repro.faults.injector.FaultInjector` — the per-run engine
   hook that turns a plan into concrete, seed-deterministic faults,
-  identically on the reference and fast engines.
+  identically on the reference and fleet engines.
 - :class:`~repro.faults.isolation.ResilientPolicy` — crash isolation
   for any keep-alive policy: caught exceptions degrade the affected
   function to the fixed 10-minute OpenWhisk fallback instead of killing

@@ -4,7 +4,7 @@ One :class:`FaultInjector` serves one run. It is created by the
 simulator when the run's :class:`~repro.faults.plan.FaultPlan` has any
 runtime fault axis enabled (``plan.injects_runtime``), and consulted at
 exactly two points, both of which exist identically on the reference
-minute loop and the event-driven fast path:
+minute loop and the columnar fleet kernel:
 
 - **every cold start** — :meth:`cold_start_penalty` returns the extra
   user-visible seconds injected at that (function, minute): retry/backoff

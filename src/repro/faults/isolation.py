@@ -12,8 +12,8 @@ serving. The contract here mirrors that:
   highest-quality variant warm for a fixed 10 minutes after each
   invocation (OpenWhisk's policy). Other functions keep running the
   inner policy untouched;
-- a crash in the *cross-function* review stage (``review_minute`` /
-  ``idle_review``) disables the review globally — per-function plans
+- a crash in the *cross-function* review stage (``review_minute``)
+  disables the review globally — per-function plans
   keep flowing, the global peak-flattening stage is lost;
 - a crash in ``bind`` degrades every function from minute 0;
 - every caught fault is counted (``RunResult.n_policy_faults``),
@@ -24,15 +24,12 @@ serving. The contract here mirrors that:
 The wrapper reports ``resilience_stats(horizon)`` — the engines collect
 it after the run via duck typing, so plain policies pay nothing.
 
-Determinism caveat: the two engines call serving hooks (``cold_variant``,
-``plan``, ``observe_invocation``) at identical (function, minute) points,
-so crashes there degrade identically on both. The *review* stage runs
-every minute on the reference engine but is elided on invocation-free
-minutes by the fast path, so a review hook that crashes only on an idle
-minute may fault at different minutes across engines. Per-function
-resilience metrics from serving-hook faults are engine-identical (the
-golden tests pin this); review faults are platform-level and engines may
-legitimately time them differently.
+Determinism: wrapped policies run on the reference loop (the fleet
+engine compiles only bare PULSE and the fixed baselines), which calls
+every hook at fixed points — the serving hooks per (function, minute)
+and the review stage every minute, idle or not. A given policy and
+fault plan therefore fault at the same minutes in a batch run, a
+stepped session and a resumed run.
 """
 
 from __future__ import annotations
@@ -144,16 +141,6 @@ class ResilientPolicy(KeepAlivePolicy):
         except Exception as exc:  # noqa: BLE001
             self._record_fault(minute, -1, "review_minute", exc)
             self._review_dead = True
-
-    def idle_review(self, minute: int, schedule) -> bool:
-        if self._review_dead or not self._inner_has_review:
-            return False
-        try:
-            return self._inner.idle_review(minute, schedule)
-        except Exception as exc:  # noqa: BLE001
-            self._record_fault(minute, -1, "idle_review", exc)
-            self._review_dead = True
-            return False
 
     # -- resilience reporting ----------------------------------------------
     def resilience_stats(self, horizon: int) -> dict[str, int]:

@@ -32,7 +32,7 @@ Two hard guarantees, pinned by tests:
 - **metric-preserving when enabled** — instrumentation only *reads*
   simulation state (no RNG draws, no reordered float accumulation), so
   every headline ``RunResult`` field is bit-identical with observability
-  on or off, on the reference, fast and fleet engines
+  on or off, on the reference and fleet engines
   (``tests/test_obs_equivalence.py``, ``tests/test_fleet_obs.py``).
 """
 

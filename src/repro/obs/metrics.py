@@ -182,7 +182,7 @@ class Histogram(_Metric):
         self._summary(labels).observe(value)
 
     def observe_many(self, values: Iterable[float], **labels: object) -> None:
-        """Bulk observation (the fast engine's idle-span accounting)."""
+        """Bulk observation (the fleet engine's per-run memory series)."""
         s = self._summary(labels)
         for v in values:
             s.observe(v)

@@ -1,13 +1,13 @@
 """Engine checkpoints: durable mid-run state for crash-safe resume.
 
-Every engine (reference, fast and fleet) can periodically capture a
+Both engines (reference and fleet) can periodically capture a
 :class:`SimulationState` — a complete, self-contained snapshot of every
 piece of mutable run state at a minute boundary — and a later process can
 hand that state back to :meth:`repro.runtime.simulator.Simulation.run`
 to continue the run as if it had never been interrupted. Capture is a
 hook of the one batch driver (:func:`repro.runtime.driver.drive`), so
-the cadence, the counters and the cursor are the same code for all
-three engines.
+the cadence, the counters and the cursor are the same code for both
+engines.
 
 The bit-identity contract
 -------------------------
@@ -40,7 +40,7 @@ for every engine: a snapshot fires before the first *event group*
 before that group still unaccounted; an all-idle bucket captures
 nothing. The cadence is a pure function of the trace, so an interrupted
 run and a clean run write checkpoints at the same minutes — which is
-what keeps checkpoint counters identical between them — and the three
+what keeps checkpoint counters identical between them — and both
 engines capture at the same ``next_minute`` values. The cursor is just the
 bucket: ``(bucket,)`` for engine checkpoints, ``()`` for session
 snapshots.
@@ -105,7 +105,11 @@ __all__ = [
 #: header is refused instead of resuming at the wrong minute. The key set
 #: and the pickle layout are unchanged; v4 envelopes fail the version
 #: check.
-CHECKPOINT_SCHEMA_VERSION = 5
+#: v6: the fast engine is gone, and with it ``SNAPSHOT_FIELDS["fast"]``.
+#: A v5 file may hold a ``"fast"`` or ``"session:fast"`` snapshot that
+#: no engine can restore, so v5 is refused with the version message;
+#: the reference and fleet payloads are unchanged.
+CHECKPOINT_SCHEMA_VERSION = 6
 
 #: The schema manifest: the exact field set each engine's
 #: ``live_state()`` pickles into the payload, per engine key. This is
@@ -129,28 +133,6 @@ SNAPSHOT_FIELDS: dict[str, frozenset[str]] = {
             "n_cold",
             "overhead",
             "n_decisions",
-            "total_mb_minutes",
-            "mem_series",
-            "ideal_series",
-            "capacity_rng",
-            "n_forced",
-            "injector",
-            "n_checkpoints",
-            "last_arrival",
-        }
-    ),
-    "fast": frozenset(
-        {
-            "policy",
-            "events",
-            "obs",
-            "schedule",
-            "pool",
-            "service_time",
-            "accuracy_sum",
-            "n_invocations",
-            "n_warm",
-            "n_cold",
             "total_mb_minutes",
             "mem_series",
             "ideal_series",
@@ -232,9 +214,9 @@ def _envelope_digest(
 class SimulationState:
     """One engine checkpoint: where the run is, plus everything mutable.
 
-    ``engine`` records which engine produced it (``"reference"``,
-    ``"fast"`` or ``"fleet"``, or ``"session:<name>"`` for a session
-    snapshot) — a state can only resume on the engine that captured it.
+    ``engine`` records which engine produced it (``"reference"`` or
+    ``"fleet"``, or ``"session:<name>"`` for a session snapshot) — a
+    state can only resume on the engine that captured it.
     ``next_minute`` is the first minute not yet executed. ``cursor`` is
     the driver's checkpoint-cadence bucket, ``(bucket,)``, or ``()`` for
     a session snapshot. ``payload`` is a single pickle of the live

@@ -6,17 +6,15 @@ Every run over a whole trace goes through this module. That covers
 and the trace-driven gap before a session's ``advance(minute)``.
 
 - :func:`open_stepper` resolves an engine selector and builds that
-  engine's stepper: :class:`~repro.runtime.simulator.ReferenceStepper`,
-  :class:`~repro.runtime.fastpath.FastStepper` or
-  :class:`~repro.runtime.fleet.FleetStepper`. On resume it builds the
+  engine's stepper: :class:`~repro.runtime.simulator.ReferenceStepper`
+  or :class:`~repro.runtime.fleet.FleetStepper`. On resume it builds the
   stepper from the snapshot and binds it to the engine that captured it.
 - :func:`drive` extracts the trace's sparse minute-major event table
   one fixed block of minutes at a time and walks its event groups, one
   per minute with at least one invocation. Each group first settles
   the idle gap before it through ``stepper.idle_span`` and then serves
-  its minute through ``stepper.step``. The reference and fleet
-  steppers walk an idle span minute by minute; the fast stepper
-  accounts it in bulk.
+  its minute through ``stepper.step``. Both steppers walk an idle span
+  minute by minute.
 
 Every stepper subclasses :class:`Stepper`, the one run-state core: it
 builds the common fresh state (event log, obs session, policy binding,
@@ -24,8 +22,8 @@ container pool, fault injector, accumulators, series), restores a
 snapshot payload after checking its key set against
 ``SNAPSHOT_FIELDS``, derives the telemetry handles, walks an idle span
 minute by minute and builds the :class:`~repro.runtime.metrics.RunResult`.
-An engine adds only its per-minute ``step``, its own fresh state, its
-``live_state()`` dict and, for the fast engine, a bulk ``idle_span``.
+An engine adds only its per-minute ``step``, its own fresh state and
+its ``live_state()`` dict.
 
 Checkpointing is a hook of the driver, with one cadence rule for every
 engine: a snapshot is captured before the first event group of each new
@@ -136,12 +134,12 @@ class Stepper:
             policy = sim.policy
             self.events = EventLog() if cfg.record_events else None
             self.obs = self._open_obs() if cfg.observe is not None else None
-            if self.obs is not None or self.events is not None:
-                # Before bind, so on_bind can wire policy sub-components;
-                # NULL_OBS detaches a session left by an earlier run.
-                policy.attach_observability(
-                    self.obs if self.obs is not None else NULL_OBS, self.events
-                )
+            # Before bind, so on_bind can wire policy sub-components.
+            # Always called: NULL_OBS and a None sink detach whatever an
+            # earlier run of the same policy object left attached.
+            policy.attach_observability(
+                self.obs if self.obs is not None else NULL_OBS, self.events
+            )
             policy.bind(trace, sim.assignment, cfg.keep_alive_window)
             self.policy = policy
             self.pool = (
@@ -291,10 +289,8 @@ def open_stepper(
 ) -> Stepper:
     """Build the stepper that runs ``sim`` on the selected engine.
 
-    ``engine`` is ``"auto"`` (fast, unless ``measure_overhead`` needs
-    the reference loop's per-decision cadence), ``"reference"``,
-    ``"fast"``, ``"fleet"``, or ``None`` (the reference loop, the
-    historical default of ``Simulation.run``).
+    ``engine`` is ``"reference"``, ``"fleet"``, or ``"auto"``/``None``
+    (both the reference loop).
 
     ``resume_from`` is an engine checkpoint to continue. Its engine wins
     over ``None``/``"auto"``, and any other selector must name the same
@@ -307,9 +303,10 @@ def open_stepper(
         origin = resume_from.engine
         if origin not in _STEPPER_ENGINES:
             raise ValueError(
-                f"cannot resume a {origin!r} snapshot with engine={name!r}: "
-                "Simulation.run resumes engine checkpoints only; restore "
-                "session snapshots with ControlSession.restore"
+                f"cannot resume a {origin!r} snapshot: Simulation.run "
+                f"resumes checkpoints of the {', '.join(_STEPPER_ENGINES)} "
+                "engines; restore session snapshots with "
+                "ControlSession.restore"
             )
         if name not in (None, "auto", origin):
             raise ValueError(
@@ -317,24 +314,16 @@ def open_stepper(
             )
         name = origin
         live, next_minute = resume_from.restore(), resume_from.next_minute
-    elif name is None:
-        name = "reference"
-    elif name == "auto":
-        name = "reference" if sim.config.measure_overhead else "fast"
-    if name != "reference" and sim.config.measure_overhead:
-        raise ValueError(
-            f"engine={name!r} cannot honor measure_overhead=True (Figure 9's "
-            "metric needs the reference loop's per-minute decision "
-            "cadence); use engine='auto' or 'reference'"
-        )
     if name == "fleet":
+        if sim.config.measure_overhead:
+            raise ValueError(
+                "engine='fleet' cannot honor measure_overhead=True (Figure "
+                "9's metric needs the reference loop's per-minute decision "
+                "cadence); use engine='auto' or 'reference'"
+            )
         from repro.runtime.fleet import FleetStepper
 
         return FleetStepper(sim, live=live, next_minute=next_minute)
-    if name == "fast":
-        from repro.runtime.fastpath import FastStepper
-
-        return FastStepper(sim, live=live, next_minute=next_minute)
     from repro.runtime.simulator import ReferenceStepper
 
     return ReferenceStepper(sim, live=live, next_minute=next_minute)

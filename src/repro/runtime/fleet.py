@@ -1,11 +1,10 @@
 """The fleet engine: vectorized simulation of 10⁴–10⁵ functions.
 
-The reference loop (:mod:`repro.runtime.simulator`) and the event-driven
-fast path (:mod:`repro.runtime.fastpath`) both iterate Python objects per
-(function, minute); at fleet scale that is the bottleneck. This engine
-keeps all per-function state in numpy arrays over fids ``0..n-1``
-(:mod:`repro.runtime.columnar`), held by one :class:`FleetState`, and
-runs the per-minute cycle as array kernels:
+The reference loop (:mod:`repro.runtime.simulator`) iterates Python
+objects per (function, minute); at fleet scale that is the bottleneck.
+This engine keeps all per-function state in numpy arrays over fids
+``0..n-1`` (:mod:`repro.runtime.columnar`), held by one
+:class:`FleetState`, and runs the per-minute cycle as array kernels:
 
 1. **serve / observe / plan**: serve the minute's invocations (cold/warm
    split, service-time and accuracy contributions), feed the
@@ -48,7 +47,7 @@ downgrade|valve`` — and merge into one span tree per run
 *reads* engine state, so obs-on runs stay bit-identical to obs-off
 (``tests/test_fleet_obs.py``).
 
-Checkpoint/resume works as on the other engines: the shared batch
+Checkpoint/resume works as on the reference engine: the shared batch
 driver (:mod:`repro.runtime.driver`) snapshots :meth:`FleetStepper.live_state`
 before the first event group of each cadence bucket, and a resumed run
 is bit-identical to an uninterrupted one.
@@ -133,7 +132,7 @@ def _compile_policy(
     exactly the policies whose decisions it can evaluate as array ops:
     PULSE itself, and the fixed single-variant baselines (probed for a
     constant full-window plan rather than trusted by type). Everything
-    else must run on the reference or fast engine.
+    else must run on the reference engine.
     """
     if type(policy) is PulsePolicy:
         cfg = policy.config
@@ -172,7 +171,7 @@ def _compile_policy(
     raise ValueError(
         f"engine='fleet' does not support policy {policy.name!r} "
         f"({type(policy).__name__}); supported: PULSE and the fixed "
-        "single-variant baselines. Use engine='auto', 'reference' or 'fast'."
+        "single-variant baselines. Use engine='auto' or 'reference'."
     )
 
 

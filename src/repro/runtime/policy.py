@@ -56,15 +56,16 @@ class KeepAlivePolicy(abc.ABC):
     def attach_observability(self, obs=None, event_sink=None) -> None:
         """Engine hook: wire the run's telemetry before :meth:`bind`.
 
-        Called (when observability or event recording is on) before
-        ``bind``, so ``on_bind`` can propagate ``self.obs`` /
-        ``self.event_sink`` into policy sub-components. Wrapper policies
-        forward this to their inner policies.
+        Called by every engine before ``bind``, so ``on_bind`` can
+        propagate ``self.obs`` / ``self.event_sink`` into policy
+        sub-components. Both arguments replace what an earlier run
+        attached: ``None`` detaches (``obs`` falls back to
+        :data:`~repro.obs.session.NULL_OBS`), so a policy object reused
+        for an unobserved run records nothing into the previous run's
+        session. Wrapper policies forward this to their inner policies.
         """
-        if obs is not None:
-            self.obs = obs
-        if event_sink is not None:
-            self.event_sink = event_sink
+        self.obs = obs if obs is not None else NULL_OBS
+        self.event_sink = event_sink
 
     def bind(
         self,
@@ -135,23 +136,6 @@ class KeepAlivePolicy(abc.ABC):
         Policies with a global stage (PULSE, MILP) rewrite the schedule's
         entries for ``minute`` (and later) here. Default: do nothing.
         """
-
-    def idle_review(self, minute: int, schedule: KeepAliveSchedule) -> bool:
-        """Fast-path replacement for :meth:`review_minute` on minutes with
-        no invocations.
-
-        The event-driven engine calls this instead of the full review on
-        idle minutes. A policy that overrides :meth:`review_minute` may
-        override this to do its cheap per-minute bookkeeping (e.g. feed a
-        peak detector) and return ``False`` — a guarantee that the full
-        review would not have modified the schedule this minute. Returning
-        ``True`` makes the engine run :meth:`review_minute` as usual, so
-        the default is always safe for policies with a review stage.
-
-        Policies that do not override :meth:`review_minute` are never
-        asked: the engine skips the review entirely on every minute.
-        """
-        return True
 
     # -- helpers -----------------------------------------------------------
     def _full_window_plan(self, variant: ModelVariant | None) -> list[ModelVariant | None]:

@@ -17,9 +17,9 @@ count of live entries per distinct container footprint. :meth:`memory_at`
 evaluates the minute as a dot product over the footprints in ascending
 order — a **canonical evaluation order** that depends only on *what* is
 alive at the minute, never on the sequence of writes that got it there.
-That property is what lets three very different engine loops (the
-reference minute walk, the event-driven fast path, and the columnar fleet
-kernel in :mod:`repro.runtime.fleet`) produce bit-identical memory
+That property is what lets two very different engine loops (the
+reference minute walk in :mod:`repro.runtime.simulator` and the columnar
+fleet kernel in :mod:`repro.runtime.fleet`) produce bit-identical memory
 series: each computes the same counts and folds them in the same
 footprint order, so the floats agree to the last ulp.
 
@@ -32,7 +32,7 @@ emptiness, so no epsilon hacks are needed and rounding residue cannot
 survive on an empty minute.
 
 Two invariants the ledger maintains (property-tested in
-``tests/test_engine_fastpath.py``):
+``tests/test_runtime_schedule.py``):
 
 - ``memory_at(m)`` equals the from-scratch sum of the entries at minute
   ``m`` (up to float rounding of the evaluation order);
@@ -386,15 +386,6 @@ class KeepAliveSchedule:
         """
         self._flush(0, len(self._mem))
         return np.asarray(self._mem, dtype=np.float64)
-
-    def memory_slice(self, start: int, stop: int) -> list[float]:
-        """Per-minute memory for ``start <= m < stop`` (bulk read used by
-        the fast engine's idle-span accounting)."""
-        if start >= stop:
-            return []
-        self._ensure(stop - 1)
-        self._flush(start, stop)
-        return self._mem[start:stop]
 
     def recompute_memory_at(self, minute: int) -> float:
         """From-scratch O(n_functions) recomputation of :meth:`memory_at`

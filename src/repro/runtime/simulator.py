@@ -99,12 +99,13 @@ def apply_capacity_valve(
     """§III-A's provider pressure valve: randomly downgrade kept-alive
     models until the minute's keep-alive memory fits ``capacity_mb``.
 
-    Shared by the reference and fast engine loops so both consume the
-    capacity RNG identically. The candidate array is built once and
-    maintained incrementally (victims are removed only when their
-    keep-alive is dropped entirely), instead of rebuilding it from the
-    alive map on every iteration; it stays fid-sorted throughout, which
-    keeps victim selection deterministic under ``capacity_seed``.
+    The reference loop's valve (the fleet reducer inlines the same
+    draws, so both engines consume the capacity RNG identically). The
+    candidate array is built once and maintained incrementally (victims
+    are removed only when their keep-alive is dropped entirely), instead
+    of rebuilding it from the alive map on every iteration; it stays
+    fid-sorted throughout, which keeps victim selection deterministic
+    under ``capacity_seed``.
 
     ``events``/``obs`` only *record* each forced downgrade (DOWNGRADE
     events with ``value=1.0``; ``forced=True`` trace records) — victim
@@ -239,11 +240,7 @@ class Simulation:
 
         ``engine`` selects the loop:
 
-        - ``"auto"`` — the event-driven fast loop unless the config needs
-          the per-minute decision cadence (``measure_overhead``);
         - ``"reference"`` — the minute-by-minute reference loop;
-        - ``"fast"`` — the fast loop, erroring if the config demands the
-          reference cadence;
         - ``"fleet"`` — the columnar fleet engine
           (:mod:`repro.runtime.fleet`): per-function state in numpy
           arrays with a global reduce for the cross-function stages.
@@ -251,14 +248,13 @@ class Simulation:
           fixed baselines, carries a columnar observability session
           when ``config.observe`` is set, and errors on
           ``measure_overhead``;
-        - ``None`` (default) — the historical default, equivalent to
-          ``"reference"``.
+        - ``"auto"`` or ``None`` (default) — the reference loop.
 
         Spelling is validated by :func:`repro.utils.specs.parse_engine`
         (the one engine vocabulary shared with the CLI, the API facade
         and the durable sweep layer); selectors are case-insensitive.
 
-        All loops produce identical metrics; ``wall_clock_s`` records
+        Both engines produce identical metrics; ``wall_clock_s`` records
         the elapsed engine time either way. Every engine runs through
         the one batch driver (:mod:`repro.runtime.driver`).
 

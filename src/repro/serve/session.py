@@ -10,8 +10,7 @@ variant plans, cold starts, downgrades, capacity-valve actions — as the
 engine made them.
 
 There is **one stepping code path**. Sessions open their stepper
-(:class:`~repro.runtime.simulator.ReferenceStepper`,
-:class:`~repro.runtime.fastpath.FastStepper` or
+(:class:`~repro.runtime.simulator.ReferenceStepper` or
 :class:`~repro.runtime.fleet.FleetStepper`) through the same engine
 selection as ``Simulation.run()``
 (:func:`~repro.runtime.driver.open_stepper`), and every trace-driven
@@ -53,7 +52,7 @@ import numpy as np
 from repro.faults.plan import FaultPlan
 from repro.models.variants import ModelFamily
 from repro.obs.session import ObservabilityConfig
-from repro.runtime.checkpoint import SimulationState
+from repro.runtime.checkpoint import SNAPSHOT_FIELDS, SimulationState
 from repro.runtime.driver import drive, open_stepper
 from repro.runtime.metrics import RunResult
 from repro.runtime.policy import KeepAlivePolicy
@@ -232,8 +231,7 @@ class ControlSession:
         """Drive every remaining minute from the trace and finish.
 
         Bit-identical to ``Simulation.run()`` on the session's engine:
-        both run the same batch driver over the same stepper, so the
-        fast engine keeps its skip-idle-minutes advantage here too.
+        both run the same batch driver over the same stepper.
         """
         t0 = perf_counter()
         drive(self.stepper)
@@ -348,6 +346,11 @@ class ControlSession:
             raise ValueError(
                 f"not a session snapshot: engine={state.engine!r} "
                 "(engine checkpoints resume through Simulation.run)"
+            )
+        if name not in SNAPSHOT_FIELDS:
+            raise ValueError(
+                f"cannot restore a {state.engine!r} snapshot: sessions "
+                f"run on the {', '.join(SNAPSHOT_FIELDS)} engines"
             )
         payload = state.restore()
         live, meta = payload["live"], payload["meta"]

@@ -95,6 +95,3 @@ class PulseIntegratedPolicy(KeepAlivePolicy):
 
     def review_minute(self, minute: int, schedule: KeepAliveSchedule) -> None:
         self.pulse.review_minute(minute, schedule)
-
-    def idle_review(self, minute: int, schedule: KeepAliveSchedule) -> bool:
-        return self.pulse.idle_review(minute, schedule)

@@ -40,7 +40,7 @@ class SpecError(SystemExit):
 #: :func:`repro.api.simulate` facade, ``ExperimentConfig``, the durable
 #: sweep manifest, ``repro.serve`` sessions — shares this tuple, so the
 #: spelling cannot drift between layers.
-ENGINES = ("auto", "reference", "fast", "fleet")
+ENGINES = ("auto", "reference", "fleet")
 
 
 def parse_engine(value: str, flag: str = "engine") -> str:

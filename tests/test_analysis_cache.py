@@ -119,7 +119,7 @@ class TestFingerprint:
 
 class TestProjectScopeInteraction:
     def test_scoped_files_reparse_but_reuse_cached_findings(self, tmp_path):
-        # simulator.py/fastpath.py sit in RPR002's project scope: a warm
+        # simulator.py/fleet.py sit in RPR002's project scope: a warm
         # run must re-parse them (finalize needs real ASTs) yet still
         # reuse their cached per-file findings, and cross-file findings
         # must be recomputed identically.
@@ -135,9 +135,9 @@ class TestProjectScopeInteraction:
                         obs.record_cold()
             """,
         )
-        fast = write(
+        fleet = write(
             tmp_path,
-            "engines/fastpath.py",
+            "engines/fleet.py",
             """\
             from repro.runtime.events import EventKind
 
@@ -147,13 +147,13 @@ class TestProjectScopeInteraction:
             """,
         )
         cache = LintCache(tmp_path / "cache")
-        cold = lint_paths([sim, fast], cache=cache)
-        warm = lint_paths([sim, fast], cache=cache)
+        cold = lint_paths([sim, fleet], cache=cache)
+        warm = lint_paths([sim, fleet], cache=cache)
         assert cache.hits == 2
         assert render_json(warm) == render_json(cold)
 
         # Break parity in one file: the asymmetry is found on the next
         # (warm) run even though only one file changed.
-        fast.write_text(fast.read_text().replace("obs.record_cold()", "pass"))
-        report = lint_paths([sim, fast], cache=cache)
+        fleet.write_text(fleet.read_text().replace("obs.record_cold()", "pass"))
+        report = lint_paths([sim, fleet], cache=cache)
         assert [f.rule for f in report.findings] == ["RPR002"]

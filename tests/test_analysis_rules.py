@@ -148,7 +148,7 @@ def run(events, obs):
     obs.record_cold_start(0, 1)
 """
 
-FAST_TEMPLATE = """\
+FLEET_TEMPLATE = """\
 from repro.runtime.events import EventKind
 
 
@@ -160,20 +160,20 @@ def run(events, obs):
 
 
 class TestEngineParityRPR002:
-    def pair(self, tmp_path, sim=SIM_TEMPLATE, fast=FAST_TEMPLATE):
+    def pair(self, tmp_path, sim=SIM_TEMPLATE, fleet=FLEET_TEMPLATE):
         return [
             write(tmp_path, "engines/simulator.py", sim),
-            write(tmp_path, "engines/fastpath.py", fast),
+            write(tmp_path, "engines/fleet.py", fleet),
         ]
 
     def test_symmetric_pair_clean(self, tmp_path):
         assert rules_hit(self.pair(tmp_path), "RPR002") == []
 
-    def test_event_kind_missing_from_fast_loop(self, tmp_path):
-        fast = FAST_TEMPLATE.replace(
+    def test_event_kind_missing_from_fleet_loop(self, tmp_path):
+        fleet = FLEET_TEMPLATE.replace(
             'events.emit(0, EventKind.WARM_START, 1, "low", 1.0)\n    ', ""
         )
-        paths = self.pair(tmp_path, fast=fast)
+        paths = self.pair(tmp_path, fleet=fleet)
         report = lint_paths(paths, rule_ids=["RPR002"])
         (finding,) = report.findings
         assert "WARM_START" in finding.message
@@ -184,13 +184,13 @@ class TestEngineParityRPR002:
         report = lint_paths(self.pair(tmp_path, sim=sim), rule_ids=["RPR002"])
         (finding,) = report.findings
         assert "record_cold_start" in finding.message
-        assert finding.path.endswith("fastpath.py")
+        assert finding.path.endswith("fleet.py")
 
     def test_run_result_kwarg_asymmetry(self, tmp_path):
         sim = SIM_TEMPLATE + "\nRESULT = RunResult(cold_starts=1, drops=2)\n"
-        fast = FAST_TEMPLATE + "\nRESULT = RunResult(cold_starts=1)\n"
+        fleet = FLEET_TEMPLATE + "\nRESULT = RunResult(cold_starts=1)\n"
         report = lint_paths(
-            self.pair(tmp_path, sim=sim, fast=fast), rule_ids=["RPR002"]
+            self.pair(tmp_path, sim=sim, fleet=fleet), rule_ids=["RPR002"]
         )
         (finding,) = report.findings
         assert "drops" in finding.message
@@ -201,10 +201,10 @@ class TestEngineParityRPR002:
             "    # repro: lint-ok[RPR002] emitted by a shared helper\n"
             "    events.emit(0, EventKind.WARM_START",
         )
-        fast = FAST_TEMPLATE.replace(
+        fleet = FLEET_TEMPLATE.replace(
             'events.emit(0, EventKind.WARM_START, 1, "low", 1.0)\n    ', ""
         )
-        assert rules_hit(self.pair(tmp_path, sim=sim, fast=fast), "RPR002") == []
+        assert rules_hit(self.pair(tmp_path, sim=sim, fleet=fleet), "RPR002") == []
 
     def test_unpaired_engine_file_not_compared(self, tmp_path):
         path = write(tmp_path, "engines/simulator.py", SIM_TEMPLATE)
@@ -219,7 +219,7 @@ class TestRealEngineFixtureCopy:
     def engine_copies(self, tmp_path):
         sandbox = tmp_path / "runtime"
         sandbox.mkdir()
-        for name in ("simulator.py", "fastpath.py"):
+        for name in ("simulator.py", "fleet.py"):
             shutil.copy(REPRO_ROOT / "runtime" / name, sandbox / name)
         return sandbox
 
@@ -227,12 +227,12 @@ class TestRealEngineFixtureCopy:
         assert rules_hit(list(engine_copies.glob("*.py")), "RPR002") == []
 
     def test_removed_event_kind_handler_caught(self, engine_copies):
-        fast = engine_copies / "fastpath.py"
-        mutated = fast.read_text().replace(
+        fleet = engine_copies / "fleet.py"
+        mutated = fleet.read_text().replace(
             "EventKind.COLD_START", "EventKind.WARM_START"
         )
-        assert mutated != fast.read_text()
-        fast.write_text(mutated)
+        assert mutated != fleet.read_text()
+        fleet.write_text(mutated)
         report = lint_paths(
             list(engine_copies.glob("*.py")), rule_ids=["RPR002"]
         )
@@ -1358,7 +1358,7 @@ class TestFleetReducerCarveoutRPR002:
             {"record_peak", "record_downgrade"}
         )
 
-    def trio(self, tmp_path, sim_extra="", fleet_extra=""):
+    def pair(self, tmp_path, sim_extra="", fleet_extra=""):
         sim = write(
             tmp_path,
             "runtime/simulator.py",
@@ -1367,12 +1367,12 @@ class TestFleetReducerCarveoutRPR002:
         fleet = write(
             tmp_path,
             "runtime/fleet.py",
-            FAST_TEMPLATE.replace("def run(", "def fleet_run(") + fleet_extra,
+            FLEET_TEMPLATE.replace("def run(", "def fleet_run(") + fleet_extra,
         )
         return [sim, fleet]
 
     def test_fleet_side_carveout_names_exempt(self, tmp_path):
-        paths = self.trio(
+        paths = self.pair(
             tmp_path,
             fleet_extra=(
                 "\n"
@@ -1384,7 +1384,7 @@ class TestFleetReducerCarveoutRPR002:
         assert rules_hit(paths, "RPR002") == []
 
     def test_other_fleet_side_hooks_still_flagged(self, tmp_path):
-        paths = self.trio(
+        paths = self.pair(
             tmp_path,
             fleet_extra=(
                 "\ndef reduce(rec):\n    rec.record_slow(1)\n"
@@ -1397,7 +1397,7 @@ class TestFleetReducerCarveoutRPR002:
     def test_carveout_names_one_sided_in_simulator_flagged(self, tmp_path):
         # The exemption is fleet-side only: the same names one-sided in
         # the reference loop are a real asymmetry.
-        paths = self.trio(
+        paths = self.pair(
             tmp_path,
             sim_extra=(
                 "\ndef review(rec):\n    rec.record_peak(1, 2, 3, 4)\n"

@@ -100,12 +100,12 @@ class TestSimulateFacade:
             small_trace, assignment=assignment, policy="pulse",
             engine="reference",
         )
-        fast = simulate(
+        fleet = simulate(
             small_trace, assignment=assignment, policy="pulse",
-            engine="fast",
+            engine="fleet",
         )
-        assert ref.total_service_time_s == fast.total_service_time_s
-        assert ref.keepalive_cost_usd == fast.keepalive_cost_usd
+        assert ref.total_service_time_s == fleet.total_service_time_s
+        assert ref.keepalive_cost_usd == fleet.keepalive_cost_usd
 
     def test_policy_instance_accepted(self, small_trace, assignment):
         r = simulate(
@@ -191,7 +191,7 @@ class TestRunSweepFacade:
             tiny_trace,
             policies=["pulse"],
             config=ExperimentConfig(
-                n_runs=2, horizon_minutes=60, seed=3, engine="fast"
+                n_runs=2, horizon_minutes=60, seed=3, engine="reference"
             ),
             durable=True,
             out_dir=tmp_path,
@@ -203,7 +203,7 @@ class TestRunSweepFacade:
             tiny_trace,
             policies=["pulse"],
             config=ExperimentConfig(
-                n_runs=2, horizon_minutes=60, seed=3, engine="fast"
+                n_runs=2, horizon_minutes=60, seed=3, engine="reference"
             ),
             durable=True,
             resume=tmp_path / "manifest.json",

@@ -28,14 +28,14 @@ class TestFastFlagRemoved:
     def test_engine_argument_is_the_replacement(
         self, tiny_trace, tiny_assignment
     ):
-        fast = Simulation(
+        fleet = Simulation(
             tiny_trace, tiny_assignment, PulsePolicy(), SimulationConfig()
-        ).run(engine="fast")
+        ).run(engine="fleet")
         ref = Simulation(
             tiny_trace, tiny_assignment, PulsePolicy(), SimulationConfig()
         ).run(engine="reference")
-        assert fast.total_service_time_s == ref.total_service_time_s
-        assert fast.keepalive_cost_usd == ref.keepalive_cost_usd
+        assert fleet.total_service_time_s == ref.total_service_time_s
+        assert fleet.keepalive_cost_usd == ref.keepalive_cost_usd
 
 
 class TestCliShimsRemoved:

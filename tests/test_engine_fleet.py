@@ -1,8 +1,8 @@
 """Golden equivalence for the fleet engine.
 
 The columnar fleet engine (:mod:`repro.runtime.fleet`) must produce
-*bit-identical* results to the reference minute loop — the same contract
-the fast path carries: the same ``RunResult`` and event stream,
+*bit-identical* results to the reference minute loop, the oracle: the
+same ``RunResult`` and event stream,
 including under capacity-valve pressure and fault plans, and under a
 permutation of function ids that reorders the reducer's fid-ascending
 candidate arrays.
@@ -35,8 +35,6 @@ from repro.runtime.fleet import _vector_levels
 from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 
-from tests.test_engine_fastpath import assert_identical
-
 POLICIES = {
     "openwhisk": OpenWhiskPolicy,
     "fixed-lowest": AllLowQualityPolicy,
@@ -45,6 +43,36 @@ POLICIES = {
     "pulse": PulsePolicy,
     "pulse-t2": lambda: PulsePolicy(PulseConfig(threshold_scheme="T2")),
 }
+
+
+def assert_identical(ref, other):
+    """Every deterministic RunResult field matches exactly (wall clock and
+    overhead instrumentation excluded by design)."""
+    assert other.policy_name == ref.policy_name
+    assert other.n_invocations == ref.n_invocations
+    assert other.n_warm == ref.n_warm
+    assert other.n_cold == ref.n_cold
+    assert other.n_forced_downgrades == ref.n_forced_downgrades
+    assert other.n_spawn_failures == ref.n_spawn_failures
+    assert other.n_retries == ref.n_retries
+    assert other.n_policy_faults == ref.n_policy_faults
+    assert other.n_degraded_minutes == ref.n_degraded_minutes
+    assert other.total_service_time_s == ref.total_service_time_s
+    assert other.keepalive_cost_usd == ref.keepalive_cost_usd
+    assert other.mean_accuracy == ref.mean_accuracy
+    for a, b in (
+        (ref.memory_series_mb, other.memory_series_mb),
+        (ref.ideal_memory_series_mb, other.ideal_memory_series_mb),
+    ):
+        assert (a is None) == (b is None)
+        if a is not None:
+            np.testing.assert_array_equal(a, b)
+    assert (ref.pool_stats is None) == (other.pool_stats is None)
+    if ref.pool_stats is not None:
+        assert other.pool_stats == ref.pool_stats
+    assert (ref.events is None) == (other.events is None)
+    if ref.events is not None:
+        assert list(other.events) == list(ref.events)
 
 
 def ref_vs_fleet(trace, assignment, factory, cfg):
@@ -270,7 +298,7 @@ class TestFacadePlumbing:
         with pytest.raises(ValueError, match="engine"):
             ExperimentConfig(engine="warp")
 
-    def test_run_policies_fleet_matches_fast(self, zoo):
+    def test_run_policies_fleet_matches_reference(self, zoo):
         from functools import partial
 
         from repro.api import make_policy
@@ -281,10 +309,10 @@ class TestFacadePlumbing:
         )
         factories = {"pulse": partial(make_policy, "pulse")}
         results = {}
-        for engine in ("fast", "fleet"):
+        for engine in ("reference", "fleet"):
             cfg = ExperimentConfig(
                 n_runs=2, horizon_minutes=120, engine=engine
             )
             results[engine] = run_policies(trace, factories, cfg, zoo)
-        for a, b in zip(results["fast"]["pulse"], results["fleet"]["pulse"]):
+        for a, b in zip(results["reference"]["pulse"], results["fleet"]["pulse"]):
             assert_identical(a, b)

@@ -25,7 +25,7 @@ POLICIES = ["pulse", "openwhisk"]
 
 def _config(n_jobs: int = 2) -> ExperimentConfig:
     return ExperimentConfig(
-        n_runs=2, horizon_minutes=60, seed=11, n_jobs=n_jobs, engine="fast"
+        n_runs=2, horizon_minutes=60, seed=11, n_jobs=n_jobs, engine="reference"
     )
 
 
@@ -165,7 +165,7 @@ class TestResumeGuards:
         )
         manifest = RunManifest.load(tmp_path / "manifest.json")
         other = ExperimentConfig(
-            n_runs=3, horizon_minutes=60, seed=11, n_jobs=2, engine="fast"
+            n_runs=3, horizon_minutes=60, seed=11, n_jobs=2, engine="reference"
         )
         with pytest.raises(ValueError, match="config mismatch"):
             run_durable_sweep(

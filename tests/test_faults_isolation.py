@@ -1,15 +1,34 @@
-"""ResilientPolicy: crash isolation, degradation semantics, engine parity."""
+"""ResilientPolicy: crash isolation, degradation semantics, determinism.
+
+The fleet engine does not compile wrapped policies, so the parity checks
+compare the reference batch run with the same run stepped one minute at
+a time through a session.
+"""
 
 from __future__ import annotations
 
 import pytest
-from tests.test_engine_fastpath import assert_identical, both_engines
+from tests.test_engine_fleet import assert_identical
 
 from repro.baselines.openwhisk import OpenWhiskPolicy
 from repro.core.pulse import PulsePolicy
 from repro.faults.isolation import FALLBACK_WINDOW_MINUTES, ResilientPolicy
 from repro.runtime.events import EventKind
 from repro.runtime.simulator import Simulation, SimulationConfig
+from repro.serve.session import open_session
+
+
+def batch_and_stepped(trace, assignment, factory, cfg):
+    """The same reference run as one batch and as a session advanced
+    one minute at a time (for policies the fleet engine cannot run)."""
+    batch = Simulation(trace, assignment, factory(), cfg).run(engine="reference")
+    session = open_session(
+        trace, policy=factory(), assignment=assignment, config=cfg,
+        engine="reference",
+    )
+    while session.next_minute < trace.horizon:
+        session.advance()
+    return batch, session.result()
 
 
 class CrashOnPlan(PulsePolicy):
@@ -53,26 +72,26 @@ class TestCrashIsolation:
 
     def test_both_engines_identical_under_crash(self, small_trace, assignment):
         factory = lambda: ResilientPolicy(CrashOnPlan())  # noqa: E731
-        ref, fast = both_engines(
+        ref, stepped = batch_and_stepped(
             small_trace, assignment, factory, SimulationConfig()
         )
         assert ref.n_policy_faults == 1
         assert ref.n_degraded_minutes > 0
-        assert_identical(ref, fast)
+        assert_identical(ref, stepped)
 
     def test_cold_variant_crash(self, small_trace, assignment):
         factory = lambda: ResilientPolicy(CrashOnColdVariant())  # noqa: E731
-        ref, fast = both_engines(
+        ref, stepped = batch_and_stepped(
             small_trace, assignment, factory, SimulationConfig()
         )
         assert ref.n_policy_faults > 0
-        assert_identical(ref, fast)
+        assert_identical(ref, stepped)
 
     def test_bind_crash_degrades_everything(self, small_trace, assignment):
         policy = ResilientPolicy(CrashOnBind())
         r = Simulation(
             small_trace, assignment, policy, SimulationConfig()
-        ).run(engine="fast")
+        ).run(engine="reference")
         assert r.n_policy_faults == 1
         assert set(policy.degraded_since) == set(range(small_trace.n_functions))
         assert all(m == 0 for m in policy.degraded_since.values())
@@ -82,11 +101,11 @@ class TestCrashIsolation:
     def test_healthy_policy_unchanged(self, small_trace, assignment):
         plain = Simulation(
             small_trace, assignment, OpenWhiskPolicy(), SimulationConfig()
-        ).run(engine="fast")
+        ).run(engine="reference")
         wrapped = Simulation(
             small_trace, assignment, ResilientPolicy(OpenWhiskPolicy()),
             SimulationConfig(),
-        ).run(engine="fast")
+        ).run(engine="reference")
         assert wrapped.n_policy_faults == 0
         assert wrapped.n_degraded_minutes == 0
         assert wrapped.total_service_time_s == plain.total_service_time_s

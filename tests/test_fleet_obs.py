@@ -41,7 +41,7 @@ from repro.obs.inspect import TraceIndex
 from repro.obs.report import render_run_report
 from repro.obs.session import ObservabilityConfig
 from repro.runtime.simulator import Simulation, SimulationConfig
-from tests.test_engine_fastpath import assert_identical
+from tests.test_engine_fleet import assert_identical
 
 #: Model-family assignments the obs-on ≡ obs-off legs run under.
 ASSIGNMENT_SEEDS = (1, 2, 7)

@@ -9,9 +9,11 @@ import pytest
 
 from repro.baselines.openwhisk import OpenWhiskPolicy
 from repro.core.pulse import PulsePolicy
+from repro.experiments.assignments import sample_assignment
 from repro.obs.session import NULL_OBS, ObservabilityConfig, ObsSession
 from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.traces.schema import FunctionSpec, Trace
+from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 
 
 class FakeVariant:
@@ -129,7 +131,7 @@ def one_function_trace(counts):
 class TestEngineDisabledPath:
     """SimulationConfig.observe=None (default) must allocate nothing."""
 
-    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("engine", ["reference"])
     def test_unobserved_run_has_no_session(self, gpt, engine):
         cfg = SimulationConfig()
         r = Simulation(one_function_trace([1, 0, 1]), {0: gpt},
@@ -145,6 +147,29 @@ class TestEngineDisabledPath:
         assert policy._gopt.obs is NULL_OBS
         assert NULL_OBS.records == ()  # nothing leaked onto the singleton
 
+    @pytest.mark.parametrize("engine", ["reference", "fleet"])
+    def test_reused_policy_detaches_previous_run(self, engine):
+        # A policy object reused for an unobserved run must not keep
+        # writing into the first run's session or event log.
+        trace = generate_trace(
+            SyntheticTraceConfig(n_functions=6, horizon_minutes=300, seed=4)
+        )
+        assignment = sample_assignment(trace.n_functions, seed=4)
+        policy = PulsePolicy()
+        first = Simulation(
+            trace, assignment, policy,
+            SimulationConfig(observe=True, record_events=True),
+        ).run(engine=engine)
+        records, events = len(first.obs.records), len(first.events)
+        assert records > 0 and events > 0
+        Simulation(trace, assignment, policy, SimulationConfig()).run(
+            engine=engine
+        )
+        assert len(first.obs.records) == records
+        assert len(first.events) == events
+        assert policy.obs is NULL_OBS
+        assert policy.event_sink is None
+
     def test_observe_bool_normalization(self):
         assert SimulationConfig(observe=True).observe == ObservabilityConfig()
         assert SimulationConfig(observe=False).observe is None
@@ -156,7 +181,7 @@ class TestEngineDisabledPath:
 
 
 class TestEngineObservedPath:
-    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("engine", ["reference"])
     def test_observed_run_populates_session(self, small_trace, assignment, engine):
         cfg = SimulationConfig(observe=True)
         r = Simulation(

@@ -3,8 +3,8 @@
 The contract under test (see :mod:`repro.runtime.checkpoint`): resuming
 an interrupted run from any snapshot produces exactly the metrics the
 uninterrupted run produced — same summary, same memory series bytes,
-same observability counters — on the reference, fast and fleet engines,
-with and without fault injection.
+same observability counters — on the reference and fleet engines, with
+and without fault injection.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import make_policy, simulate
-from repro.serve.session import open_session
+from repro.api import make_policy, run_sweep, simulate
+from repro.experiments.manifest import RunManifest
+from repro.experiments.runner import ExperimentConfig
+from repro.serve.session import ControlSession, open_session
 from repro.models.zoo import default_zoo
 from repro.runtime.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
@@ -28,7 +30,7 @@ from repro.traces.schema import FunctionSpec, Trace
 ZOO = default_zoo()
 FAMILIES = list(ZOO)
 
-ENGINES = ("reference", "fast", "fleet")
+ENGINES = ("reference", "fleet")
 FAULT_SPECS = (None, "spawn=0.2,slow=0.1,seed=7")
 
 
@@ -129,7 +131,7 @@ class TestRoundTrip:
         # 5's group); bucket 2 is idle; buckets 3, 4, 5 capture before
         # minutes 33, 41 and 58.
         assert seen["reference"] == [(6, (1,)), (18, (3,)), (34, (4,)), (48, (5,))]
-        assert seen["fast"] == seen["fleet"] == seen["reference"]
+        assert seen["fleet"] == seen["reference"]
 
     def test_observed_resume_restores_counters(
         self, tiny_trace, tiny_assignment
@@ -154,7 +156,7 @@ class TestRoundTrip:
         assert _comparable(resumed) == _comparable(full)
 
     @given(matrix=small_traces, every=st.integers(min_value=3, max_value=17),
-           engine_idx=st.integers(min_value=0, max_value=2))
+           engine_idx=st.integers(min_value=0, max_value=1))
     @settings(max_examples=15, deadline=None)
     def test_random_traces_round_trip(self, matrix, every, engine_idx):
         trace = _trace_from_matrix(matrix)
@@ -181,15 +183,17 @@ class TestStatePersistence:
     def test_save_load_round_trip(self, tiny_trace, tiny_assignment, tmp_path):
         path = tmp_path / "run.ckpt"
         full = simulate(
-            tiny_trace, assignment=tiny_assignment, policy="pulse", engine="fast",
+            tiny_trace, assignment=tiny_assignment, policy="pulse",
+            engine="reference",
             checkpoint=CheckpointConfig(path=path, every_minutes=25),
         )
         assert full.n_checkpoints >= 1
         state = SimulationState.load(path)
-        assert state.engine == "fast"
+        assert state.engine == "reference"
         assert state.schema_version == CHECKPOINT_SCHEMA_VERSION
         resumed = simulate(
-            tiny_trace, assignment=tiny_assignment, policy="pulse", engine="fast",
+            tiny_trace, assignment=tiny_assignment, policy="pulse",
+            engine="reference",
             checkpoint=CheckpointConfig(path=tmp_path / "resumed.ckpt",
                                         every_minutes=25),
             resume_from=path,  # the facade loads paths itself
@@ -202,7 +206,7 @@ class TestStatePersistence:
         path = tmp_path / "run.ckpt"
         simulate(
             tiny_trace, assignment=tiny_assignment, policy="pulse",
-            engine="fast",
+            engine="reference",
             checkpoint=CheckpointConfig(path=path, every_minutes=25),
         )
         raw = bytearray(path.read_bytes())
@@ -223,7 +227,8 @@ class TestStatePersistence:
     def test_version_gate(self, tiny_trace, tiny_assignment):
         states: list[SimulationState] = []
         simulate(
-            tiny_trace, assignment=tiny_assignment, policy="pulse", engine="fast",
+            tiny_trace, assignment=tiny_assignment, policy="pulse",
+            engine="reference",
             checkpoint=CheckpointConfig(every_minutes=30,
                                         on_snapshot=states.append),
         )
@@ -242,17 +247,20 @@ class TestGuards:
     def test_engine_mismatch_refused(self, tiny_trace, tiny_assignment):
         states: list[SimulationState] = []
         simulate(
-            tiny_trace, assignment=tiny_assignment, policy="pulse", engine="fast",
+            tiny_trace, assignment=tiny_assignment, policy="pulse",
+            engine="reference",
             checkpoint=CheckpointConfig(every_minutes=30,
                                         on_snapshot=states.append),
         )
         with pytest.raises(ValueError, match="engine"):
             simulate(
-                tiny_trace, assignment=tiny_assignment, policy="pulse", engine="reference",
-                resume_from=states[0],
+                tiny_trace, assignment=tiny_assignment, policy="pulse",
+                engine="fleet", resume_from=states[0],
             )
 
-    def test_fleet_checkpoint_refused_on_fast(self, tiny_trace, tiny_assignment):
+    def test_fleet_checkpoint_refused_on_reference(
+        self, tiny_trace, tiny_assignment
+    ):
         states: list[SimulationState] = []
         simulate(
             tiny_trace, assignment=tiny_assignment, policy="pulse",
@@ -260,22 +268,24 @@ class TestGuards:
             checkpoint=CheckpointConfig(every_minutes=30,
                                         on_snapshot=states.append),
         )
-        with pytest.raises(ValueError, match="'fleet'.*'fast'"):
+        with pytest.raises(ValueError, match="'fleet'.*'reference'"):
             simulate(
                 tiny_trace, assignment=tiny_assignment, policy="pulse",
-                engine="fast", resume_from=states[0],
+                engine="reference", resume_from=states[0],
             )
 
     def test_session_snapshot_refused_by_run(self, tiny_trace, tiny_assignment):
         session = open_session(
             tiny_trace, policy="pulse", assignment=tiny_assignment,
-            engine="fast",
+            engine="reference",
         )
         session.advance(10)
         state = session.snapshot()
         sim = Simulation(tiny_trace, tiny_assignment, make_policy("pulse"))
-        with pytest.raises(ValueError, match="'session:fast'.*'fast'"):
-            sim.run(engine="fast", resume_from=state)
+        with pytest.raises(
+            ValueError, match="'session:reference'.*ControlSession.restore"
+        ):
+            sim.run(engine="reference", resume_from=state)
 
     def test_config_requires_sink(self):
         with pytest.raises(ValueError):
@@ -288,6 +298,88 @@ class TestGuards:
     def test_run_rejects_non_config(self, tiny_trace, tiny_assignment):
         with pytest.raises(TypeError):
             simulate(
-                tiny_trace, assignment=tiny_assignment, policy="pulse", engine="fast",
-                checkpoint=42,
+                tiny_trace, assignment=tiny_assignment, policy="pulse",
+                engine="reference", checkpoint=42,
+            )
+
+
+class TestRetiredFastEngine:
+    """Artifacts that name the deleted fast engine are refused with a
+    ``ValueError`` naming the schema version or the valid engines."""
+
+    def test_experiment_config_refuses_fast(self):
+        with pytest.raises(ValueError, match="auto, reference, fleet"):
+            ExperimentConfig(engine="fast")
+
+    def test_v5_checkpoint_file_refused_by_version(
+        self, tiny_trace, tiny_assignment, tmp_path
+    ):
+        states: list[SimulationState] = []
+        simulate(
+            tiny_trace, assignment=tiny_assignment, policy="pulse",
+            engine="reference",
+            checkpoint=CheckpointConfig(every_minutes=30,
+                                        on_snapshot=states.append),
+        )
+        path = SimulationState(
+            engine="fast",
+            next_minute=states[0].next_minute,
+            cursor=states[0].cursor,
+            payload=states[0].payload,
+            schema_version=5,
+        ).save(tmp_path / "v5.ckpt")
+        with pytest.raises(ValueError, match=r"schema v5 .*expects v6"):
+            simulate(
+                tiny_trace, assignment=tiny_assignment, policy="pulse",
+                resume_from=path,
+            )
+
+    def test_fast_checkpoint_refused_by_engine(
+        self, tiny_trace, tiny_assignment
+    ):
+        states: list[SimulationState] = []
+        simulate(
+            tiny_trace, assignment=tiny_assignment, policy="pulse",
+            engine="reference",
+            checkpoint=CheckpointConfig(every_minutes=30,
+                                        on_snapshot=states.append),
+        )
+        fast = SimulationState("fast", states[0].next_minute,
+                               states[0].cursor, states[0].payload)
+        with pytest.raises(ValueError, match="'fast'.*reference, fleet"):
+            simulate(
+                tiny_trace, assignment=tiny_assignment, policy="pulse",
+                resume_from=fast,
+            )
+
+    def test_session_fast_snapshot_refused(self, tiny_trace, tiny_assignment):
+        session = open_session(
+            tiny_trace, policy="pulse", assignment=tiny_assignment,
+            engine="reference",
+        )
+        session.advance(10)
+        state = session.snapshot()
+        fast = SimulationState("session:fast", state.next_minute,
+                               state.cursor, state.payload)
+        with pytest.raises(ValueError, match="'session:fast'.*reference, fleet"):
+            ControlSession.restore(fast)
+
+    def test_sweep_resume_refuses_fast_manifest(self, tiny_trace, tmp_path):
+        config = ExperimentConfig(n_runs=1, horizon_minutes=60, seed=3)
+        sweep_config = {
+            "policies": ["pulse"],
+            "n_runs": 1,
+            "horizon_minutes": 60,
+            "seed": 3,
+            "engine": "fast",
+            "sim": repr(config.sim),
+            "resilient": False,
+        }
+        RunManifest.create(sweep_config, tiny_trace, ["pulse"], 1).save(
+            tmp_path / "manifest.json"
+        )
+        with pytest.raises(ValueError, match="auto, reference, fleet"):
+            run_sweep(
+                tiny_trace, policies=["pulse"], config=config, durable=True,
+                resume=tmp_path / "manifest.json",
             )

@@ -1,7 +1,15 @@
-"""Tests for repro.runtime.schedule — the keep-alive ledger."""
+"""Tests for repro.runtime.schedule — the keep-alive ledger.
+
+Also home to the property tests of its incremental memory ledger: after
+any write sequence, ``memory_at`` must match a from-scratch
+recomputation over the entry maps.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.models.zoo import default_zoo
 from repro.runtime.schedule import KeepAliveSchedule
 
 
@@ -116,3 +124,78 @@ class TestAdvance:
             KeepAliveSchedule(0, 10)
         with pytest.raises(ValueError):
             KeepAliveSchedule(1, 0)
+
+
+# -- incremental ledger property test ------------------------------------
+
+_FAMILIES = list(default_zoo())
+_N_FN = 3
+_HORIZON = 64
+
+
+@st.composite
+def _ops(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    ops = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["mark", "plan", "clear", "downgrade", "advance"]))
+        fid = draw(st.integers(min_value=0, max_value=_N_FN - 1))
+        minute = draw(st.integers(min_value=0, max_value=_HORIZON - 12))
+        level = draw(st.integers(min_value=0, max_value=2))
+        ops.append((kind, fid, minute, level))
+    return ops
+
+
+def _variant(fid, level):
+    family = _FAMILIES[fid % len(_FAMILIES)]
+    return family.variant(min(level, family.n_variants - 1))
+
+
+@given(_ops())
+@settings(max_examples=60, deadline=None)
+def test_incremental_ledger_matches_recomputation(ops):
+    schedule = KeepAliveSchedule(_N_FN, keep_alive_window=10)
+    frontier = 0
+    for kind, fid, minute, level in ops:
+        minute = max(minute, frontier)  # writes behind the frontier are UB
+        if kind == "mark":
+            schedule.mark_alive(fid, minute, _variant(fid, level))
+        elif kind == "plan":
+            plan = [
+                _variant(fid, level) if (minute + off) % 3 else None
+                for off in range(1, 11)
+            ]
+            schedule.set_plan(fid, minute, plan)
+        elif kind == "clear":
+            schedule.clear(fid, minute)
+        elif kind == "downgrade":
+            schedule.downgrade(
+                fid, minute, _FAMILIES[fid % len(_FAMILIES)], allow_drop=level != 0
+            )
+        else:
+            schedule.advance(minute)
+            frontier = max(frontier, minute)
+    for m in range(_HORIZON + 12):
+        incremental = schedule.memory_at(m)
+        exact = schedule.recompute_memory_at(m)
+        assert incremental == pytest.approx(exact, abs=1e-6)
+        if exact == 0.0:
+            assert incremental == 0.0  # empty minutes are exactly zero
+
+
+@given(_ops())
+@settings(max_examples=30, deadline=None)
+def test_memory_vector_matches_per_minute_reads(ops):
+    schedule = KeepAliveSchedule(_N_FN, keep_alive_window=10)
+    for kind, fid, minute, level in ops:
+        if kind in ("mark", "clear"):
+            if kind == "mark":
+                schedule.mark_alive(fid, minute, _variant(fid, level))
+            else:
+                schedule.clear(fid, minute)
+        elif kind == "plan":
+            schedule.set_plan(fid, minute, [_variant(fid, level)] * 10)
+    vec = schedule.memory_vector
+    for m in range(max(len(vec), _HORIZON)):
+        # Minutes past the ledger's end read exactly 0.0.
+        assert schedule.memory_at(m) == (vec[m] if m < len(vec) else 0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.openwhisk import FixedKeepAlivePolicy, OpenWhiskPolicy
+from repro.core.pulse import PulsePolicy
 from repro.runtime.costmodel import CostModel
 from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.traces.schema import FunctionSpec, Trace
@@ -115,6 +116,32 @@ class TestEngineSemantics:
         b = Simulation(small_trace, assignment, OpenWhiskPolicy()).run()
         assert a.total_service_time_s == b.total_service_time_s
         assert a.keepalive_cost_usd == b.keepalive_cost_usd
+
+
+class TestEngineSelection:
+    def test_measure_overhead_stays_on_reference(self, tiny_trace, tiny_assignment):
+        # Figure 9's overhead metric needs the per-minute cadence: "auto"
+        # resolves to the reference loop, and asking for "fleet" outright
+        # is a contradiction the engine refuses.
+        cfg = SimulationConfig(measure_overhead=True)
+        ref = Simulation(
+            tiny_trace, tiny_assignment, PulsePolicy(), cfg
+        ).run(engine="reference")
+        auto = Simulation(
+            tiny_trace, tiny_assignment, PulsePolicy(), cfg
+        ).run(engine="auto")
+        assert auto.n_policy_decisions == ref.n_policy_decisions > 0
+        with pytest.raises(ValueError, match="measure_overhead"):
+            Simulation(
+                tiny_trace, tiny_assignment, PulsePolicy(), cfg
+            ).run(engine="fleet")
+
+    @pytest.mark.parametrize("engine", ["warp", "fast"])
+    def test_unknown_engine_rejected(self, tiny_trace, tiny_assignment, engine):
+        with pytest.raises(ValueError, match="auto, reference, fleet"):
+            Simulation(
+                tiny_trace, tiny_assignment, PulsePolicy(), SimulationConfig()
+            ).run(engine=engine)
 
 
 class TestEngineWindows:

@@ -151,6 +151,12 @@ class TestLifecycle:
         assert status == 400
         assert "unknown session spec keys: shards" in body["error"]
 
+    def test_fast_engine_spec_400(self, base_url):
+        spec = {"synthetic": {"n_functions": 4}, "engine": "fast"}
+        status, body = request(f"{base_url}/v1/sessions", "POST", spec)
+        assert status == 400
+        assert "choose one of: auto, reference, fleet" in body["error"]
+
     def test_rewind_is_409(self, base_url):
         _, info = request(f"{base_url}/v1/sessions", "POST", SYNTH_SPEC)
         sid = info["id"]
@@ -238,6 +244,23 @@ class TestSnapshotRestore:
         b.pop("wall_clock_s", None)
         assert a == b
 
+    def test_restore_session_fast_400(self, base_url):
+        _, info = request(f"{base_url}/v1/sessions", "POST", SYNTH_SPEC)
+        _, payload = request(
+            f"{base_url}/v1/sessions/{info['id']}/snapshot", raw=True
+        )
+        state = SimulationState.from_wire_json(payload)
+        assert state.engine == "session:reference"
+        fast = SimulationState("session:fast", state.next_minute,
+                               state.cursor, state.payload)
+        status, body = request(
+            f"{base_url}/v1/sessions/restore", "POST",
+            fast.to_wire_json().encode(),
+        )
+        assert status == 400
+        assert "'session:fast'" in body["error"]
+        assert "reference, fleet" in body["error"]
+
     def test_restore_garbage_400(self, base_url):
         for payload in (
             b"not json at all",
@@ -269,7 +292,7 @@ class TestSnapshotRestore:
 
 
 FAULTY_ENGINE_SPECS = [
-    pytest.param(engine, id=engine) for engine in ("reference", "fast", "fleet")
+    pytest.param(engine, id=engine) for engine in ("reference", "fleet")
 ]
 
 

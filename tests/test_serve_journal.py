@@ -28,7 +28,7 @@ from repro.serve.app import ServeLimits, SessionManager
 from repro.serve.journal import read_records
 from tests.test_serve_session import _batch, _comparable
 
-ENGINES = ("reference", "fast", "fleet")
+ENGINES = ("reference", "fleet")
 FAULT_SPECS = (None, "seed=7,spawn=0.2,slow=0.1")
 
 
@@ -101,7 +101,7 @@ class TestWireCodec:
 class TestJournalPrimitives:
     def test_begin_record_compact_cycle(self, tmp_path):
         manager = _journaled_manager(tmp_path)
-        sid = manager.create(_spec("fast"))["id"]
+        sid = manager.create(_spec("reference"))["id"]
         managed = manager._get(sid)
         journal = managed.journal
         assert journal is not None and journal.path.exists()
@@ -121,7 +121,7 @@ class TestJournalPrimitives:
 
     def test_cadence_compaction_is_a_function_of_the_minute(self, tmp_path):
         manager = _journaled_manager(tmp_path, every_minutes=16)
-        sid = manager.create(_spec("fast"))["id"]
+        sid = manager.create(_spec("reference"))["id"]
         journal = manager._get(sid).journal
         manager.advance(sid, {"minute": 14})
         assert not journal.snapshot_path.exists()
@@ -131,8 +131,8 @@ class TestJournalPrimitives:
 
     def test_close_deletes_but_drain_keeps(self, tmp_path):
         manager = _journaled_manager(tmp_path)
-        keep = manager.create(_spec("fast", seed=1))["id"]
-        gone = manager.create(_spec("fast", seed=2))["id"]
+        keep = manager.create(_spec("reference", seed=1))["id"]
+        gone = manager.create(_spec("reference", seed=2))["id"]
         paths = {
             sid: (managed.journal.path, managed.journal.snapshot_path)
             for sid, managed in
@@ -147,7 +147,7 @@ class TestJournalPrimitives:
     def test_torn_tail_is_discarded(self, tmp_path):
         journal_dir = tmp_path / "journal"
         manager = _journaled_manager(tmp_path)
-        sid = manager.create(_spec("fast"))["id"]
+        sid = manager.create(_spec("reference"))["id"]
         for _ in range(4):
             manager.advance(sid, {})
         path = manager._get(sid).journal.path
@@ -161,7 +161,7 @@ class TestJournalPrimitives:
 
     def test_corrupt_middle_raises(self, tmp_path):
         manager = _journaled_manager(tmp_path)
-        sid = manager.create(_spec("fast"))["id"]
+        sid = manager.create(_spec("reference"))["id"]
         manager.advance(sid, {})
         path = manager._get(sid).journal.path
         lines = path.read_bytes().splitlines()
@@ -173,7 +173,7 @@ class TestJournalPrimitives:
     def test_fingerprint_mismatch_refuses_replay(self, tmp_path):
         supervisor = JournalSupervisor(tmp_path / "journal")
         manager = SessionManager(journal=supervisor)
-        sid = manager.create(_spec("fast"))["id"]
+        sid = manager.create(_spec("reference"))["id"]
         manager.advance(sid, {})
         path = manager._get(sid).journal.path
         lines = path.read_text().splitlines()
@@ -265,7 +265,7 @@ class TestCrashRecoveryGolden:
         """A graceful drain leaves a directory --recover accepts: the
         deploy-restart path (SIGTERM, then recover) loses nothing."""
         manager = _journaled_manager(tmp_path)
-        sid = manager.create(_spec("fast"))["id"]
+        sid = manager.create(_spec("reference"))["id"]
         manager.advance(sid, {"minute": 30})
         manager.drain()
 
@@ -274,7 +274,7 @@ class TestCrashRecoveryGolden:
         assert [i["next_minute"] for i in infos] == [31]
         fresh.advance(sid, {"minute": 47})
         control = SessionManager()
-        cid = control.create(_spec("fast"))["id"]
+        cid = control.create(_spec("reference"))["id"]
         control.advance(cid, {"minute": 47})
         a, b = fresh.result(sid), control.result(cid)
         a.pop("wall_clock_s", None)
@@ -288,7 +288,7 @@ class TestCrashRecoveryGolden:
         from — the supervisor must write its snapshot at registration so
         a crash one advance later still recovers."""
         donor = SessionManager()
-        did = donor.create(_spec("fast"))["id"]
+        did = donor.create(_spec("reference"))["id"]
         donor.advance(did, {"minute": 10})
         payload = donor.snapshot(did).encode()
         donor.close_all()

@@ -21,7 +21,7 @@ from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.serve import AdvanceResult, ControlSession, TraceMeta, open_session
 from repro.serve.session import open_session as session_open
 
-ENGINES = ("reference", "fast", "fleet")
+ENGINES = ("reference", "fleet")
 FAULT_SPECS = (None, "seed=7,spawn=0.2,slow=0.1")
 
 
@@ -227,7 +227,7 @@ class TestSnapshotRestore:
         path = session.snapshot().save(tmp_path / "session.ckpt")
         restored = ControlSession.restore(path)
         assert _comparable(restored.result()) == _comparable(
-            _batch(tiny_trace, tiny_assignment, "fast")
+            _batch(tiny_trace, tiny_assignment, "reference")
         )
 
     def test_snapshot_is_isolated_from_the_live_session(
@@ -253,7 +253,7 @@ class TestSnapshotRestore:
             ),
             SimulationConfig(),
         ).run(
-            engine="fast",
+            engine="reference",
             checkpoint=CheckpointConfig(
                 every_minutes=20, on_snapshot=states.append
             ),
@@ -315,7 +315,7 @@ class TestSnapshotRestore:
 
     @given(
         k=st.integers(min_value=0, max_value=59),
-        engine_idx=st.integers(min_value=0, max_value=2),
+        engine_idx=st.integers(min_value=0, max_value=1),
     )
     # The fixtures are read-only inputs (sessions never mutate the trace
     # or assignment), so sharing them across examples is safe.

@@ -1,7 +1,7 @@
 """The shared stepper core (:class:`repro.runtime.driver.Stepper`).
 
 Every engine builds, restores and finalizes through one base class, so
-these tests pin the core's contracts on all three engines: a restored
+these tests pin the core's contracts on both engines: a restored
 stepper carries exactly a fresh stepper's attributes (state left out of
 the ``SNAPSHOT_FIELDS`` manifest would be missing after a restore), a
 payload whose key set drifts from the manifest is refused by name, the
@@ -125,10 +125,10 @@ class TestPayloadKeySetChecked:
             ControlSession.restore(broken)
 
     def test_untouched_payload_still_resumes(self, tiny_trace, tiny_assignment):
-        state = _checkpoints(tiny_trace, tiny_assignment, "fast")[0]
+        state = _checkpoints(tiny_trace, tiny_assignment, "fleet")[0]
         same = _with_live(state, lambda live: None)
         resumed = _sim(tiny_trace, tiny_assignment).run(resume_from=same)
-        full = _sim(tiny_trace, tiny_assignment).run(engine="fast")
+        full = _sim(tiny_trace, tiny_assignment).run(engine="fleet")
         assert _comparable(resumed) == _comparable(full)
 
 
@@ -165,7 +165,7 @@ class TestEnvelopeHeaderDigest:
         path = tmp_path / "run.ckpt"
         simulate(
             tiny_trace, assignment=tiny_assignment, policy="pulse",
-            engine="fast",
+            engine="fleet",
             checkpoint=CheckpointConfig(path=path, every_minutes=25),
         )
         SimulationState.load(path)  # intact: loads
