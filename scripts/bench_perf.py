@@ -36,7 +36,9 @@ CI perf-smoke gates (all optional flags)::
     --gate-obs-overhead 0.10  fail if fleet observability (columnar
                               FleetObsSession, sampled traces, spans)
                               costs more than 10% of obs-off throughput
-                              at any measured fleet size
+                              at the largest measured fleet size; the
+                              verdict prints each round's overhead and
+                              their quartile spread
 """
 
 from __future__ import annotations
@@ -295,7 +297,9 @@ def bench_fleet_obs_overhead(quick: bool) -> dict:
     noisy shared runners a single anomalously fast sample on one side
     skews a best-of ratio by tens of percent, while the median of
     alternating rounds cancels drift; the best-of ratio is still
-    reported as ``overhead_best``.
+    reported as ``overhead_best``, and each round's own on/off ratio as
+    ``round_overheads`` with its quartiles, so a gate verdict shows
+    whether noise alone spans the bound.
     """
     import statistics
 
@@ -330,6 +334,12 @@ def bench_fleet_obs_overhead(quick: bool) -> dict:
                 seconds[mode].append(sample["seconds"])
         med = {m: statistics.median(s) for m, s in seconds.items()}
         overhead = med["on"] / med["off"] - 1.0
+        # Per-round overheads (each round's on/off pair) and their
+        # quartiles show how much of the headline is noise.
+        rounds_overhead = [
+            on / off - 1.0 for on, off in zip(seconds["on"], seconds["off"])
+        ]
+        q1, _, q3 = statistics.quantiles(rounds_overhead, n=4)
         entry = {
             "n_functions": n,
             "horizon_minutes": horizon,
@@ -341,6 +351,9 @@ def bench_fleet_obs_overhead(quick: bool) -> dict:
             "overhead_best": (
                 min(seconds["on"]) / min(seconds["off"]) - 1.0
             ),
+            "round_overheads": rounds_overhead,
+            "round_overhead_q1": q1,
+            "round_overhead_q3": q3,
         }
         out["points"].append(entry)
         print(
@@ -446,7 +459,8 @@ def main() -> None:
         type=float,
         default=None,
         help="fail if fleet obs-on throughput trails obs-off by more than "
-        "this fraction at any measured fleet size (ISSUE budget: 0.10)",
+        "this fraction at the largest measured fleet size (CI: 0.10); "
+        "the verdict prints each round's overhead and their quartiles",
     )
     parser.add_argument(
         "--max-regression",
@@ -540,13 +554,20 @@ def main() -> None:
         # per-minute obs cost is fixed, so their relative overhead is
         # structurally higher).
         point = max(points, key=lambda p: p["n_functions"])
-        if point["overhead"] > args.gate_obs_overhead:
-            raise SystemExit(
-                f"fleet observability overhead at "
-                f"{point['n_functions']} functions is "
-                f"{point['overhead']:+.1%}, over the "
-                f"{args.gate_obs_overhead:.0%} gate"
-            )
+        over = point["overhead"] > args.gate_obs_overhead
+        rounds = " ".join(f"{o:+.1%}" for o in point["round_overheads"])
+        q1, q3 = point["round_overhead_q1"], point["round_overhead_q3"]
+        verdict = (
+            f"fleet observability overhead at {point['n_functions']} "
+            f"functions is {point['overhead']:+.1%} (median of rounds' "
+            f"times), {'over' if over else 'within'} the "
+            f"{args.gate_obs_overhead:.0%} gate; per-round overheads "
+            f"{rounds}, quartiles {q1:+.1%}..{q3:+.1%} "
+            f"(spread {(q3 - q1) * 100:.1f} pp)"
+        )
+        if over:
+            raise SystemExit(verdict)
+        print(verdict)
     if baseline is not None:
         # Absolute fn-min/s are not comparable across machines (CI
         # runners are slower than wherever the baseline was produced),

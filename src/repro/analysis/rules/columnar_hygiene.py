@@ -16,9 +16,8 @@ it flows):
 - **hot-path loops** — a ``for`` over ``.tolist()`` /
   ``np.flatnonzero`` / ``range(n_fn | n_functions | n_events)`` inside
   a function named ``serve`` / ``observe_and_plan`` / ``step``. The
-  compat-mode fallbacks (per-event serving, pool reconcile) are real
-  and deliberate — they carry reasoned waivers naming the mode that
-  bounds them;
+  few deliberate ones (fault injection, trace sampling) carry reasoned
+  waivers naming the bound that keeps them small;
 - **narrow-dtype arithmetic** — ``+``/``-``/``*`` on an int8/int16
   array before a widening ``.astype``: plan levels live in int8 and
   overflow wraps silently;
@@ -181,8 +180,8 @@ class ColumnarHygieneRule(Rule):
                 module,
                 node,
                 f"python-level loop in hot path {fn.name}(): {reason} — "
-                "vectorize with numpy, or waive naming the compat mode / "
-                "bound that keeps it off the fleet-scale path",
+                "vectorize with numpy, or waive naming the bound that "
+                "keeps it off the fleet-scale path",
             )
 
     # -- narrow-dtype arithmetic ---------------------------------------------

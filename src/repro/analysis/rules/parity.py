@@ -5,21 +5,21 @@ same surface.
 ``runtime/fleet.py`` (the columnar fleet-scale loop) are contractually
 metric-identical — the golden tests pin bit-equality, but only for the
 configurations they sample. A handler added to one loop and forgotten in
-the other (a new :class:`~repro.runtime.events.EventKind`, a new
-``RunResult`` counter, a new obs record hook or metric instrument) slips
-straight past a golden test that never exercises it. This rule makes the
-asymmetry itself the error: it cross-references the two engine files and
-flags every
+the other (a new ``RunResult`` counter, a new obs record hook or metric
+instrument) slips straight past a golden test that never exercises it.
+This rule makes the asymmetry itself the error: it cross-references the
+two engine files and flags every
 
-- ``EventKind.X`` attribute reference,
 - ``RunResult(...)`` keyword argument,
 - ``record_*`` observability-hook call, and
 - metric instrument name (the string handed to ``counter``/``gauge``/
   ``histogram``)
 
-that appears in one engine file but not the other. A deliberate
-asymmetry (e.g. an event emitted from a helper that both engines share)
-is waived at the referencing line with a reasoned
+that appears in one engine file but not the other. The event log
+(:class:`~repro.runtime.events.EventKind`) is not compared: it runs on
+the reference engine only, so the fleet engine has no event surface to
+match. A deliberate asymmetry (e.g. a hook fired from a helper that both
+engines share) is waived at the referencing line with a reasoned
 ``# repro: lint-ok[RPR002] ...`` comment — except for the two
 fleet-reducer emit sites listed in :data:`FLEET_REDUCER_CARVEOUTS`,
 which are structural to the columnar engine and therefore carved out in
@@ -82,15 +82,9 @@ class _EngineSurface(ast.NodeVisitor):
     with the position of its first occurrence."""
 
     def __init__(self) -> None:
-        self.event_kinds: dict[str, ast.AST] = {}
         self.run_result_kwargs: dict[str, ast.AST] = {}
         self.obs_hooks: dict[str, ast.AST] = {}
         self.metric_names: dict[str, ast.AST] = {}
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if isinstance(node.value, ast.Name) and node.value.id == "EventKind":
-            self.event_kinds.setdefault(node.attr, node)
-        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -124,8 +118,8 @@ class EngineParityRule(Rule):
     id = "RPR002"
     severity = Severity.ERROR
     summary = (
-        "every EventKind / RunResult counter / obs hook / metric name in "
-        "one engine must appear (or be waived) in the others"
+        "every RunResult counter / obs hook / metric name in one engine "
+        "must appear (or be waived) in the other"
     )
     project_scope = staticmethod(_engine_scope)
 
@@ -150,7 +144,6 @@ class EngineParityRule(Rule):
         surf_ref = _surface(reference)
         surf_other = _surface(other)
         categories: list[tuple[str, dict[str, ast.AST], dict[str, ast.AST]]] = [
-            ("EventKind", surf_ref.event_kinds, surf_other.event_kinds),
             (
                 "RunResult kwarg",
                 surf_ref.run_result_kwargs,

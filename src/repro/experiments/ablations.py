@@ -181,8 +181,7 @@ def scalability_study(
             )
         )
         assignment = sample_assignment(n, seed=seed)
-        sim = SimulationConfig(measure_overhead=True, record_series=False,
-                               track_containers=False)
+        sim = SimulationConfig(measure_overhead=True, record_series=False)
         result = Simulation(trace, assignment, PulsePolicy(), sim).run()
         rows.append(
             AblationRow(

@@ -333,12 +333,6 @@ class RingSchedule:
         self.levels[fids, col] = levels
         np.add.at(self.cnt, (col, self.slot_of[self.fam[fids], levels]), 1)
 
-    def mark_alive_one(self, fid: int, minute: int, level: int) -> None:
-        """Scalar :meth:`mark_alive` for the engine's compatibility loop."""
-        col = minute % self.n_cols
-        self.levels[fid, col] = level
-        self.cnt[col, self.slot_of[self.fam[fid], level]] += 1
-
     def write_plans(
         self, fids: np.ndarray, minute: int, plan_levels: np.ndarray
     ) -> None:

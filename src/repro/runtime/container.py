@@ -10,10 +10,12 @@ that minute's keep-alive memory), not a user-visible cold start. A
 user-visible cold start only happens when an invocation arrives while *no*
 container for the function is warm.
 
-The pool exists for observability: warm-minute totals per variant level,
-eviction/pre-warm counts and per-function container churn feed the memory
-figures and the container-churn ablation, and the invariants it enforces
-(one live container per function, monotone time) guard the engine.
+The pool is an opt-in observability layer of the reference engine
+(``SimulationConfig.track_containers``, off by default): it reports
+warm-minute totals per variant level, eviction/pre-warm counts and
+per-function container churn on ``RunResult.pool_stats``, and checks its
+invariants (one live container per function, monotone time) while it
+runs. No headline metric reads it, and the fleet engine does not run it.
 """
 
 from __future__ import annotations

@@ -290,7 +290,9 @@ def open_stepper(
     """Build the stepper that runs ``sim`` on the selected engine.
 
     ``engine`` is ``"reference"``, ``"fleet"``, or ``"auto"``/``None``
-    (both the reference loop).
+    (both the reference loop). ``fleet`` refuses ``measure_overhead``,
+    ``track_containers`` and ``record_events``: those need the reference
+    loop's per-function objects.
 
     ``resume_from`` is an engine checkpoint to continue. Its engine wins
     over ``None``/``"auto"``, and any other selector must name the same
@@ -315,11 +317,26 @@ def open_stepper(
         name = origin
         live, next_minute = resume_from.restore(), resume_from.next_minute
     if name == "fleet":
-        if sim.config.measure_overhead:
+        cfg = sim.config
+        if cfg.measure_overhead:
             raise ValueError(
                 "engine='fleet' cannot honor measure_overhead=True (Figure "
                 "9's metric needs the reference loop's per-minute decision "
                 "cadence); use engine='auto' or 'reference'"
+            )
+        # A snapshot taken while the pool or log was on carries it even
+        # when the resuming config no longer asks for one.
+        carried = isinstance(live, dict) and (
+            live.get("pool") is not None or live.get("events") is not None
+        )
+        if cfg.track_containers or cfg.record_events or carried:
+            raise ValueError(
+                "engine='fleet' keeps no container pool or event log "
+                f"(track_containers={cfg.track_containers}, "
+                f"record_events={cfg.record_events}"
+                f"{', snapshot carries one' if carried else ''}); use "
+                "engine='reference', or the fleet's sampled decision "
+                "traces (observe=ObservabilityConfig(trace_sample=...))"
             )
         from repro.runtime.fleet import FleetStepper
 

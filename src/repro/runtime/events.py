@@ -6,8 +6,9 @@ which gives the observability a provider would need to debug a
 keep-alive policy in production: *why* was this invocation cold, what
 was warm at that minute, when did the variant switch?
 
-Enable with ``SimulationConfig(record_events=True)``; the log is
-returned on ``RunResult.events``. Events are lightweight frozen
+Enable with ``SimulationConfig(record_events=True)`` on the reference
+engine (``engine="fleet"`` refuses it; its sampled decision traces are
+the fleet's record of why); the log is returned on ``RunResult.events``. Events are lightweight frozen
 dataclasses; the log supports filtering by kind and function.
 """
 

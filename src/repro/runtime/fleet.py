@@ -22,18 +22,12 @@ reducer took ~80% of each simulated minute), so the state is not
 partitioned: one fid space, one reducer, bit-identical to the reference
 engine (pinned by ``tests/test_engine_fleet.py``).
 
-Two execution modes, chosen by the config:
-
-- **lean** (``track_containers=False``, ``record_events=False``): fully
-  vectorized serving; floats that the reference accumulates sequentially
-  are folded with :func:`~repro.runtime.columnar.seq_fold` so the sums
-  stay bit-identical. This is the fleet-scale mode.
-- **compatibility** (container pool and/or event log on): the engine
-  drives the real :class:`~repro.runtime.container.ContainerPool` and
-  :class:`~repro.runtime.events.EventLog` in the reference loop's exact
-  call order — a per-fid Python loop, so it scales like the reference —
-  while planning stays columnar. Use it for parity checks and
-  event-level analysis, not for 100k-function sweeps.
+Serving is fully vectorized; floats that the reference accumulates
+sequentially are folded with :func:`~repro.runtime.columnar.seq_fold` so
+the sums stay bit-identical. The engine has one execution path: it keeps
+no container pool and no event log. ``track_containers`` and
+``record_events`` are reference-engine features, and
+:func:`~repro.runtime.driver.open_stepper` refuses them on ``fleet``.
 
 Observability runs columnar too: ``SimulationConfig.observe`` gets a
 :class:`~repro.obs.fleet.FleetObsSession` whose ``tally_*`` batch hooks
@@ -53,9 +47,10 @@ before the first event group of each cadence bucket, and a resumed run
 is bit-identical to an uninterrupted one.
 
 Not supported (explicit ``ValueError``): ``measure_overhead`` (defined
-over the reference loop's per-decision cadence), oracle policies, and
-policies the compiler cannot map onto columnar state (anything beyond
-PULSE and the fixed baselines).
+over the reference loop's per-decision cadence), ``track_containers``
+and ``record_events``, oracle policies, and policies the compiler
+cannot map onto columnar state (anything beyond PULSE and the fixed
+baselines).
 """
 
 from __future__ import annotations
@@ -86,7 +81,6 @@ from repro.runtime.columnar import (
     seq_fold,
 )
 from repro.runtime.driver import Stepper
-from repro.runtime.events import EventKind, EventLog
 from repro.runtime.policy import KeepAlivePolicy
 from repro.runtime.simulator import emit_downgrade
 from repro.utils.rng import rng_from_seed
@@ -255,7 +249,7 @@ class FleetState:
         injector: FaultInjector | None,
         obs: FleetObsSession | None = None,
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Vectorized serving of one minute's invocations (lean mode).
+        """Vectorized serving of one minute's invocations.
 
         Returns (service-time contributions, accuracy contributions,
         cold-start count); marks cold starts alive on the ring. Each
@@ -313,8 +307,7 @@ class FleetState:
         obs: FleetObsSession | None = None,
     ) -> None:
         """Feed the estimator and install keep-alive plans for the
-        minute's invoking functions (both modes — planning is columnar
-        even when serving is scalar). ``obs`` tallies the plan-level
+        minute's invoking functions. ``obs`` tallies the plan-level
         histogram, times the ``observe``/``plan`` phases and writes full
         ``plan`` records for sampled fids."""
         if self.model.kind == "fixed":
@@ -385,12 +378,6 @@ class FleetState:
     def level_at(self, fid: int, minute: int) -> int:
         return int(self.ring.levels[fid, minute % self.ring.n_cols])
 
-    def variant_at(self, fid: int, minute: int):
-        level = self.level_at(fid, minute)
-        if level < 0:
-            return None
-        return self.tables.variant(int(self.tables.fam_idx[fid]), level)
-
     # -- reduce: memory ------------------------------------------------------
     def memory_at(self, minute: int) -> float:
         """The fleet's keep-alive memory at ``minute`` — the canonical
@@ -404,12 +391,7 @@ class FleetState:
         return total
 
     # -- reduce: Algorithms 1 & 2 -------------------------------------------
-    def review(
-        self,
-        minute: int,
-        events: EventLog | None,
-        obs: FleetObsSession | None = None,
-    ) -> None:
+    def review(self, minute: int, obs: FleetObsSession | None = None) -> None:
         """The global optimizer's per-minute review over the fleet.
 
         Mirrors ``GlobalOptimizer.review``: detect a peak against the
@@ -505,8 +487,7 @@ class FleetState:
                     if sample_mask is not None and sample_mask[victim]
                     else None
                 )
-                record = events is not None or victim_rec is not None
-                if record:
+                if victim_rec is not None:
                     new_level = int(levels[pick]) - 1
                     from_name = self.tables.variant(
                         int(fam[pick]), int(levels[pick])
@@ -519,13 +500,9 @@ class FleetState:
                     # The candidate table snapshots the scores that chose
                     # this victim, so it is built before the priority
                     # bookkeeping below perturbs Eq. 1's normalization.
-                    cand = (
-                        self._candidate_table(
-                            alive, levels, fam, ip, counts_alive,
-                            vmin, vmax, eligible, model.weights,
-                        )
-                        if victim_rec is not None
-                        else None
+                    cand = self._candidate_table(
+                        alive, levels, fam, ip, counts_alive,
+                        vmin, vmax, eligible, model.weights,
                     )
                 self.ring.downgrade(victim, minute, allow_drop)
                 priority.record_downgrade(victim)
@@ -543,9 +520,9 @@ class FleetState:
                         rebuild = True
                 self.n_downgrades += 1
                 n_tallied += 1
-                if record:
+                if victim_rec is not None:
                     emit_downgrade(
-                        minute, victim, from_name, to_name, events,
+                        minute, victim, from_name, to_name, None,
                         victim_rec, candidates=cand,
                     )
                 if levels[pick] > 0:
@@ -654,7 +631,6 @@ class FleetState:
         self,
         minute: int,
         capacity_mb: float,
-        events: EventLog | None,
         obs: FleetObsSession | None = None,
     ) -> int:
         """§III-A's pressure valve on the fleet's alive set.
@@ -683,8 +659,7 @@ class FleetState:
                 if sample_mask is not None and sample_mask[victim]
                 else None
             )
-            record = events is not None or victim_rec is not None
-            if record:
+            if victim_rec is not None:
                 from_name = self.tables.variant(
                     int(self.tables.fam_idx[victim]),
                     self.level_at(victim, minute),
@@ -692,14 +667,14 @@ class FleetState:
             self.ring.downgrade(victim, minute, allow_drop=True)
             forced += 1
             level = self.level_at(victim, minute)
-            if record:
+            if victim_rec is not None:
                 to_name = (
                     self.tables.variant(int(self.tables.fam_idx[victim]), level).name
                     if level >= 0
                     else None
                 )
                 emit_downgrade(
-                    minute, victim, from_name, to_name, events, victim_rec,
+                    minute, victim, from_name, to_name, None, victim_rec,
                     forced=True,
                 )
             if level < 0:
@@ -766,7 +741,8 @@ class FleetStepper(Stepper):
     the same code either way, so a stepped replay is bit-identical to
     the batch run by construction.
 
-    Entry validation (``measure_overhead``) stays with
+    Entry validation (``measure_overhead``, ``track_containers``,
+    ``record_events``) stays with
     :func:`repro.runtime.driver.open_stepper`; the stepper assumes a
     config it can honor.
     """
@@ -828,7 +804,8 @@ class FleetStepper(Stepper):
 
     def live_state(self) -> dict:
         """The columnar state graph, in session-snapshot payload shape
-        (one dict → one pickle, identities preserved)."""
+        (one dict → one pickle, identities preserved). ``events`` and
+        ``pool`` are core-owned fields, always ``None`` on this engine."""
         return {
             "policy": self.policy,
             "events": self.events,
@@ -854,127 +831,36 @@ class FleetStepper(Stepper):
         pass empty arrays for an idle minute. Minutes must be fed
         strictly in order."""
         fleet = self.fleet
-        tables = self.tables
-        pool = self.pool
-        events = self.events
         obs = self.obs
-        rec = self.rec
         spans = self.spans
         injector = self.injector
-        model = self.model
-        n_fn = self.n_fn
-        service_time = self.service_time
-        accuracy_sum = self.accuracy_sum
-        n_cold = self.n_cold
 
         fleet.begin_minute(t)
 
-        if pool is not None:
-            # Pre-warm pass (reference order: every fid, ascending).
-            t_pool = time.perf_counter() if spans is not None else 0.0
-            # repro: lint-ok[RPR009] compat mode only (a reference
-            # ContainerPool is attached): golden-equivalence runs mirror
-            # the reference loop's per-fid reconcile; the lean fleet path
-            # has pool=None and never enters this branch
-            for fid in range(n_fn):
-                pool.reconcile(fid, fleet.variant_at(fid, t), t)
-            if spans is not None:
-                spans.add("pool-reconcile", time.perf_counter() - t_pool)
-
         n_events = int(inv_fids.size)
         if n_events:
-            if pool is None and events is None:
-                # Lean serving: vectorized, folded sequentially so the
-                # accumulators match the reference's scalar adds.
-                t_serve = time.perf_counter() if spans is not None else 0.0
-                svc, acc, cold = fleet.serve(
-                    inv_fids, inv_counts, t, injector, obs
-                )
-                if spans is not None:
-                    spans.add("serve", time.perf_counter() - t_serve)
-                n_cold += cold
-                service_time = seq_fold(service_time, svc)
-                accuracy_sum = seq_fold(accuracy_sum, acc)
-            else:
-                # Compatibility serving: the reference loop's exact call
-                # and event order, per invoking fid ascending.
-                # repro: lint-ok[RPR009] compat mode only (pool or event
-                # log attached): replays the reference loop's exact
-                # per-event order for golden equivalence; the lean path
-                # takes the vectorized branch above
-                for i in range(n_events):
-                    fid = int(inv_fids[i])
-                    count = int(inv_counts[i])
-                    level = fleet.level_at(fid, t)
-                    if level < 0:
-                        cold_level = int(fleet.cold_levels[fid])
-                        variant = tables.variant(
-                            int(tables.fam_idx[fid]), cold_level
-                        )
-                        fid_rec = (
-                            rec
-                            if rec is not None and rec.is_sampled(fid)
-                            else None
-                        )
-                        if injector is None:
-                            service_time += (
-                                variant.cold_service_time_s
-                                + (count - 1) * variant.warm_service_time_s
-                            )
-                        else:
-                            service_time += (
-                                variant.cold_service_time_s
-                                + injector.cold_start_penalty(
-                                    t, fid, variant, fid_rec, events
-                                )
-                                + (count - 1) * variant.warm_service_time_s
-                            )
-                        n_cold += 1
-                        accuracy_sum += count * variant.accuracy
-                        if fid_rec is not None:
-                            fid_rec.record_cold(
-                                t, fid, variant.name, count,
-                                fid_rec.last_seen(fid),
-                            )
-                        fleet.ring.mark_alive_one(fid, t, cold_level)
-                        if pool is not None:
-                            pool.cold_start(fid, variant, t)
-                            pool.record_served(fid, count)
-                        if events is not None:
-                            events.emit(
-                                t, EventKind.COLD_START, fid, variant.name, 1
-                            )
-                            if count > 1:
-                                events.emit(
-                                    t,
-                                    EventKind.WARM_START,
-                                    fid,
-                                    variant.name,
-                                    count - 1,
-                                )
-                    else:
-                        variant = tables.variant(int(tables.fam_idx[fid]), level)
-                        service_time += count * variant.warm_service_time_s
-                        accuracy_sum += count * variant.accuracy
-                        if pool is not None:
-                            pool.record_served(fid, count)
-                        if events is not None:
-                            events.emit(
-                                t, EventKind.WARM_START, fid, variant.name, count
-                            )
+            # Vectorized serving, folded sequentially so the accumulators
+            # match the reference's scalar adds.
+            t_serve = time.perf_counter() if spans is not None else 0.0
+            svc, acc, cold = fleet.serve(inv_fids, inv_counts, t, injector, obs)
+            if spans is not None:
+                spans.add("serve", time.perf_counter() - t_serve)
+            self.n_cold += cold
+            self.service_time = seq_fold(self.service_time, svc)
+            self.accuracy_sum = seq_fold(self.accuracy_sum, acc)
             self.n_invocations += int(inv_counts.sum())
 
-            # Estimator feed + plan installation — batched in both modes.
-            # (Safe to run after the serve loop: plans only write minutes
-            # t+1.., and each function's estimator state is independent,
-            # so the interleaved reference order and this batched order
-            # reach identical state.)
+            # Estimator feed + plan installation, batched. (Safe to run
+            # after serving: plans only write minutes t+1.., and each
+            # function's estimator state is independent, so the
+            # interleaved reference order and this batched order reach
+            # identical state.)
             fleet.observe_and_plan(inv_fids, t, obs)
 
         # Cross-function review (peak flattening) over the fleet.
         if self.is_pulse:
-            if model.enable_global:
-                fleet.review(t, events, obs)
+            if self.model.enable_global:
+                fleet.review(t, obs)
             else:
                 assert fleet.detector is not None
                 fleet.detector.observe(fleet.memory_at(t))
@@ -987,25 +873,13 @@ class FleetStepper(Stepper):
                 else injector.effective_capacity(t, self.capacity)
             )
             if cap_t is not None:
-                fleet.valve(t, cap_t, events, obs)
+                fleet.valve(t, cap_t, obs)
 
         # Commit the minute.
-        if pool is not None:
-            t_pool = time.perf_counter() if spans is not None else 0.0
-            # repro: lint-ok[RPR009] compat mode only (a reference
-            # ContainerPool is attached): the commit-side mirror of the
-            # pre-warm reconcile above; pool=None on the lean fleet path
-            for fid in range(n_fn):
-                pool.reconcile(fid, fleet.variant_at(fid, t), t)
-            pool.tick_all()
-            if spans is not None:
-                spans.add("pool-reconcile", time.perf_counter() - t_pool)
         mem_t = fleet.memory_at(t)
         self.total_mb_minutes += mem_t
         if obs is not None:
             obs.tally_memory(t, mem_t)
-        if events is not None:
-            events.emit(t, EventKind.MEMORY_COMMIT, value=mem_t)
         if self.mem_series is not None:
             self.mem_series[t] = mem_t
         if self.ideal_series is not None and n_events:
@@ -1013,10 +887,6 @@ class FleetStepper(Stepper):
             # operand order as the reference engine's ideal-series sum, so
             # numpy's pairwise reduction is bitwise-identical across
             # engines; pinned by the golden equivalence tests
-            self.ideal_series[t] = tables.highest_mb[inv_fids].sum()
-
-        self.service_time = service_time
-        self.accuracy_sum = accuracy_sum
-        self.n_cold = n_cold
+            self.ideal_series[t] = self.tables.highest_mb[inv_fids].sum()
         self.last_memory_mb = mem_t
         self.next_minute = t + 1

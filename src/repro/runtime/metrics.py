@@ -6,8 +6,8 @@
 - **accuracy** — the mean accuracy delivered per invocation.
 
 :class:`RunResult` also carries per-minute memory series (for Figures 4,
-6b and 7), policy-decision overhead (Figure 9) and container-pool
-statistics.
+6b and 7), policy-decision overhead (Figure 9) and, when tracked,
+container-pool statistics.
 """
 
 from __future__ import annotations

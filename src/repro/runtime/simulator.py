@@ -67,15 +67,14 @@ def emit_downgrade(
     trace record — in one place, shared by every emit site.
 
     The capacity valve below, the fleet reducer's Algorithm 2 and its
-    valve all funnel through this helper, so the event stream shape
-    (``value=1.0`` marks a forced valve victim, ``0.0`` an Algorithm-2
-    one — matching ``GlobalOptimizer.review``'s emissions) and the
-    record schema cannot drift between engines. Pass ``obs=None`` to
-    skip the trace record (e.g. fleet victims outside the trace sample).
+    valve all funnel through this helper, so the record schema cannot
+    drift between engines. The DOWNGRADE event is reference-only (the
+    fleet passes ``events=None``): ``value=1.0`` marks a forced valve
+    victim, ``0.0`` an Algorithm-2 one, matching
+    ``GlobalOptimizer.review``'s emissions. Pass ``obs=None`` to skip
+    the trace record (e.g. fleet victims outside the trace sample).
     """
     if events is not None:
-        # repro: lint-ok[RPR002] DOWNGRADE is emitted only here and in
-        # GlobalOptimizer.review; every engine funnels through one of the two
         events.emit(minute, EventKind.DOWNGRADE, victim, to_name,
                     1.0 if forced else 0.0)
     if obs is not None:
@@ -140,12 +139,16 @@ class SimulationConfig:
 
     ``record_series`` keeps the per-minute memory series (needed for the
     memory/cost-error figures; disable for large sweeps).
-    ``track_containers`` maintains the container pool (lifecycle statistics;
-    small overhead).
     ``measure_overhead`` wall-clocks every policy decision (Figure 9).
+
+    Two observability opt-ins, off by default because no headline metric
+    reads them, run on the reference engine only (``engine="fleet"``
+    refuses them; its decision traces are ``observe``'s sampled records):
+    ``track_containers`` maintains the container pool (per-container
+    lifecycle statistics on ``RunResult.pool_stats``), and
     ``record_events`` collects a structured event log (cold/warm starts,
-    pre-warms, evictions, memory commits) on ``RunResult.events``;
-    implies container tracking for the pre-warm/eviction events.
+    pre-warms, evictions, memory commits) on ``RunResult.events``, which
+    implies the pool for the pre-warm/eviction events.
 
     ``memory_capacity_mb`` models the provider's finite memory (§III-A:
     memory "is shared between actual invocations and keep-alive"). When a
@@ -165,7 +168,7 @@ class SimulationConfig:
     keep_alive_window: int = 10
     cost_model: CostModel = field(default_factory=CostModel)
     record_series: bool = True
-    track_containers: bool = True
+    track_containers: bool = False
     measure_overhead: bool = False
     record_events: bool = False
     memory_capacity_mb: float | None = None
@@ -439,6 +442,8 @@ class ReferenceStepper(Stepper):
                 schedule.mark_alive(fid, t, variant)
                 if pool is not None:
                     pool.cold_start(fid, variant, t)
+                    # repro: lint-ok[RPR002] container-pool bookkeeping, not
+                    # an obs hook: the pool runs on the reference engine only
                     pool.record_served(fid, count)
                 if events is not None:
                     events.emit(t, EventKind.COLD_START, fid, variant.name, 1)

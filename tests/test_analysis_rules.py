@@ -139,23 +139,17 @@ class TestDeterminismRPR001:
 
 
 SIM_TEMPLATE = """\
-from repro.runtime.events import EventKind
-
-
-def run(events, obs):
-    events.emit(0, EventKind.COLD_START, 1, "low", 1.0)
-    events.emit(0, EventKind.WARM_START, 1, "low", 1.0)
+def run(obs, met):
     obs.record_cold_start(0, 1)
+    met.counter("cold_starts_total")
+    met.counter("warm_starts_total")
 """
 
 FLEET_TEMPLATE = """\
-from repro.runtime.events import EventKind
-
-
-def run(events, obs):
-    events.emit(0, EventKind.COLD_START, 1, "low", 1.0)
-    events.emit(0, EventKind.WARM_START, 1, "low", 1.0)
+def run(obs, met):
     obs.record_cold_start(0, 1)
+    met.counter("cold_starts_total")
+    met.counter("warm_starts_total")
 """
 
 
@@ -169,14 +163,14 @@ class TestEngineParityRPR002:
     def test_symmetric_pair_clean(self, tmp_path):
         assert rules_hit(self.pair(tmp_path), "RPR002") == []
 
-    def test_event_kind_missing_from_fleet_loop(self, tmp_path):
+    def test_metric_missing_from_fleet_loop(self, tmp_path):
         fleet = FLEET_TEMPLATE.replace(
-            'events.emit(0, EventKind.WARM_START, 1, "low", 1.0)\n    ', ""
+            '    met.counter("warm_starts_total")\n', ""
         )
         paths = self.pair(tmp_path, fleet=fleet)
         report = lint_paths(paths, rule_ids=["RPR002"])
         (finding,) = report.findings
-        assert "WARM_START" in finding.message
+        assert "warm_starts_total" in finding.message
         assert finding.path.endswith("simulator.py")  # anchored where present
 
     def test_obs_hook_missing_from_reference_loop(self, tmp_path):
@@ -197,14 +191,19 @@ class TestEngineParityRPR002:
 
     def test_waiver_with_reason_accepted(self, tmp_path):
         sim = SIM_TEMPLATE.replace(
-            "    events.emit(0, EventKind.WARM_START",
-            "    # repro: lint-ok[RPR002] emitted by a shared helper\n"
-            "    events.emit(0, EventKind.WARM_START",
+            '    met.counter("warm_starts_total")',
+            "    # repro: lint-ok[RPR002] registered by a shared helper\n"
+            '    met.counter("warm_starts_total")',
         )
         fleet = FLEET_TEMPLATE.replace(
-            'events.emit(0, EventKind.WARM_START, 1, "low", 1.0)\n    ', ""
+            '    met.counter("warm_starts_total")\n', ""
         )
         assert rules_hit(self.pair(tmp_path, sim=sim, fleet=fleet), "RPR002") == []
+
+    def test_event_kinds_not_compared(self, tmp_path):
+        # The event log runs on the reference engine only.
+        sim = SIM_TEMPLATE + "\nKIND = EventKind.COLD_START\n"
+        assert rules_hit(self.pair(tmp_path, sim=sim), "RPR002") == []
 
     def test_unpaired_engine_file_not_compared(self, tmp_path):
         path = write(tmp_path, "engines/simulator.py", SIM_TEMPLATE)
@@ -226,18 +225,16 @@ class TestRealEngineFixtureCopy:
     def test_pristine_copies_are_clean(self, engine_copies):
         assert rules_hit(list(engine_copies.glob("*.py")), "RPR002") == []
 
-    def test_removed_event_kind_handler_caught(self, engine_copies):
+    def test_removed_obs_hook_handler_caught(self, engine_copies):
         fleet = engine_copies / "fleet.py"
-        mutated = fleet.read_text().replace(
-            "EventKind.COLD_START", "EventKind.WARM_START"
-        )
+        mutated = fleet.read_text().replace(".record_plan(", ".note_plan(")
         assert mutated != fleet.read_text()
         fleet.write_text(mutated)
         report = lint_paths(
             list(engine_copies.glob("*.py")), rule_ids=["RPR002"]
         )
         assert any(
-            f.rule == "RPR002" and "COLD_START" in f.message
+            f.rule == "RPR002" and "record_plan" in f.message
             for f in report.findings
         )
 

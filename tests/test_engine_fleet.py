@@ -2,10 +2,11 @@
 
 The columnar fleet engine (:mod:`repro.runtime.fleet`) must produce
 *bit-identical* results to the reference minute loop, the oracle: the
-same ``RunResult`` and event stream,
-including under capacity-valve pressure and fault plans, and under a
-permutation of function ids that reorders the reducer's fid-ascending
-candidate arrays.
+same ``RunResult`` and, with decision traces on for every fid, the same
+cold, plan and downgrade records in the same order (victims, their
+order and forced valve victims included), under capacity-valve
+pressure and fault plans, and under a permutation of function ids that
+reorders the reducer's fid-ascending candidate arrays.
 
 Also home to the unit properties of the columnar kernel itself:
 ``seq_fold`` versus a scalar accumulation loop, and the vectorized
@@ -13,6 +14,8 @@ threshold schemes versus their scalar ``select_level``.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +33,10 @@ from repro.core.thresholds import MonotoneScheme, TechniqueT1, TechniqueT2
 from repro.faults.plan import FaultPlan
 from repro.experiments.assignments import sample_assignment
 from repro.models.zoo import default_zoo
+from repro.obs.fleet import CANDIDATE_CAP
+from repro.obs.session import ObservabilityConfig
 from repro.runtime.columnar import seq_fold
+from repro.runtime.events import EventKind
 from repro.runtime.fleet import _vector_levels
 from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
@@ -44,10 +50,48 @@ POLICIES = {
     "pulse-t2": lambda: PulsePolicy(PulseConfig(threshold_scheme="T2")),
 }
 
+#: The decision-trace record kinds the goldens compare, per kind in order.
+DECISION_KINDS = ("cold", "plan", "downgrade")
+
+
+def traced(cfg, trace):
+    """``cfg`` with decision traces for every fid: the reference loop
+    records every function, the fleet its sample, here all of them."""
+    return replace(
+        cfg, observe=ObservabilityConfig(trace_sample=trace.n_functions)
+    )
+
+
+def capped_table(table):
+    """A downgrade candidate table in the fleet's recorded form: rows by
+    ascending ``Uv`` (protected rows last, ties fid-ascending), cut at
+    :data:`CANDIDATE_CAP` with an ``omitted`` trailer. The reference
+    records the full fid-ordered table; reducing an already-capped table
+    gives it back unchanged."""
+    rows = [r for r in table if "omitted" not in r]
+    omitted = sum(r["omitted"] for r in table if "omitted" in r)
+    rows.sort(key=lambda r: (r["Uv"] if "Uv" in r else float("inf"), r["fid"]))
+    omitted += max(len(rows) - CANDIDATE_CAP, 0)
+    rows = rows[:CANDIDATE_CAP]
+    return rows + [{"omitted": omitted}] if omitted else rows
+
+
+def decisions(result, kind):
+    """``result``'s decision-trace records of one kind, in recording
+    order, with candidate tables in the capped form."""
+    return [
+        dict(r, candidates=capped_table(r["candidates"]))
+        if "candidates" in r
+        else r
+        for r in result.obs.records
+        if r["kind"] == kind
+    ]
+
 
 def assert_identical(ref, other):
     """Every deterministic RunResult field matches exactly (wall clock and
-    overhead instrumentation excluded by design)."""
+    overhead instrumentation excluded by design), and so do the decision
+    traces when both runs recorded them."""
     assert other.policy_name == ref.policy_name
     assert other.n_invocations == ref.n_invocations
     assert other.n_warm == ref.n_warm
@@ -67,12 +111,9 @@ def assert_identical(ref, other):
         assert (a is None) == (b is None)
         if a is not None:
             np.testing.assert_array_equal(a, b)
-    assert (ref.pool_stats is None) == (other.pool_stats is None)
-    if ref.pool_stats is not None:
-        assert other.pool_stats == ref.pool_stats
-    assert (ref.events is None) == (other.events is None)
-    if ref.events is not None:
-        assert list(other.events) == list(ref.events)
+    if ref.obs is not None and other.obs is not None:
+        for kind in DECISION_KINDS:
+            assert decisions(other, kind) == decisions(ref, kind), kind
 
 
 def ref_vs_fleet(trace, assignment, factory, cfg):
@@ -81,27 +122,56 @@ def ref_vs_fleet(trace, assignment, factory, cfg):
     return ref, fleet
 
 
+def event_story(events):
+    """The reference event log's cold starts and downgrades, in order, in
+    the shape :func:`trace_story` gives the decision trace."""
+    return [
+        (e.minute, e.kind.value, e.function_id, e.variant_name, e.value)
+        for e in events
+        if e.kind in (EventKind.COLD_START, EventKind.DOWNGRADE)
+    ]
+
+
+def trace_story(result):
+    """The decision trace's cold starts and downgrades, in order."""
+    return [
+        (r["t"], "cold_start", r["fid"], r["variant"], 1.0)
+        if r["kind"] == "cold"
+        else (r["t"], "downgrade", r["fid"], r["to"], float(r["forced"]))
+        for r in result.obs.records
+        if r["kind"] in ("cold", "downgrade")
+    ]
+
+
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_default_config(self, small_trace, assignment, name):
-        cfg = SimulationConfig()  # series + container pool on
+        cfg = SimulationConfig()  # series on
         assert_identical(
             *ref_vs_fleet(small_trace, assignment, POLICIES[name], cfg)
         )
 
     @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_lean_config(self, small_trace, assignment, name):
-        cfg = SimulationConfig(record_series=False, track_containers=False)
+        cfg = SimulationConfig(record_series=False)
         assert_identical(
             *ref_vs_fleet(small_trace, assignment, POLICIES[name], cfg)
         )
 
     @pytest.mark.parametrize("name", ["openwhisk", "pulse", "pulse-t2"])
     def test_event_log(self, small_trace, assignment, name):
-        cfg = SimulationConfig(record_events=True)
-        assert_identical(
-            *ref_vs_fleet(small_trace, assignment, POLICIES[name], cfg)
-        )
+        """The event log stays on the reference engine; its cold starts
+        and downgrade victims, in order, are the fleet's decision trace."""
+        cfg = traced(SimulationConfig(), small_trace)
+        ref = Simulation(
+            small_trace, assignment, POLICIES[name](),
+            replace(cfg, record_events=True),
+        ).run(engine="reference")
+        fleet = Simulation(
+            small_trace, assignment, POLICIES[name](), cfg
+        ).run(engine="fleet")
+        assert_identical(ref, fleet)
+        assert event_story(ref.events) == trace_story(fleet)
 
     @pytest.mark.parametrize("name", ["openwhisk", "pulse"])
     def test_capacity_valve(self, small_trace, assignment, name):
@@ -113,12 +183,20 @@ class TestGoldenEquivalence:
         assert_identical(ref, fleet)
 
     def test_capacity_and_events_together(self, small_trace, assignment):
-        cfg = SimulationConfig(
-            record_events=True, memory_capacity_mb=4000.0, capacity_seed=11
+        cfg = traced(
+            SimulationConfig(memory_capacity_mb=4000.0, capacity_seed=11),
+            small_trace,
         )
-        assert_identical(
-            *ref_vs_fleet(small_trace, assignment, PulsePolicy, cfg)
+        ref = Simulation(
+            small_trace, assignment, PulsePolicy(),
+            replace(cfg, record_events=True),
+        ).run(engine="reference")
+        fleet = Simulation(small_trace, assignment, PulsePolicy(), cfg).run(
+            engine="fleet"
         )
+        assert any(r["forced"] for r in decisions(fleet, "downgrade"))
+        assert_identical(ref, fleet)
+        assert event_story(ref.events) == trace_story(fleet)
 
     @pytest.mark.parametrize(
         "spec",
@@ -130,8 +208,8 @@ class TestGoldenEquivalence:
         ],
     )
     def test_fault_plans(self, small_trace, assignment, spec):
-        cfg = SimulationConfig(
-            record_events=True, faults=FaultPlan.from_spec(spec)
+        cfg = traced(
+            SimulationConfig(faults=FaultPlan.from_spec(spec)), small_trace
         )
         assert_identical(
             *ref_vs_fleet(small_trace, assignment, PulsePolicy, cfg)
@@ -154,13 +232,12 @@ class TestGoldenEquivalence:
             else None
         )
         cfg = SimulationConfig(
-            record_events=True,
             memory_capacity_mb=300.0 * n,
             capacity_seed=seed,
             faults=faults,
         )
         assert_identical(
-            *ref_vs_fleet(trace, assignment, PulsePolicy, cfg)
+            *ref_vs_fleet(trace, assignment, PulsePolicy, traced(cfg, trace))
         )
 
 
@@ -168,8 +245,8 @@ class TestGoldenEquivalence:
     @given(seed=st.integers(0, 10_000))
     def test_valve_decisions_under_fid_reversal(self, seed):
         """Property: under valve pressure, the fleet's downgrade
-        decisions — victims, order, event stream — match the reference
-        valve after the fid space is reversed."""
+        decisions — victims, their order, forced valve victims — match
+        the reference's decision trace after the fid space is reversed."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(24, 60))
         zoo = default_zoo()
@@ -188,11 +265,12 @@ class TestGoldenEquivalence:
             new: assignment[int(old)] for new, old in enumerate(perm)
         }
         cfg = SimulationConfig(
-            record_events=True,
             memory_capacity_mb=250.0 * n,
             capacity_seed=seed,
         )
-        ref, fleet = ref_vs_fleet(trace, assignment, PulsePolicy, cfg)
+        ref, fleet = ref_vs_fleet(
+            trace, assignment, PulsePolicy, traced(cfg, trace)
+        )
         assert_identical(ref, fleet)
 
 
@@ -249,6 +327,74 @@ class TestRejections:
         )
         with pytest.raises(ValueError, match="fleet"):
             sim.run(engine="fleet")
+
+    @pytest.mark.parametrize(
+        "opt_in", [{"track_containers": True}, {"record_events": True}]
+    )
+    def test_pool_and_event_log_refused(self, small_trace, assignment, opt_in):
+        from repro.api import simulate
+        from repro.serve.session import open_session
+
+        cfg = SimulationConfig(**opt_in)
+        with pytest.raises(ValueError, match="engine='reference'"):
+            simulate(
+                small_trace, assignment=assignment, policy=PulsePolicy(),
+                config=cfg, engine="fleet",
+            )
+        with pytest.raises(ValueError, match="engine='reference'"):
+            open_session(
+                small_trace, assignment=assignment, config=cfg, engine="fleet"
+            )
+
+    def test_restore_of_pool_tracking_session_refused(
+        self, small_trace, assignment
+    ):
+        """A fleet session snapshot whose config tracks containers (the
+        old default) is refused before any minute is stepped."""
+        from repro.runtime.checkpoint import SimulationState
+        from repro.serve.session import ControlSession, open_session
+
+        session = open_session(
+            small_trace, assignment=assignment, engine="fleet"
+        )
+        session.advance(30)
+        snap = session.snapshot()
+        payload = snap.restore()
+        payload["meta"]["config"] = replace(
+            payload["meta"]["config"], track_containers=True
+        )
+        old = SimulationState.snapshot(
+            snap.engine, snap.next_minute, snap.cursor, payload
+        )
+        with pytest.raises(ValueError, match="engine='reference'"):
+            ControlSession.restore(old)
+        ControlSession.restore(snap)  # the untouched snapshot still restores
+
+    def test_resume_of_checkpoint_carrying_a_pool_refused(
+        self, small_trace, assignment
+    ):
+        from repro.runtime.checkpoint import CheckpointConfig, SimulationState
+        from repro.runtime.container import ContainerPool
+
+        states = []
+        Simulation(
+            small_trace, assignment, PulsePolicy(), SimulationConfig()
+        ).run(
+            engine="fleet",
+            checkpoint=CheckpointConfig(
+                every_minutes=240, on_snapshot=states.append
+            ),
+        )
+        live = states[0].restore()
+        live["pool"] = ContainerPool()
+        carried = SimulationState.snapshot(
+            "fleet", states[0].next_minute, states[0].cursor, live
+        )
+        sim = Simulation(
+            small_trace, assignment, PulsePolicy(), SimulationConfig()
+        )
+        with pytest.raises(ValueError, match="snapshot carries one"):
+            sim.run(resume_from=carried)
 
     def test_checkpoint_accepted(self, small_trace, assignment, tmp_path):
         # Checkpointing is no longer rejected: the shared batch driver

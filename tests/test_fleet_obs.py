@@ -5,8 +5,8 @@ The fleet engine's telemetry contract has three legs, all tested here:
 - **Obs-on is metric-preserving.** ``FleetObsSession`` only *reads*
   columnar state — no RNG draws, no float-accumulation reorder — so a
   fleet run with ``observe=True`` must be bit-identical to ``observe=None``
-  in every deterministic ``RunResult`` field and in the event stream,
-  including under capacity-valve pressure.
+  in every deterministic ``RunResult`` field, including under
+  capacity-valve pressure with sampled decision traces on.
 - **Metrics report the run.** The shared counters carry the run's
   invocation/cold totals, the columnar series cover the horizon, and
   the span tree names the serve/observe/plan kernels and the reducer.
@@ -41,7 +41,7 @@ from repro.obs.inspect import TraceIndex
 from repro.obs.report import render_run_report
 from repro.obs.session import ObservabilityConfig
 from repro.runtime.simulator import Simulation, SimulationConfig
-from tests.test_engine_fleet import assert_identical
+from tests.test_engine_fleet import assert_identical, capped_table
 
 #: Model-family assignments the obs-on ≡ obs-off legs run under.
 ASSIGNMENT_SEEDS = (1, 2, 7)
@@ -64,7 +64,7 @@ class TestObsBitIdentity:
     @pytest.mark.parametrize("seed", ASSIGNMENT_SEEDS)
     def test_lean_config(self, small_trace, seed):
         assignment = seeded_assignment(small_trace, seed)
-        cfg = SimulationConfig(record_series=False, track_containers=False)
+        cfg = SimulationConfig(record_series=False)
         off = fleet_run(small_trace, assignment, replace(cfg, observe=None))
         on = fleet_run(small_trace, assignment, replace(cfg, observe=True))
         assert_identical(off, on)
@@ -72,18 +72,17 @@ class TestObsBitIdentity:
     @pytest.mark.parametrize("seed", ASSIGNMENT_SEEDS)
     def test_events_and_valve(self, small_trace, seed):
         assignment = seeded_assignment(small_trace, seed)
-        cfg = SimulationConfig(
-            record_events=True, memory_capacity_mb=4000.0, capacity_seed=11
-        )
+        cfg = SimulationConfig(memory_capacity_mb=4000.0, capacity_seed=11)
         off = fleet_run(small_trace, assignment, replace(cfg, observe=None))
         on = fleet_run(
             small_trace, assignment,
             replace(cfg, observe=ObservabilityConfig(trace_sample=12)),
         )
-        assert_identical(off, on)  # includes the event stream
+        assert on.obs.records  # the sampled fids' decisions were traced
+        assert_identical(off, on)
 
     def test_summary_identical_modulo_wall_clock(self, small_trace, assignment):
-        cfg = SimulationConfig(record_series=False, track_containers=False)
+        cfg = SimulationConfig(record_series=False)
         off = fleet_run(small_trace, assignment, replace(cfg, observe=None))
         on = fleet_run(small_trace, assignment, replace(cfg, observe=True))
         s_off, s_on = off.summary(), on.summary()
@@ -99,8 +98,7 @@ class TestFleetMetrics:
     def observed(self, small_trace):
         assignment = seeded_assignment(small_trace, 1)
         cfg = SimulationConfig(
-            observe=True, memory_capacity_mb=4000.0, capacity_seed=11,
-            track_containers=False,
+            observe=True, memory_capacity_mb=4000.0, capacity_seed=11
         )
         return fleet_run(small_trace, assignment, cfg)
 
@@ -187,9 +185,9 @@ class TestSampledTraces:
         assert "cold" in text.lower()
 
     def test_candidate_tables_match_reference(self, small_trace, index):
-        """Sampled fleet downgrade tables carry the same scores the
-        reference loop records (modulo the CANDIDATE_CAP truncation,
-        which cannot trigger at 12 functions)."""
+        """Sampled fleet downgrade tables, read back from JSONL, carry
+        the same rows and scores the reference loop records (modulo the
+        CANDIDATE_CAP truncation, which cannot trigger at 12 functions)."""
         assignment = seeded_assignment(small_trace, 1)
         cfg = SimulationConfig(observe=True)
         ref = Simulation(
@@ -209,6 +207,7 @@ class TestSampledTraces:
         for key, table in fleet_tables.items():
             assert key in ref_tables
             assert len(table) <= CANDIDATE_CAP + 1
+            assert table == capped_table(ref_tables[key])
 
 
 # ---------------------------------------------------------------------------

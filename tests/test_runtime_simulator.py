@@ -88,7 +88,8 @@ class TestEngineSemantics:
 
     def test_pool_stats_collected(self, gpt):
         trace = one_function_trace([1] + [0] * 12)
-        r = Simulation(trace, {0: gpt}, OpenWhiskPolicy()).run()
+        cfg = SimulationConfig(track_containers=True)
+        r = Simulation(trace, {0: gpt}, OpenWhiskPolicy(), cfg).run()
         assert r.pool_stats is not None
         assert r.pool_stats.cold_creates == 1
         # warm 11 minutes (invocation minute + 10 window minutes)
@@ -96,8 +97,8 @@ class TestEngineSemantics:
 
     def test_track_containers_off(self, gpt):
         trace = one_function_trace([1, 0])
-        cfg = SimulationConfig(track_containers=False)
-        r = Simulation(trace, {0: gpt}, OpenWhiskPolicy(), cfg).run()
+        assert SimulationConfig().track_containers is False  # the default
+        r = Simulation(trace, {0: gpt}, OpenWhiskPolicy()).run()
         assert r.pool_stats is None
 
     def test_overhead_measured_when_enabled(self, gpt):
