@@ -3,14 +3,13 @@
 This is a deliberately dependency-free (stdlib-only) AST linter built for
 *this* repository's contracts — determinism of the replay harness, parity
 between the simulation engines, lock discipline in the serving layer,
-columnar-kernel hygiene, snapshot-schema drift — rather than general
-style. The pieces:
+columnar-kernel hygiene — rather than general style. The pieces:
 
 - :class:`SourceModule` — one parsed file: source text, AST, and the
   ``# repro: lint-ok[RULE]`` suppression comments found by tokenizing;
 - :class:`Rule` — a check. Per-file rules implement
   :meth:`Rule.check_module`; whole-project rules (engine parity, lock
-  discipline, schema drift) implement :meth:`Rule.finalize`, which
+  discipline) implement :meth:`Rule.finalize`, which
   receives a :class:`~repro.analysis.project.ProjectContext` — a
   ``Sequence[SourceModule]`` that also carries the symbol table, call
   graph and reaching-definitions oracles. A project rule declares the
@@ -361,7 +360,7 @@ def project_scope_paths(
     """The subset of ``files`` some selected cross-file rule needs parsed.
 
     Used by ``repro lint --changed`` to widen a git-diff file set so the
-    cross-file rules (engine parity, lock discipline, schema drift)
+    cross-file rules (engine parity, lock discipline)
     still see every module they reason about.
     """
     rules = make_rules(rule_ids)

@@ -15,7 +15,6 @@ from repro.analysis.rules.facade import FacadeSignatureRule
 from repro.analysis.rules.locks import LockDisciplineRule
 from repro.analysis.rules.parity import EngineParityRule
 from repro.analysis.rules.policy_contract import PolicyContractRule
-from repro.analysis.rules.snapshot_schema import SnapshotSchemaRule
 from repro.analysis.rules.spec_strings import SpecStringRule
 
 __all__ = [
@@ -27,6 +26,5 @@ __all__ = [
     "FacadeSignatureRule",
     "LockDisciplineRule",
     "PolicyContractRule",
-    "SnapshotSchemaRule",
     "SpecStringRule",
 ]

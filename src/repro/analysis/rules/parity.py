@@ -5,17 +5,18 @@ same surface.
 ``runtime/fleet.py`` (the columnar fleet-scale loop) are contractually
 metric-identical — the golden tests pin bit-equality, but only for the
 configurations they sample. A handler added to one loop and forgotten in
-the other (a new ``RunResult`` counter, a new obs record hook or metric
-instrument) slips straight past a golden test that never exercises it.
+the other (a new obs record hook or metric instrument) slips straight
+past a golden test that never exercises it.
 This rule makes the asymmetry itself the error: it cross-references the
 two engine files and flags every
 
-- ``RunResult(...)`` keyword argument,
 - ``record_*`` observability-hook call, and
 - metric instrument name (the string handed to ``counter``/``gauge``/
   ``histogram``)
 
-that appears in one engine file but not the other. The event log
+that appears in one engine file but not the other. ``RunResult`` is not
+compared: both engines build it in the one shared
+:meth:`repro.runtime.driver.Stepper.finalize`. The event log
 (:class:`~repro.runtime.events.EventKind`) is not compared: it runs on
 the reference engine only, so the fleet engine has no event surface to
 match. A deliberate asymmetry (e.g. a hook fired from a helper that both
@@ -27,10 +28,9 @@ the rule itself rather than re-waived at every call site.
 
 Engine files are recognised by basename (``simulator.py`` /
 ``fleet.py``) and compared per directory, so a fixture copy of the pair
-in a test sandbox is checked exactly like the real one. Every category
-is compared, including the obs-hook and metric surfaces: the fleet
-engine carries a real observability session
-(:class:`~repro.obs.fleet.FleetObsSession`).
+in a test sandbox is checked exactly like the real one. Both categories
+are compared on both engines: the fleet engine carries a real
+observability session (:class:`~repro.obs.fleet.FleetObsSession`).
 """
 
 from __future__ import annotations
@@ -82,16 +82,11 @@ class _EngineSurface(ast.NodeVisitor):
     with the position of its first occurrence."""
 
     def __init__(self) -> None:
-        self.run_result_kwargs: dict[str, ast.AST] = {}
         self.obs_hooks: dict[str, ast.AST] = {}
         self.metric_names: dict[str, ast.AST] = {}
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Name) and func.id == "RunResult":
-            for keyword in node.keywords:
-                if keyword.arg is not None:
-                    self.run_result_kwargs.setdefault(keyword.arg, keyword)
         if isinstance(func, ast.Attribute):
             if func.attr.startswith("record_"):
                 self.obs_hooks.setdefault(func.attr, node)
@@ -118,8 +113,8 @@ class EngineParityRule(Rule):
     id = "RPR002"
     severity = Severity.ERROR
     summary = (
-        "every RunResult counter / obs hook / metric name in one engine "
-        "must appear (or be waived) in the other"
+        "every obs hook / metric name in one engine must appear (or be "
+        "waived) in the other"
     )
     project_scope = staticmethod(_engine_scope)
 
@@ -144,11 +139,6 @@ class EngineParityRule(Rule):
         surf_ref = _surface(reference)
         surf_other = _surface(other)
         categories: list[tuple[str, dict[str, ast.AST], dict[str, ast.AST]]] = [
-            (
-                "RunResult kwarg",
-                surf_ref.run_result_kwargs,
-                surf_other.run_result_kwargs,
-            ),
             ("obs hook", surf_ref.obs_hooks, surf_other.obs_hooks),
             ("metric", surf_ref.metric_names, surf_other.metric_names),
         ]

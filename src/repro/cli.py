@@ -704,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
             "contract, RPR004 deprecation hygiene, RPR005 spec-string "
             "hygiene, RPR006 exception hygiene, RPR007 facade "
             "signatures, RPR008 serve-layer lock discipline, RPR009 "
-            "columnar-kernel hygiene, RPR010 snapshot-schema drift. "
+            "columnar-kernel hygiene. "
             "Directory operands are expanded to their *.py files; a "
             "file operand is always linted, even when discovery would "
             "skip it."

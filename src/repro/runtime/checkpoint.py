@@ -67,7 +67,6 @@ from repro.utils.validation import check_positive_int
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "SNAPSHOT_FIELDS",
-    "STATE_FIELDS",
     "WIRE_FIELDS",
     "WIRE_FORMAT",
     "CheckpointConfig",
@@ -111,80 +110,63 @@ __all__ = [
 #: the reference and fleet payloads are unchanged.
 CHECKPOINT_SCHEMA_VERSION = 6
 
-#: The schema manifest: the exact field set each engine's
-#: ``live_state()`` pickles into the payload, per engine key. This is
-#: the reviewed record of what ``CHECKPOINT_SCHEMA_VERSION`` names —
-#: ``repro lint`` (RPR010) cross-checks each engine's ``live_state``
-#: dict literal against its entry here, so adding/removing a
-#: snapshot-carried field without editing this manifest (and bumping
-#: the version with a migration note) fails the lint.
-SNAPSHOT_FIELDS: dict[str, frozenset[str]] = {
-    "reference": frozenset(
-        {
-            "policy",
-            "events",
-            "obs",
-            "schedule",
-            "pool",
-            "service_time",
-            "accuracy_sum",
-            "n_invocations",
-            "n_warm",
-            "n_cold",
-            "overhead",
-            "n_decisions",
-            "total_mb_minutes",
-            "mem_series",
-            "ideal_series",
-            "capacity_rng",
-            "n_forced",
-            "injector",
-            "n_checkpoints",
-            "last_arrival",
-        }
+#: The snapshot schema: per engine key, the fields each stepper's
+#: payload carries, in payload order. :meth:`repro.runtime.driver.
+#: Stepper.live_state` builds the payload from this entry and its
+#: restore refuses a payload whose key set differs, so this table is
+#: the one place that says what a snapshot holds. Changing it changes
+#: what ``CHECKPOINT_SCHEMA_VERSION`` names: bump the version and add a
+#: ``v<N>:`` migration note above (pinned by
+#: ``tests/test_runtime_checkpoint.py``). The order is part of the
+#: payload bytes.
+SNAPSHOT_FIELDS: dict[str, tuple[str, ...]] = {
+    "reference": (
+        "policy",
+        "events",
+        "obs",
+        "schedule",
+        "pool",
+        "service_time",
+        "accuracy_sum",
+        "n_invocations",
+        "n_warm",
+        "n_cold",
+        "overhead",
+        "n_decisions",
+        "total_mb_minutes",
+        "mem_series",
+        "ideal_series",
+        "capacity_rng",
+        "n_forced",
+        "injector",
+        "n_checkpoints",
+        "last_arrival",
     ),
-    "fleet": frozenset(
-        {
-            "policy",
-            "events",
-            "obs",
-            "model",
-            "tables",
-            "fleet",
-            "pool",
-            "injector",
-            "service_time",
-            "accuracy_sum",
-            "n_invocations",
-            "n_cold",
-            "total_mb_minutes",
-            "mem_series",
-            "ideal_series",
-            "n_checkpoints",
-        }
+    "fleet": (
+        "policy",
+        "events",
+        "obs",
+        "model",
+        "tables",
+        "fleet",
+        "pool",
+        "injector",
+        "service_time",
+        "accuracy_sum",
+        "n_invocations",
+        "n_cold",
+        "total_mb_minutes",
+        "mem_series",
+        "ideal_series",
+        "n_checkpoints",
     ),
 }
-
-#: The :class:`SimulationState` field layout, pinned as (name,
-#: annotation) pairs in declaration order. RPR010 compares this against
-#: the dataclass body so a rename or retype of a snapshot field is as
-#: loud as an added/removed one.
-STATE_FIELDS: tuple[tuple[str, str], ...] = (
-    ("engine", "str"),
-    ("next_minute", "int"),
-    ("cursor", "tuple"),
-    ("payload", "bytes"),
-    ("schema_version", "int"),
-)
 
 #: Format tag of the JSON wire envelope (:meth:`SimulationState.to_wire_json`).
 WIRE_FORMAT = "repro-snapshot"
 
-#: The wire-envelope schema: the exact key set ``to_wire_json`` emits,
-#: pinned like ``SNAPSHOT_FIELDS``/``STATE_FIELDS`` — RPR010 cross-checks
-#: the codec's dict literal against this manifest, so adding or removing
-#: an envelope key without the reviewed manifest edit (and a version
-#: note) fails the lint. The envelope embeds
+#: The wire-envelope schema: the exact key set ``to_wire_json`` emits
+#: and ``from_wire_json`` accepts. The envelope embeds
 #: ``CHECKPOINT_SCHEMA_VERSION`` — the wire format versions with the
 #: snapshot schema, not separately.
 WIRE_FIELDS: tuple[str, ...] = (
@@ -208,6 +190,11 @@ def _envelope_digest(
         [WIRE_FORMAT, schema_version, engine, next_minute, cursor]
     )
     return sha256_bytes(header.encode("utf-8") + b"\n" + payload)
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``int`` but not ``bool`` (and never a float)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -247,13 +234,21 @@ class SimulationState:
         )
 
     def restore(self) -> dict[str, Any]:
-        """Rehydrate the captured object graph (a fresh copy per call)."""
+        """Rehydrate the captured object graph (a fresh copy per call).
+
+        Raises ``ValueError`` on a schema-version mismatch and on payload
+        bytes that do not unpickle (unpickling raises whatever the
+        bytes provoke, so every failure is folded into one type).
+        """
         if self.schema_version != CHECKPOINT_SCHEMA_VERSION:
             raise ValueError(
                 f"checkpoint schema v{self.schema_version} is not "
                 f"readable by this build (expects v{CHECKPOINT_SCHEMA_VERSION})"
             )
-        return pickle.loads(self.payload)
+        try:
+            return pickle.loads(self.payload)
+        except Exception as exc:
+            raise ValueError(f"undecodable snapshot payload: {exc!r}") from exc
 
     # -- wire form -----------------------------------------------------------
     def to_wire_json(self) -> str:
@@ -292,8 +287,11 @@ class SimulationState:
 
         Raises ``ValueError`` on anything that is not a well-formed,
         current-version, integrity-intact envelope — undecodable JSON,
-        a foreign ``format`` tag, a schema-version mismatch, missing
-        keys, or a header or payload whose SHA-256 does not match.
+        a foreign ``format`` tag, a key set other than ``WIRE_FIELDS``,
+        a schema-version mismatch, a header field of the wrong type (a
+        non-string ``engine``, a ``next_minute`` that is not an integer
+        >= 0, a ``cursor`` that is not a list of integers), or a header
+        or payload whose SHA-256 does not match.
         """
         if isinstance(text, bytes):
             text = text.decode("utf-8", errors="replace")
@@ -306,38 +304,51 @@ class SimulationState:
                 "not a snapshot envelope: expected a JSON object with "
                 f"format={WIRE_FORMAT!r}"
             )
-        missing = [key for key in WIRE_FIELDS if key not in obj]
-        if missing:
-            raise ValueError(
-                f"snapshot envelope is missing keys: {', '.join(missing)}"
-            )
+        if set(obj) != set(WIRE_FIELDS):
+            missing = [key for key in WIRE_FIELDS if key not in obj]
+            unexpected = sorted(set(obj) - set(WIRE_FIELDS))
+            detail = [
+                f"{label} keys: {', '.join(keys)}"
+                for label, keys in (("missing", missing), ("unexpected", unexpected))
+                if keys
+            ]
+            raise ValueError(f"snapshot envelope has {'; '.join(detail)}")
         version = obj["schema_version"]
-        if version != CHECKPOINT_SCHEMA_VERSION:
+        if not _is_int(version) or version != CHECKPOINT_SCHEMA_VERSION:
             raise ValueError(
                 f"snapshot schema v{version} is not readable by this "
                 f"build (expects v{CHECKPOINT_SCHEMA_VERSION})"
+            )
+        engine, next_minute, cursor = (
+            obj["engine"], obj["next_minute"], obj["cursor"]
+        )
+        if not isinstance(engine, str):
+            raise ValueError(f"snapshot engine must be a string, got {engine!r}")
+        if not _is_int(next_minute) or next_minute < 0:
+            raise ValueError(
+                "snapshot next_minute must be a non-negative integer, "
+                f"got {next_minute!r}"
+            )
+        if not isinstance(cursor, list) or not all(map(_is_int, cursor)):
+            raise ValueError(
+                f"snapshot cursor must be a list of integers, got {cursor!r}"
             )
         try:
             payload = base64.b64decode(obj["payload_b64"], validate=True)
         except (binascii.Error, TypeError) as exc:
             raise ValueError(f"undecodable snapshot payload: {exc}") from exc
-        digest = _envelope_digest(
-            version, obj["engine"], obj["next_minute"], obj["cursor"], payload
-        )
+        digest = _envelope_digest(version, engine, next_minute, cursor, payload)
         if digest != obj["payload_sha256"]:
             raise ValueError(
                 "snapshot header or payload corrupt: sha256 mismatch "
                 f"(expected {obj['payload_sha256']}, got {digest})"
             )
-        cursor = obj["cursor"]
-        if not isinstance(cursor, list):
-            raise ValueError(f"snapshot cursor must be a list, got {cursor!r}")
         return cls(
-            engine=str(obj["engine"]),
-            next_minute=int(obj["next_minute"]),
+            engine=engine,
+            next_minute=next_minute,
             cursor=tuple(cursor),
             payload=payload,
-            schema_version=int(version),
+            schema_version=version,
         )
 
     # -- durable form --------------------------------------------------------

@@ -20,10 +20,12 @@ Every stepper subclasses :class:`Stepper`, the one run-state core: it
 builds the common fresh state (event log, obs session, policy binding,
 container pool, fault injector, accumulators, series), restores a
 snapshot payload after checking its key set against
-``SNAPSHOT_FIELDS``, derives the telemetry handles, walks an idle span
-minute by minute and builds the :class:`~repro.runtime.metrics.RunResult`.
-An engine adds only its per-minute ``step``, its own fresh state and
-its ``live_state()`` dict.
+``SNAPSHOT_FIELDS``, builds the snapshot payload from that same entry
+(:meth:`Stepper.live_state`), derives the telemetry handles, walks an
+idle span minute by minute and builds the
+:class:`~repro.runtime.metrics.RunResult`. An engine adds only its
+per-minute ``step``, its own fresh state, and the names of its
+snapshot-carried fields in ``SNAPSHOT_FIELDS``.
 
 Checkpointing is a hook of the driver, with one cadence rule for every
 engine: a snapshot is captured before the first event group of each new
@@ -108,7 +110,7 @@ class Stepper:
     snapshot left off.
 
     ``next_minute`` is the first minute not yet executed. Subclasses set
-    ``engine`` and provide :meth:`step`, :meth:`live_state`,
+    ``engine`` (a ``SNAPSHOT_FIELDS`` key) and provide :meth:`step`,
     :meth:`_fresh_state` and :meth:`_derived_state`; the hooks
     :meth:`_open_obs` and :meth:`_close_metrics` default to the loop
     engines' behaviour.
@@ -191,7 +193,7 @@ class Stepper:
     def _restore(self, live: dict) -> None:
         """Set the snapshot-carried fields, refusing a payload whose key
         set is not exactly ``SNAPSHOT_FIELDS[engine]``."""
-        expected = SNAPSHOT_FIELDS[self.engine]
+        expected = set(SNAPSHOT_FIELDS[self.engine])
         keys = set(live) if isinstance(live, dict) else set()
         if keys != expected:
             detail = []
@@ -230,9 +232,11 @@ class Stepper:
 
     # -- the stepping surface ----------------------------------------------
     def live_state(self) -> dict:
-        """The run's live objects, in the checkpoint-payload shape (one
-        dict → one pickle, so shared identities survive the round trip)."""
-        raise NotImplementedError
+        """The checkpoint payload: the ``SNAPSHOT_FIELDS[engine]`` fields,
+        in schema order. One dict → one pickle, so shared identities
+        (the policy's plan cache inside the schedule, the event log
+        inside the pool) survive the round trip."""
+        return {name: getattr(self, name) for name in SNAPSHOT_FIELDS[self.engine]}
 
     def step(self, t: int, fids: np.ndarray, fid_counts: np.ndarray) -> None:
         """Execute minute ``t``: ``fids`` are the invoking function ids

@@ -42,8 +42,9 @@ downgrade|valve`` — and merge into one span tree per run
 (``tests/test_fleet_obs.py``).
 
 Checkpoint/resume works as on the reference engine: the shared batch
-driver (:mod:`repro.runtime.driver`) snapshots :meth:`FleetStepper.live_state`
-before the first event group of each cadence bucket, and a resumed run
+driver (:mod:`repro.runtime.driver`) snapshots the fields
+``SNAPSHOT_FIELDS["fleet"]`` names before the first event group of each
+cadence bucket, and a resumed run
 is bit-identical to an uninterrupted one.
 
 Not supported (explicit ``ValueError``): ``measure_overhead`` (defined
@@ -801,29 +802,6 @@ class FleetStepper(Stepper):
     def n_warm(self) -> int:
         """Invocations served warm so far."""
         return self.n_invocations - self.n_cold
-
-    def live_state(self) -> dict:
-        """The columnar state graph, in session-snapshot payload shape
-        (one dict → one pickle, identities preserved). ``events`` and
-        ``pool`` are core-owned fields, always ``None`` on this engine."""
-        return {
-            "policy": self.policy,
-            "events": self.events,
-            "obs": self.obs,
-            "model": self.model,
-            "tables": self.tables,
-            "fleet": self.fleet,
-            "pool": self.pool,
-            "injector": self.injector,
-            "service_time": self.service_time,
-            "accuracy_sum": self.accuracy_sum,
-            "n_invocations": self.n_invocations,
-            "n_cold": self.n_cold,
-            "total_mb_minutes": self.total_mb_minutes,
-            "mem_series": self.mem_series,
-            "ideal_series": self.ideal_series,
-            "n_checkpoints": self.n_checkpoints,
-        }
 
     def step(self, t: int, inv_fids: np.ndarray, inv_counts: np.ndarray) -> None:
         """Execute minute ``t``. ``inv_fids`` are the invoking function

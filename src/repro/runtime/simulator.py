@@ -339,35 +339,6 @@ class ReferenceStepper(Stepper):
         )
         self.measure = self.cfg.measure_overhead
 
-    def live_state(self) -> dict:
-        """The loop's live objects, in the checkpoint-payload shape.
-
-        One dict → one pickle: shared identities (policy plan cache <->
-        schedule, events <-> pool) survive the round trip intact.
-        """
-        return {
-            "policy": self.policy,
-            "events": self.events,
-            "obs": self.obs,
-            "schedule": self.schedule,
-            "pool": self.pool,
-            "service_time": self.service_time,
-            "accuracy_sum": self.accuracy_sum,
-            "n_invocations": self.n_invocations,
-            "n_warm": self.n_warm,
-            "n_cold": self.n_cold,
-            "overhead": self.overhead,
-            "n_decisions": self.n_decisions,
-            "total_mb_minutes": self.total_mb_minutes,
-            "mem_series": self.mem_series,
-            "ideal_series": self.ideal_series,
-            "capacity_rng": self.capacity_rng,
-            "n_forced": self.n_forced,
-            "injector": self.injector,
-            "n_checkpoints": self.n_checkpoints,
-            "last_arrival": self.last_arrival,
-        }
-
     def step(self, t: int, fids: np.ndarray, fid_counts: np.ndarray) -> None:
         """Execute minute ``t``.
 

@@ -30,8 +30,8 @@ Production hardening lives here too:
 
 - **Snapshots cross the wire as versioned JSON envelopes**
   (:meth:`~repro.runtime.checkpoint.SimulationState.to_wire_json` —
-  sha256-checked, schema-pinned by RPR010), not raw pickles, so the
-  bytes are inspectable and integrity-checked in transit. The payload
+  sha256-checked, key set pinned by ``WIRE_FIELDS``), not raw pickles,
+  so the bytes are inspectable and integrity-checked in transit. The payload
   still deserializes engine state, so non-loopback binds additionally
   require a **bearer token** (:func:`serve` refuses to start without
   one; requests without it get 401).

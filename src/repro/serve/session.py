@@ -62,6 +62,16 @@ from repro.utils.validation import check_positive_int
 
 __all__ = ["AdvanceResult", "ControlSession", "TraceMeta", "open_session"]
 
+#: The binding context a session snapshot's ``meta`` entry carries.
+_SESSION_META = ("trace", "assignment", "config", "online")
+
+
+def _shape(value: object) -> str:
+    """A short description of a snapshot payload entry, for errors."""
+    if isinstance(value, dict):
+        return f"keys {', '.join(sorted(map(str, value))) or '(none)'}"
+    return type(value).__name__
+
 
 @dataclass(frozen=True)
 class TraceMeta:
@@ -353,7 +363,21 @@ class ControlSession:
                 f"run on the {', '.join(SNAPSHOT_FIELDS)} engines"
             )
         payload = state.restore()
+        if not isinstance(payload, dict) or set(payload) != {"live", "meta"}:
+            raise ValueError(
+                "session snapshot payload must be a dict with exactly the "
+                f"keys live, meta; got {_shape(payload)}"
+            )
         live, meta = payload["live"], payload["meta"]
+        if not isinstance(live, dict):
+            raise ValueError(
+                f"session snapshot 'live' must be a dict, got {_shape(live)}"
+            )
+        if not isinstance(meta, dict) or set(meta) != set(_SESSION_META):
+            raise ValueError(
+                "session snapshot 'meta' must be a dict with exactly the "
+                f"keys {', '.join(_SESSION_META)}; got {_shape(meta)}"
+            )
         # Rebuild the Simulation context without __init__: the captured
         # trace is already fault-perturbed (Simulation.__init__ perturbs
         # up front), so going through it again would perturb twice.

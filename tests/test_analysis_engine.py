@@ -66,7 +66,7 @@ class TestEngineBasics:
     def test_registry_lists_the_rule_pack(self):
         assert rule_ids() == [
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPR007", "RPR008", "RPR009", "RPR010",
+            "RPR007", "RPR008", "RPR009",
         ]
         summaries = rule_summaries()
         assert set(summaries) == set(rule_ids())

@@ -9,6 +9,11 @@ and without fault injection.
 
 from __future__ import annotations
 
+import base64
+import inspect
+import json
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,10 +24,12 @@ from repro.experiments.manifest import RunManifest
 from repro.experiments.runner import ExperimentConfig
 from repro.serve.session import ControlSession, open_session
 from repro.models.zoo import default_zoo
+from repro.runtime import checkpoint as checkpoint_module
 from repro.runtime.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointConfig,
     SimulationState,
+    _envelope_digest,
 )
 from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.traces.schema import FunctionSpec, Trace
@@ -50,6 +57,35 @@ def _comparable(result):
     if result.obs is not None and result.obs.metrics_enabled:
         d["metrics"] = result.obs.metrics.as_flat_dict()
     return d
+
+
+def _resealed(state, **edits):
+    """``state``'s wire envelope with ``edits`` applied and a digest that
+    matches them, so only the codec's header checks can refuse it."""
+    envelope = json.loads(state.to_wire_json())
+    envelope.update(edits)
+    envelope["payload_sha256"] = _envelope_digest(
+        envelope["schema_version"], envelope["engine"],
+        envelope["next_minute"], envelope["cursor"],
+        base64.b64decode(envelope["payload_b64"]),
+    )
+    return json.dumps(envelope)
+
+
+#: Crafted envelope headers that carry a valid digest but are not a
+#: snapshot this build wrote; each must be refused with ``ValueError``.
+BAD_HEADERS = {
+    "next-minute-list": {"next_minute": [3]},
+    "next-minute-float": {"next_minute": 2.7},
+    "next-minute-bool": {"next_minute": True},
+    "next-minute-negative": {"next_minute": -1},
+    "engine-not-str": {"engine": 7},
+    "cursor-nested": {"cursor": [[1]]},
+    "cursor-not-list": {"cursor": "1"},
+    "cursor-bool": {"cursor": [True]},
+    "version-float": {"schema_version": float(CHECKPOINT_SCHEMA_VERSION)},
+    "extra-key": {"note": "x"},
+}
 
 
 def _trace_from_matrix(matrix):
@@ -383,3 +419,76 @@ class TestRetiredFastEngine:
                 tiny_trace, policies=["pulse"], config=config, durable=True,
                 resume=tmp_path / "manifest.json",
             )
+
+
+class TestSchemaNotes:
+    def test_current_version_has_a_migration_note(self):
+        source = inspect.getsource(checkpoint_module)
+        assert f"v{CHECKPOINT_SCHEMA_VERSION}:" in source
+
+
+class TestEnvelopeValidation:
+    """The codec refuses a well-sealed envelope whose header is not one
+    it writes, instead of truncating or crashing on it."""
+
+    def _state(self, tiny_trace, tiny_assignment):
+        states: list[SimulationState] = []
+        simulate(
+            tiny_trace, assignment=tiny_assignment, policy="pulse",
+            engine="reference",
+            checkpoint=CheckpointConfig(every_minutes=30,
+                                        on_snapshot=states.append),
+        )
+        return states[0]
+
+    def test_resealed_untouched_envelope_loads(
+        self, tiny_trace, tiny_assignment
+    ):
+        state = self._state(tiny_trace, tiny_assignment)
+        assert SimulationState.from_wire_json(_resealed(state)) == state
+
+    @pytest.mark.parametrize("edits", BAD_HEADERS.values(), ids=BAD_HEADERS)
+    def test_bad_header_refused(self, tiny_trace, tiny_assignment, edits):
+        state = self._state(tiny_trace, tiny_assignment)
+        # Refused by a header check, not by the digest.
+        with pytest.raises(
+            ValueError,
+            match=r"^snapshot (envelope has|schema|engine|next_minute|cursor)",
+        ):
+            SimulationState.from_wire_json(_resealed(state, **edits))
+
+
+def _session_payload(tiny_trace, tiny_assignment):
+    session = open_session(
+        tiny_trace, policy="pulse", assignment=tiny_assignment,
+        engine="reference",
+    )
+    session.advance(10)
+    return pickle.loads(session.snapshot().payload)
+
+
+#: Session snapshot payloads of the wrong shape, each built from a good
+#: ``{"live": ..., "meta": ...}`` payload.
+BAD_SESSION_PAYLOADS = {
+    "not-a-dict": lambda good: [good["live"], good["meta"]],
+    "no-meta": lambda good: {"live": good["live"]},
+    "no-live": lambda good: {"meta": good["meta"]},
+    "extra-key": lambda good: dict(good, spare=None),
+    "live-not-a-dict": lambda good: dict(good, live=list(good["live"])),
+    "meta-missing-trace": lambda good: dict(
+        good, meta={k: v for k, v in good["meta"].items() if k != "trace"}
+    ),
+}
+
+
+class TestSessionPayloadShape:
+    @pytest.mark.parametrize(
+        "mutate", BAD_SESSION_PAYLOADS.values(), ids=BAD_SESSION_PAYLOADS
+    )
+    def test_bad_payload_refused(self, tiny_trace, tiny_assignment, mutate):
+        good = _session_payload(tiny_trace, tiny_assignment)
+        state = SimulationState.snapshot(
+            "session:reference", 10, (), mutate(good)
+        )
+        with pytest.raises(ValueError, match="session snapshot"):
+            ControlSession.restore(state)

@@ -25,6 +25,7 @@ from repro.serve.app import (
     make_server,
     open_session_from_spec,
 )
+from tests.test_runtime_checkpoint import _resealed
 
 SYNTH_SPEC = {
     "synthetic": {"n_functions": 6, "horizon_minutes": 48, "seed": 3},
@@ -272,6 +273,49 @@ class TestSnapshotRestore:
             )
             assert status == 400, payload
             assert "error" in body
+
+    @pytest.mark.parametrize(
+        "edits",
+        [{"next_minute": [3]}, {"next_minute": 2.7}, {"cursor": [[1]]},
+         {"note": "x"}],
+        ids=["next-minute-list", "next-minute-float", "cursor-nested",
+             "extra-key"],
+    )
+    def test_restore_crafted_header_400(self, base_url, edits):
+        # A well-sealed envelope whose header the codec never writes.
+        state = SimulationState.snapshot(
+            "session:reference", 0, (), {"live": {}, "meta": {}}
+        )
+        status, body = request(
+            f"{base_url}/v1/sessions/restore", "POST",
+            _resealed(state, **edits).encode(),
+        )
+        assert status == 400, body
+        # Refused by the envelope codec, before anything is unpickled.
+        assert body["error"].startswith("undecodable snapshot payload")
+
+    @pytest.mark.parametrize(
+        "payload", [{"live": {}}, {"meta": {}}, []],
+        ids=["no-meta", "no-live", "not-a-dict"],
+    )
+    def test_restore_misshapen_session_payload_400(self, base_url, payload):
+        state = SimulationState.snapshot("session:reference", 0, (), payload)
+        status, body = request(
+            f"{base_url}/v1/sessions/restore", "POST",
+            state.to_wire_json().encode(),
+        )
+        assert status == 400, body
+        assert "session snapshot payload" in body["error"]
+
+    def test_restore_unpicklable_payload_400(self, base_url):
+        # Well sealed, but the payload bytes are not a pickle.
+        state = SimulationState("session:reference", 0, (), b"not a pickle")
+        status, body = request(
+            f"{base_url}/v1/sessions/restore", "POST",
+            state.to_wire_json().encode(),
+        )
+        assert status == 400, body
+        assert "undecodable snapshot payload" in body["error"]
 
     def test_restore_rejects_tampered_payload(self, base_url):
         _, info = request(f"{base_url}/v1/sessions", "POST", SYNTH_SPEC)

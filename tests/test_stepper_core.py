@@ -79,7 +79,7 @@ class TestRestoreCarriesEveryField:
         )
         assert type(restored) is type(fresh)
         assert set(vars(restored)) == set(vars(fresh))
-        assert set(restored.live_state()) == SNAPSHOT_FIELDS[engine]
+        assert set(restored.live_state()) == set(SNAPSHOT_FIELDS[engine])
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_session_restore_vars_match_fresh(
