@@ -53,6 +53,15 @@ class PriorityStructure:
         self._check(function_id)
         self._counts[function_id] += 1
 
+    def record_downgrades(self, function_ids: np.ndarray, n: np.ndarray) -> None:
+        """``n[i]`` :meth:`record_downgrade` calls for ``function_ids[i]``
+        at once — one review's worth of Alg. 2 line 10."""
+        ids = np.asarray(function_ids, dtype=np.int64)
+        bad = ids[(ids < 0) | (ids >= len(self._counts))]
+        if bad.size:
+            self._check(int(bad[0]))
+        np.add.at(self._counts, ids, np.asarray(n, dtype=np.int64))
+
     def count(self, function_id: int) -> int:
         self._check(function_id)
         return int(self._counts[function_id])

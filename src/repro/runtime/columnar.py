@@ -366,22 +366,35 @@ class RingSchedule:
             )
         self.levels[fids[:, None], cols[None, :]] = plan_levels.astype(np.int8)
 
-    def downgrade(self, fid: int, minute: int, allow_drop: bool) -> None:
-        """Downgrade every entry of one function from ``minute`` on by one
-        level; entries already at level 0 are dropped when ``allow_drop``
-        (the schedule-layer semantics of ``KeepAliveSchedule.downgrade``).
+    def downgrade_many(
+        self, fids: np.ndarray, n: np.ndarray, allow_drop: np.ndarray
+    ) -> None:
+        """Downgrade every entry of each ``fids[i]`` (unique) ``n[i]``
+        times, as one batch — the schedule-layer semantics of
+        ``n[i]`` successive ``KeepAliveSchedule.downgrade`` calls from
+        the current minute on (the ring holds exactly minutes ``t ..
+        t+K``).
+
+        One downgrade moves a present entry one level down; at level 0
+        it drops the entry (−1) when ``allow_drop[i]``, else leaves it.
+        So an entry at level ``L`` ends at ``L - n`` when that is ≥ 0,
+        and otherwise at −1 (drop allowed) or 0 (drop refused). Absent
+        entries stay absent.
         """
-        fam = int(self.fam[fid])
-        slot_row = self.slot_of[fam]
-        for m in range(minute, minute + self.keep_alive_window + 1):
-            col = m % self.n_cols
-            level = int(self.levels[fid, col])
-            if level < 0:
-                continue
-            if level > 0:
-                self.cnt[col, slot_row[level]] -= 1
-                self.cnt[col, slot_row[level - 1]] += 1
-                self.levels[fid, col] = level - 1
-            elif allow_drop:
-                self.cnt[col, slot_row[0]] -= 1
-                self.levels[fid, col] = -1
+        old = self.levels[fids].astype(np.int64)
+        floor = np.where(allow_drop, -1, 0)[:, None]
+        new = np.maximum(old - n[:, None], floor)
+        new[old < 0] = -1
+        moved = new != old  # only present entries move
+        # Flat (column, slot) ledger indices of each entry's old and new
+        # level; the lookups of absent levels are masked out.
+        row = (self.fam[fids] * self.slot_of.shape[1])[:, None]
+        col = np.arange(self.n_cols) * self.cnt.shape[1]
+        left = (col + self.slot_of.take(row + old))[moved]
+        entered = (col + self.slot_of.take(row + new))[moved & (new >= 0)]
+        size = self.cnt.size
+        self.cnt += (
+            np.bincount(entered, minlength=size)
+            - np.bincount(left, minlength=size)
+        ).reshape(self.cnt.shape)
+        self.levels[fids] = new

@@ -14,13 +14,14 @@ This engine keeps all per-function state in numpy arrays over fids
 2. **reduce**: the *global* stages read the keep-alive ring's integer
    memory ledger and alive set directly — Algorithm 1 peak detection,
    Algorithm 2 lowest-utility downgrades, and the provider capacity
-   valve — and apply victim decisions as scalar schedule edits.
+   valve — and apply each stage's victim decisions to the ring as one
+   batched write (see :meth:`FleetState.review`).
 
-PULSE's cross-function stage is global by design, and it dominates a
-minute at fleet scale (traced at 10k functions on a 2-vCPU host, the
-reducer took ~80% of each simulated minute), so the state is not
-partitioned: one fid space, one reducer, bit-identical to the reference
-engine (pinned by ``tests/test_engine_fleet.py``).
+PULSE's cross-function stage is global by design, and it is the largest
+stage of a peak minute at fleet scale (see ``docs/architecture.md`` for
+the traced split), so the state is not partitioned: one fid space, one
+reducer, bit-identical to the reference engine (pinned by
+``tests/test_engine_fleet.py``).
 
 Serving is fully vectorized; floats that the reference accumulates
 sequentially are folded with :func:`~repro.runtime.columnar.seq_fold` so
@@ -56,6 +57,7 @@ baselines).
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 
@@ -171,6 +173,17 @@ def _compile_policy(
 
 
 # -- fleet state -------------------------------------------------------------
+
+
+def _memory_fold(counts: list[int], fps: list[float]) -> float:
+    """Σ count × footprint over the footprint slots in ascending order —
+    ``KeepAliveSchedule.memory_at``'s canonical fold, so both reach the
+    same float."""
+    total = 0.0
+    for count, fp in zip(counts, fps):
+        if count:
+            total += count * fp
+    return total
 
 
 class FleetState:
@@ -376,20 +389,15 @@ class FleetState:
             obs.record_plan(minute, fid, plan)
             obs.note_arrival(fid, minute)
 
-    def level_at(self, fid: int, minute: int) -> int:
-        return int(self.ring.levels[fid, minute % self.ring.n_cols])
-
     # -- reduce: memory ------------------------------------------------------
     def memory_at(self, minute: int) -> float:
         """The fleet's keep-alive memory at ``minute`` — the canonical
         counts × footprints fold over the ring's per-slot ledger,
         bit-identical to ``KeepAliveSchedule.memory_at``."""
-        counts = self.ring.cnt[minute % self.ring.n_cols]
-        total = 0.0
-        fps = self.tables.slot_fps
-        for slot in np.flatnonzero(counts).tolist():
-            total += int(counts[slot]) * fps[slot]
-        return total
+        return _memory_fold(
+            self.ring.cnt[minute % self.ring.n_cols].tolist(),
+            self.tables.slot_fps,
+        )
 
     # -- reduce: Algorithms 1 & 2 -------------------------------------------
     def review(self, minute: int, obs: FleetObsSession | None = None) -> None:
@@ -403,6 +411,24 @@ class FleetState:
         tallies peaks/downgrades, times the ``reduce/peak-flatten`` and
         ``reduce/downgrade`` phases, and — for sampled victims — records
         the full (capped) candidate table.
+
+        Each victim costs O(log alive) in plain Python: outside the rare
+        heap rebuilds and the sampled victims' candidate tables, nothing
+        in the victim loop passes over the alive set or the ring.
+
+        - **selection** pops a heap of ``(Uv, alive position)`` — the
+          reference scan's first-minimum rule, so picks are the
+          reference's (ties: lowest fid). Between victims only the
+          victim's ``Uv`` moves, so it is re-pushed; the heap is rebuilt
+          only when Eq. 1's min/max shift (rare). Drops are tombstoned;
+        - **memory** folds a Python-int mirror of the current minute's
+          ``ring.cnt`` column in :meth:`memory_at`'s slot order, so
+          ``current`` is the same float;
+        - **ring and priority writes** are deferred to one
+          :meth:`~repro.runtime.columnar.RingSchedule.downgrade_many` and
+          one ``record_downgrades`` per review: the loop reads neither
+          future ring columns nor the priority structure, and a victim's
+          ``allow_drop`` is fixed within the minute.
         """
         detector, priority = self.detector, self.priority
         assert detector is not None and priority is not None
@@ -422,39 +448,48 @@ class FleetState:
                 rec.record_peak(minute, demand, prior, target)
             est = self.est
             assert est is not None
+            tables = self.tables
             alive = self.ring.alive_fids(minute)
             levels = self.ring.alive_levels(alive, minute)
             ip, max_rem = est.ip_and_max_remaining(alive, minute)
             ip = np.minimum(ip, 1.0)
-            fam = self.tables.fam_idx[alive]
+            fam = tables.fam_idx[alive]
             weights = model.weights
             w_ai = weights.accuracy_improvement
             w_pr = weights.priority
-            # Alg. 2 lines 4–9 on the alive table: per-iteration
+            # Alg. 2 lines 4–9 on the alive table, one Python list per
+            # column indexed by alive position: per-iteration
             # re-normalization, constant-within-minute Ip/max-rem,
-            # protection for lowest variants with remaining mass. A naive
-            # transliteration rebuilds every utility term over all n
-            # functions per victim, which goes quadratic exactly when the
-            # valve/peak regime produces many victims per minute; instead
-            # each per-element term is maintained incrementally (only the
-            # victim's entry changes between iterations) and Eq. 1's
-            # min/max are tracked against a full-count mirror so the
-            # normalization stays bit-identical to
-            # ``PriorityStructure.normalized()[alive]``.
+            # protection for lowest variants with remaining mass. Each
+            # term is the elementwise expression the array form evaluates
+            # (float64 either way), and Eq. 1's min/max are tracked
+            # against a full-count mirror so the normalization stays
+            # bit-identical to ``PriorityStructure.normalized()[alive]``.
             counts = priority.counts.astype(float)
-            counts_alive = counts[alive]
             vmin = float(counts.min())
             vmax = float(counts.max())
             n_at_min = int((counts == vmin).sum())
-            t_ai = w_ai * self.tables.ai[fam, levels]
-            t_ip = weights.invocation_probability * ip
-            eligible = ~((levels == 0) & (max_rem > 0.0))
-            # Only the victim's utility entry moves between iterations
-            # unless Eq. 1's min/max shift (rare: the global floor or
-            # ceiling of the downgrade counts must move), so the masked
-            # utility array is patched in place and rebuilt only then.
+            fids = alive.tolist()
+            lv = levels.tolist()
+            fams = fam.tolist()
+            cnt = counts[alive].tolist()
+            t_ai = (w_ai * tables.ai[fam, levels]).tolist()
+            t_ip_np = weights.invocation_probability * ip
+            t_ip = t_ip_np.tolist()
+            # A lowest variant with remaining mass is protected.
+            guard = max_rem > 0.0
+            eligible = (~((levels == 0) & guard)).tolist()
+            protect = guard.tolist()
+            allow_drop = max_rem == 0.0
+            drop_ok = allow_drop.tolist()
+            live = [True] * len(lv)
+            n_down = [0] * len(lv)
+            ai_rows = tables.ai.tolist()
+            slot_rows = tables.slot_of.tolist()
+            fps = tables.slot_fps
+            mem = self.ring.cnt[minute % self.ring.n_cols].tolist()
+            heap: list[tuple[float, int]] = []
             rebuild = True
-            uv_masked = np.empty(0)
             if spans is not None:
                 t_downgrade = time.perf_counter()
                 spans.add("reduce/peak-flatten", t_downgrade - t_flatten)
@@ -464,97 +499,101 @@ class FleetState:
             # folded once per review, and the sample test reads the
             # mask directly.
             sample_mask = rec.sample_mask if rec is not None else None
-            n_tallied = 0
-            while current > target and alive.size:
+            while current > target:
                 if rebuild:
-                    if vmax == vmin:
-                        pr = counts_alive - vmin
-                    else:
-                        pr = (counts_alive - vmin) / (vmax - vmin)
-                    # np.inf masking picks the first eligible minimum —
-                    # the same element flatnonzero+argmin over the
-                    # eligible subset picks.
-                    uv_masked = np.where(
-                        eligible, t_ai + w_pr * pr + t_ip, np.inf
-                    )
+                    pool = np.flatnonzero(eligible)
+                    pr = np.array(cnt)[pool] - vmin
+                    if vmax != vmin:
+                        pr /= vmax - vmin
+                    key = np.array(t_ai)[pool] + w_pr * pr + t_ip_np[pool]
+                    heap = list(zip(key.tolist(), pool.tolist()))
+                    heapq.heapify(heap)
                     rebuild = False
-                pick = int(np.argmin(uv_masked))
-                if np.isinf(uv_masked[pick]):
+                if not heap:
                     break  # every candidate is a protected lowest variant
-                victim = int(alive[pick])
-                allow_drop = bool(max_rem[pick] == 0.0)
+                # The victim's entry stays on top until the loop's end
+                # replaces or pops it.
+                pick = heap[0][1]
+                victim = fids[pick]
+                level = lv[pick]
                 victim_rec = (
                     rec
                     if sample_mask is not None and sample_mask[victim]
                     else None
                 )
                 if victim_rec is not None:
-                    new_level = int(levels[pick]) - 1
-                    from_name = self.tables.variant(
-                        int(fam[pick]), int(levels[pick])
-                    ).name
+                    from_name = tables.variant(fams[pick], level).name
                     to_name = (
-                        self.tables.variant(int(fam[pick]), new_level).name
-                        if new_level >= 0
+                        tables.variant(fams[pick], level - 1).name
+                        if level > 0
                         else None
                     )
                     # The candidate table snapshots the scores that chose
                     # this victim, so it is built before the priority
                     # bookkeeping below perturbs Eq. 1's normalization.
+                    rows = np.flatnonzero(live)
                     cand = self._candidate_table(
-                        alive, levels, fam, ip, counts_alive,
-                        vmin, vmax, eligible, model.weights,
+                        alive[rows], np.array(lv)[rows], fam[rows], ip[rows],
+                        np.array(cnt)[rows], vmin, vmax,
+                        np.array(eligible)[rows], weights,
                     )
-                self.ring.downgrade(victim, minute, allow_drop)
-                priority.record_downgrade(victim)
-                new_count = counts[victim] + 1.0
-                counts[victim] = new_count
-                counts_alive[pick] = new_count
+                n_down[pick] += 1
+                new_count = cnt[pick] + 1.0
+                cnt[pick] = new_count
                 if new_count > vmax:
                     vmax = new_count
                     rebuild = True
                 if new_count - 1.0 == vmin:
                     n_at_min -= 1
                     if n_at_min == 0:  # rare: the global floor moved up
+                        counts[alive] = cnt
                         vmin = float(counts.min())
                         n_at_min = int((counts == vmin).sum())
                         rebuild = True
-                self.n_downgrades += 1
-                n_tallied += 1
                 if victim_rec is not None:
                     emit_downgrade(
                         minute, victim, from_name, to_name, None,
                         victim_rec, candidates=cand,
                     )
-                if levels[pick] > 0:
-                    levels[pick] -= 1
-                    t_ai[pick] = w_ai * self.tables.ai[fam[pick], levels[pick]]
-                    eligible[pick] = not (
-                        levels[pick] == 0 and max_rem[pick] > 0.0
-                    )
-                    if not rebuild:
-                        if vmax == vmin:
-                            pr_pick = counts_alive[pick] - vmin
-                        else:
-                            pr_pick = (counts_alive[pick] - vmin) / (
-                                vmax - vmin
-                            )
-                        uv_masked[pick] = (
-                            t_ai[pick] + w_pr * pr_pick + t_ip[pick]
-                            if eligible[pick]
-                            else np.inf
-                        )
+                # The current minute's ring entry, as ``downgrade_many``
+                # will leave it: one level down, or dropped at level 0.
+                slots = slot_rows[fams[pick]]
+                if level > 0:
+                    mem[slots[level]] -= 1
+                    level -= 1
+                    mem[slots[level]] += 1
+                    lv[pick] = level
+                    t_ai[pick] = w_ai * ai_rows[fams[pick]][level]
+                    if level == 0 and protect[pick]:
+                        eligible[pick] = False
                 else:
-                    keep = np.arange(alive.size) != pick
-                    alive, levels, ip = alive[keep], levels[keep], ip[keep]
-                    max_rem, fam = max_rem[keep], fam[keep]
-                    counts_alive, t_ai = counts_alive[keep], t_ai[keep]
-                    t_ip, eligible = t_ip[keep], eligible[keep]
-                    if not rebuild:
-                        uv_masked = uv_masked[keep]
-                current = self.memory_at(minute)
-            if obs is not None and n_tallied:
-                obs.tally_downgrade(minute, n_tallied)
+                    if drop_ok[pick]:
+                        mem[slots[0]] -= 1
+                    # Tombstone: out of the table and out of the pool.
+                    live[pick] = eligible[pick] = False
+                if rebuild:
+                    pass  # the next iteration re-scores every row
+                elif eligible[pick]:
+                    pr = new_count - vmin
+                    if vmax != vmin:
+                        pr /= vmax - vmin
+                    heapq.heapreplace(
+                        heap, (t_ai[pick] + w_pr * pr + t_ip[pick], pick)
+                    )
+                else:
+                    heapq.heappop(heap)
+                current = _memory_fold(mem, fps)
+            hit = np.flatnonzero(n_down)
+            if hit.size:
+                n = np.array(n_down)[hit]
+                self.ring.downgrade_many(alive[hit], n, allow_drop[hit])
+                # repro: lint-ok[RPR002] PriorityStructure's batched
+                # downgrade counter (Alg. 2 line 10), not an obs hook
+                priority.record_downgrades(alive[hit], n)
+                n_victims = int(n.sum())
+                self.n_downgrades += n_victims
+                if obs is not None:
+                    obs.tally_downgrade(minute, n_victims)
             if spans is not None:
                 spans.add("reduce/downgrade", time.perf_counter() - t_downgrade)
         detector.observe(demand, current)
@@ -643,43 +682,58 @@ class FleetState:
         stream (which depends on the array length sequence) matches the
         reference's exactly. ``obs`` tallies the per-minute victim count,
         times the ``reduce/valve`` phase, and records sampled victims'
-        forced downgrades.
+        forced downgrades. Like :meth:`review`, the loop runs on a count
+        mirror of the current minute and writes the ring once.
         """
-        if self.memory_at(minute) <= capacity_mb:
+        ring = self.ring
+        col = minute % ring.n_cols
+        mem = ring.cnt[col].tolist()
+        fps = self.tables.slot_fps
+        if _memory_fold(mem, fps) <= capacity_mb:
             return 0
         rec = obs if obs is not None and obs.decisions_enabled else None
         spans = obs.spans if obs is not None and obs.spans_enabled else None
         t0 = time.perf_counter() if spans is not None else 0.0
-        alive = self.ring.alive_fids(minute)
+        alive = ring.alive_fids(minute)
         sample_mask = rec.sample_mask if rec is not None else None
+        fam_idx = self.tables.fam_idx
+        slot_rows = self.tables.slot_of.tolist()
+        # As in ``review``: the loop reads only the current minute, so it
+        # tracks the victims' current levels and the column's counts in
+        # Python, and the ring write waits for one batch at the end.
+        level_now: dict[int, int] = {}
+        n_down: dict[int, int] = {}
         forced = 0
-        while self.memory_at(minute) > capacity_mb and alive.size:
+        while _memory_fold(mem, fps) > capacity_mb and alive.size:
             victim = int(self.capacity_rng.choice(alive))
-            victim_rec = (
-                rec
-                if sample_mask is not None and sample_mask[victim]
-                else None
-            )
-            if victim_rec is not None:
-                from_name = self.tables.variant(
-                    int(self.tables.fam_idx[victim]),
-                    self.level_at(victim, minute),
-                ).name
-            self.ring.downgrade(victim, minute, allow_drop=True)
+            level = level_now.get(victim)
+            if level is None:
+                level = int(ring.levels[victim, col])
+            fam = int(fam_idx[victim])
+            slots = slot_rows[fam]
+            mem[slots[level]] -= 1
+            if level > 0:
+                mem[slots[level - 1]] += 1
+            level_now[victim] = level - 1
+            n_down[victim] = n_down.get(victim, 0) + 1
             forced += 1
-            level = self.level_at(victim, minute)
-            if victim_rec is not None:
-                to_name = (
-                    self.tables.variant(int(self.tables.fam_idx[victim]), level).name
-                    if level >= 0
-                    else None
-                )
+            if sample_mask is not None and sample_mask[victim]:
                 emit_downgrade(
-                    minute, victim, from_name, to_name, None, victim_rec,
-                    forced=True,
+                    minute, victim, self.tables.variant(fam, level).name,
+                    self.tables.variant(fam, level - 1).name
+                    if level > 0
+                    else None,
+                    None, rec, forced=True,
                 )
-            if level < 0:
+            if level == 0:
                 alive = alive[alive != victim]
+        if n_down:
+            k = len(n_down)
+            ring.downgrade_many(
+                np.fromiter(n_down, np.int64, k),
+                np.fromiter(n_down.values(), np.int64, k),
+                np.ones(k, dtype=bool),
+            )
         self.n_forced += forced
         if obs is not None:
             obs.tally_valve(minute, forced)

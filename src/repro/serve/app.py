@@ -51,6 +51,7 @@ Production hardening lives here too:
 from __future__ import annotations
 
 import hmac
+import io
 import json
 import re
 import signal
@@ -650,6 +651,10 @@ def make_server(
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted socket: with Nagle on, a response
+        # written after the client's last ACK waits for its delayed ACK
+        # (~40 ms) on a keep-alive connection.
+        disable_nagle_algorithm = True
         # Socket timeout for the whole exchange: a client that stalls
         # mid-headers or mid-body cannot pin a worker thread forever.
         timeout = limits.read_timeout_s
@@ -777,6 +782,10 @@ def make_server(
             ctype: str,
             extra_headers: tuple[tuple[str, str], ...] = (),
         ) -> None:
+            # The status line and headers are staged in memory and go
+            # out with the body in one write, so a response is one send.
+            head = io.BytesIO()
+            sock_out, self.wfile = self.wfile, head
             try:
                 self.send_response(status)
                 self.send_header("Content-Type", ctype)
@@ -784,7 +793,10 @@ def make_server(
                 for name, value in extra_headers:
                     self.send_header(name, value)
                 self.end_headers()
-                self.wfile.write(body)
+            finally:
+                self.wfile = sock_out
+            try:
+                sock_out.write(head.getvalue() + body)
             except (BrokenPipeError, ConnectionResetError, TimeoutError):
                 # Client vanished mid-response; nothing to send it,
                 # and the byte-stream is unusable for keep-alive.

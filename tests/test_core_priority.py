@@ -73,3 +73,21 @@ class TestPriorityStructure:
             ps.record_downgrade(2)
         with pytest.raises(ValueError):
             PriorityStructure(0)
+
+    def test_record_downgrades_matches_repeated_calls(self):
+        one, many = PriorityStructure(5), PriorityStructure(5)
+        fids, n = np.array([4, 0, 2]), np.array([3, 1, 2])
+        for fid, k in zip(fids.tolist(), n.tolist()):
+            for _ in range(k):
+                one.record_downgrade(fid)
+        many.record_downgrades(fids, n)
+        np.testing.assert_array_equal(many.counts, one.counts)
+        many.record_downgrades(np.array([], dtype=np.int64), np.array([]))
+        np.testing.assert_array_equal(many.counts, one.counts)
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_record_downgrades_bounds(self, bad):
+        ps = PriorityStructure(5)
+        with pytest.raises(IndexError, match="out of range 0..4"):
+            ps.record_downgrades(np.array([1, bad]), np.array([1, 1]))
+        np.testing.assert_array_equal(ps.counts, np.zeros(5))  # nothing applied

@@ -9,12 +9,16 @@ pressure and fault plans, and under a permutation of function ids that
 reorders the reducer's fid-ascending candidate arrays.
 
 Also home to the unit properties of the columnar kernel itself:
-``seq_fold`` versus a scalar accumulation loop, and the vectorized
-threshold schemes versus their scalar ``select_level``.
+``seq_fold`` versus a scalar accumulation loop, the vectorized
+threshold schemes versus their scalar ``select_level``, and the ring's
+batched ``downgrade_many`` versus successive
+``KeepAliveSchedule.downgrade`` calls.
 """
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -35,9 +39,10 @@ from repro.experiments.assignments import sample_assignment
 from repro.models.zoo import default_zoo
 from repro.obs.fleet import CANDIDATE_CAP
 from repro.obs.session import ObservabilityConfig
-from repro.runtime.columnar import seq_fold
+from repro.runtime.columnar import RingSchedule, VariantTables, seq_fold
 from repro.runtime.events import EventKind
 from repro.runtime.fleet import _vector_levels
+from repro.runtime.schedule import KeepAliveSchedule
 from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 
@@ -274,6 +279,54 @@ class TestGoldenEquivalence:
         assert_identical(ref, fleet)
 
 
+    def test_review_edge_cases_under_peak_pressure(self, zoo, monkeypatch):
+        """Algorithm 2's victim loop under a tight flatten target: one
+        fid downgraded several times in a review, its batched ring write
+        crossing level 0 under both drop branches, and ``Uv`` ties
+        settled by the lowest-fid rule — the same victims, in the same
+        order, as the reference, with byte-identical candidate
+        tables."""
+        crossed = {True: 0, False: 0}
+        batched = RingSchedule.downgrade_many
+
+        def spy(ring, fids, n, allow_drop):
+            old = ring.levels[fids].astype(np.int64)
+            past_zero = (old >= 0) & (old < n[:, None]) & (n[:, None] >= 2)
+            for allow in (True, False):
+                crossed[allow] += int(
+                    (past_zero & (allow_drop[:, None] == allow)).sum()
+                )
+            batched(ring, fids, n, allow_drop)
+
+        monkeypatch.setattr(RingSchedule, "downgrade_many", spy)
+        n = 24
+        trace = generate_trace(
+            SyntheticTraceConfig(horizon_minutes=120, seed=5, n_functions=n)
+        )
+        assignment = sample_assignment(n, zoo, seed=6)
+        cfg = traced(SimulationConfig(), trace)
+        ref, fleet = ref_vs_fleet(
+            trace, assignment,
+            lambda: PulsePolicy(PulseConfig(memory_threshold=0.02)), cfg,
+        )
+        assert crossed[True] and crossed[False]
+        got = decisions(fleet, "downgrade")
+        assert got == decisions(ref, "downgrade")
+        per_review = Counter((r["t"], r["fid"]) for r in got)
+        assert max(per_review.values()) >= 2
+        ties = [
+            r for r in got
+            if len(r["candidates"]) > 1
+            and r["candidates"][1].get("Uv") == r["candidates"][0]["Uv"]
+        ]
+        assert ties and all(r["candidates"][0]["fid"] == r["fid"] for r in ties)
+        for mine, theirs in zip(got, decisions(ref, "downgrade")):
+            assert json.dumps(mine["candidates"]) == json.dumps(
+                theirs["candidates"]
+            )
+        assert_identical(ref, fleet)
+
+
 class TestColumnarKernel:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -317,6 +370,66 @@ class TestColumnarKernel:
                         probs[i, j],
                         nv[i],
                     )
+
+
+    @staticmethod
+    def _ring_counts(ring):
+        """The (column, slot) ledger recomputed from the level matrix."""
+        cnt = np.zeros_like(ring.cnt)
+        fids, cols = np.nonzero(ring.levels >= 0)
+        lv = ring.levels[fids, cols].astype(np.int64)
+        np.add.at(cnt, (cols, ring.slot_of[ring.fam[fids], lv]), 1)
+        return cnt
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_downgrade_many_matches_sequential_downgrades(self, seed):
+        """The ring's batched write leaves what ``n`` successive
+        ``KeepAliveSchedule.downgrade`` calls per fid leave — levels and
+        per-minute footprint counts — for random levels (absent
+        included), n in 1..4, both drop branches and any ring offset."""
+        rng = np.random.default_rng(seed)
+        n_fn, window = 12, int(rng.integers(1, 8))
+        assignment = sample_assignment(n_fn, default_zoo(), seed=seed)
+        tables = VariantTables(assignment, n_fn)
+        ring = RingSchedule(tables, window)
+        nv = tables.n_variants[:, None]
+        ring.levels[:] = np.floor(
+            rng.random((n_fn, ring.n_cols)) * (nv + 1)
+        ).astype(np.int8) - 1  # -1 (absent) .. nv-1, uniformly
+        ring.cnt[:] = self._ring_counts(ring)
+        minute = int(rng.integers(0, 1_000))  # the ring wraps mid-window
+        minutes = range(minute, minute + ring.n_cols)
+        sched = KeepAliveSchedule(n_fn, window)
+        for fid in range(n_fn):
+            for m in minutes:
+                level = int(ring.levels[fid, m % ring.n_cols])
+                if level >= 0:
+                    sched.mark_alive(fid, m, assignment[fid].variants[level])
+        fids = np.sort(rng.choice(n_fn, size=int(rng.integers(1, n_fn)),
+                                  replace=False))
+        n = rng.integers(1, 5, size=fids.size)
+        allow_drop = rng.random(fids.size) < 0.5
+        for fid, k, allow in zip(fids.tolist(), n.tolist(), allow_drop):
+            for _ in range(k):
+                sched.downgrade(fid, minute, assignment[fid], bool(allow))
+        ring.downgrade_many(fids, n, allow_drop)
+        for m in minutes:
+            col = m % ring.n_cols
+            for fid in range(n_fn):
+                variant = sched.alive_variant(fid, m)
+                want = -1 if variant is None else variant.level
+                assert ring.levels[fid, col] == want, (fid, m)
+            counts = {
+                tables.slot_fps[slot]: int(c)
+                for slot, c in enumerate(ring.cnt[col])
+                if c
+            }
+            want_counts = {
+                fp: c for fp, c in sched.footprint_counts(m).items() if c
+            }
+            assert counts == want_counts, m
+        np.testing.assert_array_equal(ring.cnt, self._ring_counts(ring))
 
 
 class TestRejections:

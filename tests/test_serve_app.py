@@ -8,6 +8,7 @@ drive it with :mod:`urllib`.
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
 import socket
 import threading
@@ -499,6 +500,55 @@ class TestBodyHardening:
                 )
                 reply = sock.recv(65536)
             assert b"400" in reply.split(b"\r\n", 1)[0]
+
+
+class _RecordingWriter:
+    """A handler's socket writer that logs each ``write`` (one
+    ``sendall`` on the socket) before passing it on."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+
+    def write(self, data):
+        self._log.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestTransport:
+    def test_keepalive_responses_are_one_send_on_a_nodelay_socket(self):
+        """Each response on a keep-alive connection leaves in a single
+        write, and the accepted socket has TCP_NODELAY set, so no
+        response waits on the client's delayed ACK."""
+        with running_server() as (url, server):
+            nodelay, writes = [], []
+
+            class Recording(server.RequestHandlerClass):
+                def setup(self):
+                    super().setup()
+                    nodelay.append(self.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    ))
+                    self.wfile = _RecordingWriter(self.wfile, writes)
+
+            server.RequestHandlerClass = Recording
+            host, port = url.removeprefix("http://").split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=10)
+            try:
+                bodies = []
+                for path in ("/v1/healthz", "/v1/nope", "/v1/healthz"):
+                    conn.request("GET", path)
+                    bodies.append(conn.getresponse().read())
+            finally:
+                conn.close()
+        assert len(nodelay) == 1 and nodelay[0] != 0  # one connection
+        assert len(writes) == len(bodies)
+        for sent, body in zip(writes, bodies):
+            assert sent.startswith(b"HTTP/1.1 ")
+            assert sent.endswith(b"\r\n\r\n" + body)
 
 
 class TestDrainAndReadiness:
