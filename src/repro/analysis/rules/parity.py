@@ -21,9 +21,9 @@ compared: both engines build it in the one shared
 the reference engine only, so the fleet engine has no event surface to
 match. A deliberate asymmetry (e.g. a hook fired from a helper that both
 engines share) is waived at the referencing line with a reasoned
-``# repro: lint-ok[RPR002] ...`` comment — except for the two
-fleet-reducer emit sites listed in :data:`FLEET_REDUCER_CARVEOUTS`,
-which are structural to the columnar engine and therefore carved out in
+``# repro: lint-ok[RPR002] ...`` comment — except for the
+fleet-reducer emit site listed in :data:`FLEET_REDUCER_CARVEOUTS`,
+which is structural to the columnar engine and therefore carved out in
 the rule itself rather than re-waived at every call site.
 
 Engine files are recognised by basename (``simulator.py`` /
@@ -58,19 +58,14 @@ _ENGINE_BASENAMES = (REFERENCE_BASENAME, FLEET_BASENAME)
 
 _METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
 
-#: Documented carve-out: obs hooks the columnar reducer emits from its
-#: own inlined Alg. 1 (``record_peak``: the loop engines record pool
+#: Documented carve-out: the obs hook the columnar reducer emits from
+#: its own inlined Alg. 1 (``record_peak``: the loop engine records pool
 #: peaks from the shared ``GlobalOptimizer.review`` helper, which the
-#: reducer inlines for vectorization) or that collide with same-named
-#: non-obs bookkeeping (``record_downgrade``: fleet.py's call is
-#: ``priority.record_downgrade``, downgrade-count bookkeeping that
-#: mirrors the shared helper — the obs-surface analogue lives in
-#: ``simulator.py``). These names are exempt from the one-sided check
-#: when the *fleet* engine is the side that references them; any other
-#: asymmetry (including these names appearing only in simulator.py)
-#: still fails. Pinned by
-#: ``tests/test_analysis_rules.py``.
-FLEET_REDUCER_CARVEOUTS = frozenset({"record_peak", "record_downgrade"})
+#: reducer inlines for vectorization). The name is exempt from the
+#: one-sided check when the *fleet* engine is the side that references
+#: it; any other asymmetry (including this name appearing only in
+#: simulator.py) still fails. Pinned by ``tests/test_analysis_rules.py``.
+FLEET_REDUCER_CARVEOUTS = frozenset({"record_peak"})
 
 
 def _engine_scope(path: Path) -> bool:

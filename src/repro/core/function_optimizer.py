@@ -52,13 +52,14 @@ class FunctionCentricOptimizer:
     ) -> list[ModelVariant | None]:
         """The keep-alive plan for offsets 1..K after an arrival at ``minute``."""
         obs = self.obs
+        estimator = self.estimator
         if obs.spans_enabled:
             t0 = perf_counter()
-            probs = self.estimator.probabilities(function_id, minute)
+            probs = estimator.probability_values(function_id, minute)
             obs.spans.add("estimate", perf_counter() - t0)
         else:
-            probs = self.estimator.probabilities(function_id, minute)
-        lifetime, recent = self.estimator.n_gaps(function_id)
+            probs = estimator.probability_values(function_id, minute)
+        lifetime, recent = estimator.n_gaps(function_id)
         if lifetime == 0 and recent == 0:
             # No history: behave like the fixed policy until data exists.
             fallback = (
@@ -66,21 +67,19 @@ class FunctionCentricOptimizer:
                 if self.cold_start_fallback == "highest"
                 else family.lowest
             )
-            return [fallback] * self.estimator.window
+            return [fallback] * estimator.window
         if obs.decisions_enabled:
             # The engine's plan record claims this snapshot after set_plan.
             obs.stage_probs(function_id, minute, probs)
-        # tolist() hands back Python floats: cheaper to iterate and compare
-        # than numpy scalars, and value-identical (float64 round trip).
-        select_level = self.scheme.select_level
-        variant = family.variant
-        n_variants = family.n_variants
-        plan: list[ModelVariant | None] = []
-        append = plan.append
         t0 = perf_counter() if obs.spans_enabled else 0.0
-        for p in probs.tolist():
-            level = select_level(p if p < 1.0 else 1.0, n_variants)
-            append(None if level is None else variant(level))
+        # One vector check and one comprehension per plan. Every mode's
+        # values lie in [0, 1] (count / total for exact, capped sums
+        # for the others), so the list goes to the scheme as is; the
+        # levels a scheme returns are in range, so the variants are
+        # indexed directly.
+        levels = self.scheme.select_levels(probs, family.n_variants)
+        variants = family.variants
+        plan = [None if level is None else variants[level] for level in levels]
         if obs.spans_enabled:
             obs.spans.add("band-mapping", perf_counter() - t0)
         return plan
@@ -110,5 +109,4 @@ class FunctionCentricOptimizer:
         window = self.estimator.window
         if offset > window:
             return 0.0
-        probs = self.estimator.exact_probabilities(function_id, minute)
-        return float(probs[offset - 1 :].max())
+        return max(self.estimator.exact_values(function_id, minute)[offset - 1 :])

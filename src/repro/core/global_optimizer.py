@@ -22,7 +22,7 @@ from time import perf_counter
 from repro.core.function_optimizer import FunctionCentricOptimizer
 from repro.core.peak import PeakDetector
 from repro.core.priority import PriorityStructure
-from repro.core.utility import UtilityWeights, components_for
+from repro.core.utility import UtilityComponents, UtilityWeights
 from repro.models.variants import ModelFamily
 from repro.obs.session import NULL_OBS
 from repro.runtime.events import EventKind
@@ -89,16 +89,18 @@ class GlobalOptimizer:
                 obs.record_peak(minute, demand, prior, target)
             t0 = perf_counter() if obs.spans_enabled else 0.0
             record = obs.decisions_enabled or self.event_sink is not None
+            # fid -> (Ip, max-remaining probability). Nothing writes the
+            # estimator during a review, so both hold for all of it.
+            terms: dict[int, tuple[float, float]] = {}
             while current > target:
                 alive = schedule.alive_at(minute)
                 collect = [] if obs.decisions_enabled else None
-                victim = self._lowest_utility(alive, minute, assignment, collect)
+                victim = self._lowest_utility(
+                    alive, minute, assignment, collect, terms
+                )
                 if victim is None:
                     break  # nothing downgradable remains; as flat as it gets
-                allow_drop = (
-                    self.function_optimizer.max_remaining_probability(victim, minute)
-                    == 0.0
-                )
+                allow_drop = self._terms(terms, victim, minute)[1] == 0.0
                 schedule.downgrade(
                     victim, minute, assignment[victim], allow_drop=allow_drop
                 )
@@ -122,12 +124,28 @@ class GlobalOptimizer:
         self.n_downgrades += downgrades
         return downgrades
 
+    def _terms(
+        self, terms: dict[int, tuple[float, float]], fid: int, minute: int
+    ) -> tuple[float, float]:
+        """``fid``'s (Ip capped at 1, max-remaining probability), memoized
+        in the review's ``terms``."""
+        cached = terms.get(fid)
+        if cached is None:
+            fopt = self.function_optimizer
+            ip = fopt.invocation_probability(fid, minute)
+            cached = terms[fid] = (
+                1.0 if 1.0 < ip else ip,  # min(ip, 1.0), NaN included
+                fopt.max_remaining_probability(fid, minute),
+            )
+        return cached
+
     def _lowest_utility(
         self,
         alive: dict,
         minute: int,
         assignment: dict[int, ModelFamily],
         collect: list[dict] | None = None,
+        terms: dict[int, tuple[float, float]] | None = None,
     ) -> int | None:
         """Alg. 2 lines 4–9: normalize priorities, score every kept-alive
         model, pick the minimum (ties: lowest function id, deterministic).
@@ -144,35 +162,42 @@ class GlobalOptimizer:
         ``collect``, when given, receives one dict per kept-alive model —
         the scored ``Ai``/``Pr``/``Ip``/``Uv`` terms, or a ``protected``
         marker — purely for the decision trace; it never affects scoring.
+        ``terms`` memoizes each fid's Ip and max-remaining probability
+        across one review's victim scans.
+
+        Uv is summed in :meth:`UtilityWeights.apply`'s operand order, and
+        a term outside [0, 1] raises :class:`UtilityComponents`' error.
         """
-        normalized = self.priority.normalized()
+        if terms is None:
+            terms = {}
+        fids = sorted(alive)
+        priorities = self.priority.normalized_at(fids)
+        weights = self.weights
+        w_ai = weights.accuracy_improvement
+        w_pr = weights.priority
+        w_ip = weights.invocation_probability
         best_fid: int | None = None
         best_uv = float("inf")
-        for fid in sorted(alive):
+        for fid, pr in zip(fids, priorities):
             variant = alive[fid]
-            ip = self.function_optimizer.invocation_probability(fid, minute)
-            if variant.level == 0 and (
-                self.function_optimizer.max_remaining_probability(fid, minute) > 0.0
-            ):
+            ip, remaining = self._terms(terms, fid, minute)
+            if variant.level == 0 and remaining > 0.0:
                 if collect is not None:
                     collect.append(
                         {"fid": fid, "variant": variant.name, "protected": True}
                     )
                 continue  # protected: dropping would risk a likely cold start
-            comp = components_for(
-                family=assignment[fid],
-                kept_variant=variant,
-                priority=float(normalized[fid]),
-                invocation_probability=min(ip, 1.0),
-            )
-            value = self.weights.apply(comp)
+            ai = assignment[fid].accuracy_improvement(variant)
+            if not (0.0 <= ai <= 1.0 and 0.0 <= pr <= 1.0 and 0.0 <= ip <= 1.0):
+                UtilityComponents(ai, pr, ip)  # raises, naming the term
+            value = w_ai * ai + w_pr * pr + w_ip * ip
             if collect is not None:
                 collect.append({
                     "fid": fid,
                     "variant": variant.name,
-                    "Ai": comp.accuracy_improvement,
-                    "Pr": comp.priority,
-                    "Ip": comp.invocation_probability,
+                    "Ai": ai,
+                    "Pr": pr,
+                    "Ip": ip,
                     "Uv": value,
                 })
             if value < best_uv:

@@ -16,6 +16,7 @@ The estimator is strictly causal: it sees arrivals through
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,8 +25,25 @@ from repro.utils.validation import check_positive_int
 __all__ = ["InterArrivalEstimator"]
 
 
+def _capped(values: list[float]) -> list[float]:
+    """``values`` with every element above 1.0 replaced by 1.0."""
+    if max(values) <= 1.0:
+        return values
+    return [v if v <= 1.0 else 1.0 for v in values]
+
+
+def _frozen(values: list[float]) -> np.ndarray:
+    out = np.array(values, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
 class _FunctionHistory:
     """Arrival bookkeeping for one function.
+
+    The histograms are Python ``int`` lists and the cached vectors Python
+    ``float`` lists: at the window's ten elements, plain arithmetic costs
+    a third of what the equivalent numpy ops do in call overhead.
 
     ``version`` increments on every mutation (new gap recorded, old gap
     evicted); the probability queries cache their result against it, so
@@ -37,31 +55,41 @@ class _FunctionHistory:
     __slots__ = (
         "last_arrival",
         "lifetime_counts",
+        "lifetime_in",
         "lifetime_total",
         "recent",
         "recent_counts",
+        "recent_in",
         "recent_total",
         "version",
         "exact_version",
         "exact_cache",
+        "exact_array",
         "mode_version",
         "mode_cache",
+        "mode_array",
     )
 
     def __init__(self, window: int):
         self.last_arrival: int | None = None
         # index d-1 holds the count of inter-arrivals equal to d minutes,
-        # for d in 1..window; longer gaps only grow the totals.
-        self.lifetime_counts = np.zeros(window, dtype=np.int64)
+        # for d in 1..window; longer gaps only grow the totals. ``*_in``
+        # is the sum of the list (gaps inside the window), ``*_total``
+        # counts every gap.
+        self.lifetime_counts = [0] * window
+        self.lifetime_in = 0
         self.lifetime_total = 0
         self.recent: deque[tuple[int, int]] = deque()  # (arrival minute, gap)
-        self.recent_counts = np.zeros(window, dtype=np.int64)
+        self.recent_counts = [0] * window
+        self.recent_in = 0
         self.recent_total = 0
         self.version = 0
         self.exact_version = -1  # version the caches were computed at
-        self.exact_cache: np.ndarray | None = None
+        self.exact_cache: list[float] | None = None
+        self.exact_array: np.ndarray | None = None  # built on public read
         self.mode_version = -1
-        self.mode_cache: np.ndarray | None = None
+        self.mode_cache: list[float] | None = None
+        self.mode_array: np.ndarray | None = None
 
 
 class InterArrivalEstimator:
@@ -159,50 +187,42 @@ class InterArrivalEstimator:
         h.recent_total += 1
         if gap <= self.window:
             h.lifetime_counts[gap - 1] += 1
+            h.lifetime_in += 1
             h.recent_counts[gap - 1] += 1
+            h.recent_in += 1
         h.version += 1
 
     def _evict(self, h: _FunctionHistory, now: int) -> None:
         cutoff = now - self.local_window
-        evicted = False
-        while h.recent and h.recent[0][0] < cutoff:
-            _, gap = h.recent.popleft()
+        recent = h.recent
+        if not recent or recent[0][0] >= cutoff:
+            return
+        window = self.window
+        while recent and recent[0][0] < cutoff:
+            _, gap = recent.popleft()
             h.recent_total -= 1
-            if gap <= self.window:
+            if gap <= window:
                 h.recent_counts[gap - 1] -= 1
-            evicted = True
-        if evicted:
-            h.version += 1
+                h.recent_in -= 1
+        h.version += 1
 
     # -- queries -----------------------------------------------------------
     # Both query paths cache against the history's version counter. Eviction
     # runs *before* the cache check, so the cached vector is always the one
-    # a fresh computation at ``now`` would produce. Returned arrays are
-    # shared with the cache: callers must treat them as read-only (all
-    # in-repo consumers only read element values).
+    # a fresh computation at ``now`` would produce. The in-package callers
+    # (the plan, *Ip*, the drop-protection maximum) read the float lists
+    # from ``probability_values``/``exact_values``; the public ``ndarray``
+    # queries wrap the same list once per version, read-only, since the
+    # array is shared with the cache.
     def probabilities(self, function_id: int, now: int) -> np.ndarray:
         """Per-offset probabilities in the configured ``mode``, d=1..window."""
         if self.mode == "exact":
             return self.exact_probabilities(function_id, now)
         h = self._history(function_id)
-        self._evict(h, now)
-        if h.mode_version == h.version and h.mode_cache is not None:
-            return h.mode_cache
-        exact = self._exact(h)
-        if self.mode == "cumulative":
-            out = np.minimum(np.cumsum(exact), 1.0)
-        else:
-            survival = np.minimum(np.cumsum(exact[::-1])[::-1], 1.0)
-            if self.mode == "survival":
-                out = survival
-            else:
-                # hazard: P(gap = d | gap >= d); 0 where no mass remains.
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    hazard = np.where(survival > 0, exact / survival, 0.0)
-                out = np.minimum(hazard, 1.0)
-        h.mode_version = h.version
-        h.mode_cache = out
-        return out
+        values = self._mode_values(h, now)
+        if h.mode_array is None:
+            h.mode_array = _frozen(values)
+        return h.mode_array
 
     def exact_probabilities(self, function_id: int, now: int) -> np.ndarray:
         """P(next arrival exactly ``d`` minutes after an arrival), d=1..window.
@@ -213,36 +233,80 @@ class InterArrivalEstimator:
         """
         h = self._history(function_id)
         self._evict(h, now)
+        values = self._exact(h)
+        if h.exact_array is None:
+            h.exact_array = _frozen(values)
+        return h.exact_array
+
+    def probability_values(self, function_id: int, now: int) -> list[float]:
+        """:meth:`probabilities` as a list of Python floats (the same
+        values bit for bit). Shared with the cache: do not mutate."""
+        if self.mode == "exact":
+            return self.exact_values(function_id, now)
+        return self._mode_values(self._history(function_id), now)
+
+    def exact_values(self, function_id: int, now: int) -> list[float]:
+        """:meth:`exact_probabilities` as a list of Python floats (the
+        same values bit for bit). Shared with the cache: do not mutate."""
+        h = self._history(function_id)
+        self._evict(h, now)
         return self._exact(h)
 
-    def _exact(self, h: _FunctionHistory) -> np.ndarray:
+    def _mode_values(self, h: _FunctionHistory, now: int) -> list[float]:
+        # ``accumulate`` adds sequentially, as numpy's ``cumsum`` (an
+        # ``add.accumulate``) does, and capping at 1.0 is
+        # ``np.minimum(x, 1.0)`` on non-NaN input, so the lists equal the
+        # former array formulas bit for bit.
+        self._evict(h, now)
+        if h.mode_version == h.version and h.mode_cache is not None:
+            return h.mode_cache
+        exact = self._exact(h)
+        if self.mode == "cumulative":
+            out = _capped(list(accumulate(exact)))
+        else:
+            survival = _capped(list(accumulate(reversed(exact))))
+            survival.reverse()
+            if self.mode == "survival":
+                out = survival
+            else:
+                # hazard: P(gap = d | gap >= d); 0 where no mass remains.
+                out = [
+                    min(p / s, 1.0) if s > 0 else 0.0
+                    for p, s in zip(exact, survival)
+                ]
+        h.mode_version = h.version
+        h.mode_cache = out
+        h.mode_array = None
+        return out
+
+    def _exact(self, h: _FunctionHistory) -> list[float]:
         if h.exact_version == h.version and h.exact_cache is not None:
             return h.exact_cache
         if self.normalization == "window":
-            lifetime_denom = int(h.lifetime_counts.sum())
-            recent_denom = int(h.recent_counts.sum())
+            lifetime_denom = h.lifetime_in
+            recent_denom = h.recent_in
         else:
             lifetime_denom = h.lifetime_total
             recent_denom = h.recent_total
-        lifetime = (
-            h.lifetime_counts / lifetime_denom
-            if lifetime_denom
-            else np.zeros(self.window)
-        )
-        recent = (
-            h.recent_counts / recent_denom
-            if recent_denom
-            else np.zeros(self.window)
-        )
+        # int / int is the correctly rounded quotient, as numpy's
+        # float64 division of the (exactly converted) counts is.
         if lifetime_denom and recent_denom:
-            out = (lifetime + recent) / 2.0
-        else:
+            out = [
+                (a / lifetime_denom + b / recent_denom) / 2.0
+                for a, b in zip(h.lifetime_counts, h.recent_counts)
+            ]
+        elif lifetime_denom:
             # Only one period has data (e.g. right after start): use it
             # alone rather than averaging against an uninformative zero
             # vector.
-            out = lifetime if lifetime_denom else recent
+            out = [a / lifetime_denom for a in h.lifetime_counts]
+        elif recent_denom:
+            out = [b / recent_denom for b in h.recent_counts]
+        else:
+            out = [0.0] * self.window
         h.exact_version = h.version
         h.exact_cache = out
+        h.exact_array = None
         return out
 
     def invocation_probability(self, function_id: int, now: int) -> float:
@@ -262,7 +326,8 @@ class InterArrivalEstimator:
             return 0.0
         # Ip is always the exact-minute probability, independent of the
         # planning mode: it scores the chance of an arrival *now*.
-        return float(self.exact_probabilities(function_id, now)[offset - 1])
+        self._evict(h, now)
+        return self._exact(h)[offset - 1]
 
     def last_arrival(self, function_id: int) -> int | None:
         """Minute of the function's most recent arrival, if any."""

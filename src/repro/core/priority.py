@@ -75,6 +75,18 @@ class PriorityStructure:
         """All priorities after Eq. 1 normalization, each in [0, 1]."""
         return normalize(self._counts)
 
+    def normalized_at(self, function_ids: list[int]) -> list[float]:
+        """:meth:`normalized` at ``function_ids`` (valid ids), as Python
+        floats equal to its values bit for bit: ``int / int`` is the
+        correctly rounded quotient, as numpy's float64 division of the
+        exactly converted counts is."""
+        counts = self._counts.tolist()
+        lo = min(counts)
+        span = max(counts) - lo
+        if not span:
+            return [0.0] * len(function_ids)
+        return [(counts[fid] - lo) / span for fid in function_ids]
+
     def priority(self, function_id: int) -> float:
         """One model's normalized priority (the *Pr* utility component)."""
         self._check(function_id)

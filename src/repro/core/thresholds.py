@@ -22,8 +22,8 @@ points) lets you test directly.
 from __future__ import annotations
 
 import abc
-
-import numpy as np
+from bisect import bisect_right
+from collections.abc import Sequence
 
 from repro.utils.validation import check_positive_int
 
@@ -46,9 +46,40 @@ class ThresholdScheme(abc.ABC):
     def select_level(self, probability: float, n_variants: int) -> int | None:
         """Variant level for ``probability``; ``None`` keeps nothing alive."""
 
+    def select_levels(
+        self, probabilities: Sequence[float], n_variants: int
+    ) -> list[int | None]:
+        """:meth:`select_level` over a whole plan's probabilities.
+
+        The built-in schemes override this with one vector check and one
+        comprehension; this fallback maps element by element, so a scheme
+        that only defines :meth:`select_level` still works, and checks
+        that every level it returns exists.
+        """
+        levels = [self.select_level(p, n_variants) for p in probabilities]
+        for level in levels:
+            if level is not None and not 0 <= level < n_variants:
+                raise IndexError(
+                    f"scheme {self.name!r} returned level {level}, outside "
+                    f"0..{n_variants - 1}"
+                )
+        return levels
+
     def _check(self, probability: float, n_variants: int) -> None:
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability!r}")
+        check_positive_int("n_variants", n_variants)
+
+    def _check_all(self, probabilities: Sequence[float], n_variants: int) -> None:
+        """:meth:`_check` for every element, with C-level passes: a NaN
+        anywhere makes the sum NaN, and without one ``min``/``max``
+        bound the vector. The first offending element raises the same
+        message the per-element check would."""
+        if len(probabilities):
+            total = sum(probabilities)
+            if total != total or min(probabilities) < 0.0 or max(probabilities) > 1.0:
+                for p in probabilities:
+                    self._check(p, n_variants)
         check_positive_int("n_variants", n_variants)
 
 
@@ -60,6 +91,16 @@ class TechniqueT1(ThresholdScheme):
     def select_level(self, probability: float, n_variants: int) -> int | None:
         self._check(probability, n_variants)
         return min(int(probability * n_variants), n_variants - 1)
+
+    def select_levels(
+        self, probabilities: Sequence[float], n_variants: int
+    ) -> list[int | None]:
+        self._check_all(probabilities, n_variants)
+        top = n_variants - 1
+        return [
+            level if (level := int(p * n_variants)) < top else top
+            for p in probabilities
+        ]
 
 
 class TechniqueT2(ThresholdScheme):
@@ -73,6 +114,19 @@ class TechniqueT2(ThresholdScheme):
             return 0
         upper = n_variants - 1  # number of areas over (0, 1]
         return 1 + min(int(probability * upper), upper - 1)
+
+    def select_levels(
+        self, probabilities: Sequence[float], n_variants: int
+    ) -> list[int | None]:
+        self._check_all(probabilities, n_variants)
+        if n_variants == 1:
+            return [0] * len(probabilities)
+        upper = n_variants - 1
+        top = upper - 1
+        return [
+            0 if p == 0.0 else 1 + (a if (a := int(p * upper)) < top else top)
+            for p in probabilities
+        ]
 
 
 class MonotoneScheme(ThresholdScheme):
@@ -95,8 +149,18 @@ class MonotoneScheme(ThresholdScheme):
 
     def select_level(self, probability: float, n_variants: int) -> int | None:
         self._check(probability, n_variants)
-        level = int(np.searchsorted(self.cuts, probability, side="right"))
-        return min(level, n_variants - 1)
+        return min(bisect_right(self.cuts, probability), n_variants - 1)
+
+    def select_levels(
+        self, probabilities: Sequence[float], n_variants: int
+    ) -> list[int | None]:
+        self._check_all(probabilities, n_variants)
+        cuts = self.cuts
+        top = n_variants - 1
+        return [
+            level if (level := bisect_right(cuts, p)) < top else top
+            for p in probabilities
+        ]
 
 
 _SCHEMES: dict[str, type[ThresholdScheme]] = {

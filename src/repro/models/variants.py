@@ -171,6 +171,10 @@ class ModelFamily:
         return (variant.accuracy - lower.accuracy) / 100.0
 
     def _check_member(self, variant: ModelVariant) -> None:
+        variants = self.variants
+        level = variant.level
+        if 0 <= level < len(variants) and variants[level] is variant:
+            return  # the registered object itself: a member by construction
         if variant.family != self.name:
             raise ValueError(
                 f"variant {variant.name!r} is not a member of family {self.name!r}"

@@ -108,7 +108,13 @@ __all__ = [
 #: A v5 file may hold a ``"fast"`` or ``"session:fast"`` snapshot that
 #: no engine can restore, so v5 is refused with the version message;
 #: the reference and fleet payloads are unchanged.
-CHECKPOINT_SCHEMA_VERSION = 6
+#: v7: the pickled PULSE policy changed layout. The reference
+#: estimator's per-function history keeps its histograms as ``int``
+#: lists with running in-window sums and caches ``float`` lists (it
+#: held ``int64``/``float64`` arrays), so a v6 reference or session
+#: snapshot would restore a history the estimator can no longer read;
+#: v6 is refused with the version message. Field sets are unchanged.
+CHECKPOINT_SCHEMA_VERSION = 7
 
 #: The snapshot schema: per engine key, the fields each stepper's
 #: payload carries, in payload order. :meth:`repro.runtime.driver.

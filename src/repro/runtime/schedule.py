@@ -219,7 +219,7 @@ class KeepAliveSchedule:
                     d = counts[m]
                     d[fp] = d.get(fp, 0) + 1
                     dirty.add(m)
-                elif old is not variant and old != variant:
+                elif old is not variant:
                     entries[m] = variant
                     d = counts[m]
                     c = d[old.memory_mb] - 1
@@ -249,7 +249,7 @@ class KeepAliveSchedule:
                 fp = variant.memory_mb
                 d[fp] = d.get(fp, 0) + 1
                 dirty.add(m)
-            elif old is not variant and old != variant:
+            elif old is not variant:
                 entries[m] = variant
                 d = counts[m]
                 c = d[old.memory_mb] - 1

@@ -1192,15 +1192,13 @@ class TestColumnarHygieneRPR009:
 
 
 class TestFleetReducerCarveoutRPR002:
-    """The two reducer emit sites are carved out in the rule itself —
-    not re-waived at every call site."""
+    """The reducer's emit site is carved out in the rule itself — not
+    re-waived at every call site."""
 
     def test_carveout_list_is_pinned(self):
         from repro.analysis.rules.parity import FLEET_REDUCER_CARVEOUTS
 
-        assert FLEET_REDUCER_CARVEOUTS == frozenset(
-            {"record_peak", "record_downgrade"}
-        )
+        assert FLEET_REDUCER_CARVEOUTS == frozenset({"record_peak"})
 
     def pair(self, tmp_path, sim_extra="", fleet_extra=""):
         sim = write(
@@ -1220,12 +1218,25 @@ class TestFleetReducerCarveoutRPR002:
             tmp_path,
             fleet_extra=(
                 "\n"
-                "def reduce(rec, priority):\n"
+                "def reduce(rec):\n"
                 "    rec.record_peak(1, 2, 3, 4)\n"
-                "    priority.record_downgrade(0)\n"
             ),
         )
         assert rules_hit(paths, "RPR002") == []
+
+    def test_record_downgrade_fleet_side_flagged(self, tmp_path):
+        # The fleet engine batches its downgrade counts through
+        # ``record_downgrades`` (waived at its call), so a one-sided
+        # ``record_downgrade`` there is no longer exempt.
+        paths = self.pair(
+            tmp_path,
+            fleet_extra=(
+                "\ndef reduce(priority):\n    priority.record_downgrade(0)\n"
+            ),
+        )
+        report = lint_paths(paths, rule_ids=["RPR002"])
+        (finding,) = report.findings
+        assert "record_downgrade" in finding.message
 
     def test_other_fleet_side_hooks_still_flagged(self, tmp_path):
         paths = self.pair(

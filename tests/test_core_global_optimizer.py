@@ -1,7 +1,16 @@
 """Tests for repro.core.global_optimizer — Algorithm 2."""
 
+import json
+from collections import Counter
+
+import numpy as np
 import pytest
 
+from repro.api import make_policy, simulate
+from repro.core.pulse import PulseConfig
+from repro.core.utility import UtilityWeights, components_for
+from repro.experiments.assignments import sample_assignments
+from repro.obs.session import ObservabilityConfig
 from repro.core.function_optimizer import FunctionCentricOptimizer
 from repro.core.global_optimizer import GlobalOptimizer
 from repro.core.interarrival import InterArrivalEstimator
@@ -116,3 +125,105 @@ class TestReview:
         gopt.detector.observe(0.5)
         gopt.review(28, sched, {0: gpt})  # must return, not spin
         assert sched.alive_variant(0, 28) == gpt.lowest
+
+
+def _rescan_lowest_utility(self, alive, minute, assignment, collect=None,
+                           terms=None):
+    """The from-scratch victim scan: every term recomputed through the
+    function optimizer, ``components_for`` and ``UtilityWeights.apply``
+    on every call, ignoring the review's memo."""
+    normalized = self.priority.normalized()
+    best_fid, best_uv = None, float("inf")
+    for fid in sorted(alive):
+        variant = alive[fid]
+        ip = self.function_optimizer.invocation_probability(fid, minute)
+        if variant.level == 0 and (
+            self.function_optimizer.max_remaining_probability(fid, minute) > 0.0
+        ):
+            if collect is not None:
+                collect.append(
+                    {"fid": fid, "variant": variant.name, "protected": True}
+                )
+            continue
+        comp = components_for(
+            family=assignment[fid],
+            kept_variant=variant,
+            priority=float(normalized[fid]),
+            invocation_probability=min(ip, 1.0),
+        )
+        value = self.weights.apply(comp)
+        if collect is not None:
+            collect.append({
+                "fid": fid,
+                "variant": variant.name,
+                "Ai": comp.accuracy_improvement,
+                "Pr": comp.priority,
+                "Ip": comp.invocation_probability,
+                "Uv": value,
+            })
+        if value < best_uv:
+            best_uv, best_fid = value, fid
+    return best_fid
+
+
+class TestMemoizedReview:
+    """One review memoizes each fid's Ip and max-remaining probability and
+    scores in plain floats; victims and decision-trace rows must equal a
+    from-scratch rescan's."""
+
+    def _run(self, trace, assignment, config):
+        result = simulate(
+            trace, assignment=assignment,
+            policy=make_policy("pulse", config=config),
+            engine="reference", observe=ObservabilityConfig(),
+        )
+        downgrades = [r for r in result.obs.records if r["kind"] == "downgrade"]
+        return result, downgrades
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PulseConfig(memory_threshold=0.05),
+            PulseConfig(memory_threshold=0.02, probability_mode="hazard"),
+            PulseConfig(
+                memory_threshold=0.05, threshold_scheme="T2",
+                utility_weights=UtilityWeights(0.5, 2.0, 1.0),
+            ),
+        ],
+        ids=["T1", "hazard", "T2-weighted"],
+    )
+    def test_matches_from_scratch_rescan(self, small_trace, zoo, config,
+                                         monkeypatch):
+        assignment = sample_assignments(
+            small_trace.n_functions, 1, zoo, seed=2024
+        )[0]
+        memo, memo_downgrades = self._run(small_trace, assignment, config)
+        monkeypatch.setattr(
+            GlobalOptimizer, "_lowest_utility", _rescan_lowest_utility
+        )
+        scan, scan_downgrades = self._run(small_trace, assignment, config)
+        # Reviews with several victims and several candidates each, so
+        # memoized terms are reused within a review.
+        per_minute = Counter(r["t"] for r in memo_downgrades)
+        assert sum(n > 1 for n in per_minute.values()) > 10
+        assert any(len(r["candidates"]) > 3 for r in memo_downgrades)
+        # One JSON line per record, so a mismatch reports the first
+        # differing record instead of diffing the whole trace.
+        assert [json.dumps(r) for r in memo.obs.records] == [
+            json.dumps(r) for r in scan.obs.records
+        ]
+        for key in ("keepalive_cost_usd", "total_service_time_s",
+                    "mean_accuracy", "n_cold"):
+            assert getattr(memo, key) == getattr(scan, key)
+        np.testing.assert_array_equal(
+            memo.memory_series_mb, scan.memory_series_mb
+        )
+
+    def test_out_of_range_term_still_raises(self, gpt):
+        gopt = make_gopt(n_functions=1)
+        sched = KeepAliveSchedule(1)
+        sched.set_plan(0, 0, [gpt.highest] * 10)
+        gopt.detector.observe(10.0)
+        gopt.function_optimizer.invocation_probability = lambda fid, m: -0.25
+        with pytest.raises(ValueError, match=r"Ip must be in \[0, 1\]"):
+            gopt.review(1, sched, {0: gpt})

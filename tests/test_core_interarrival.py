@@ -214,3 +214,99 @@ class TestQueryCaching:
         np.testing.assert_array_equal(
             hot.exact_probabilities(0, now), cold.exact_probabilities(0, now)
         )
+
+
+def _numpy_reference(arrivals, now, window, local_window, normalization, mode):
+    """The array formulas the float-list estimator replaced, recomputed
+    from scratch from the arrival stream: every mode must equal them bit
+    for bit."""
+    gaps = [(m, m - prev) for prev, m in zip(arrivals, arrivals[1:])]
+    recent = [(m, g) for m, g in gaps if m >= now - local_window]
+    lifetime_counts = np.zeros(window, dtype=np.int64)
+    recent_counts = np.zeros(window, dtype=np.int64)
+    for _, g in gaps:
+        if g <= window:
+            lifetime_counts[g - 1] += 1
+    for _, g in recent:
+        if g <= window:
+            recent_counts[g - 1] += 1
+    if normalization == "window":
+        lifetime_denom = int(lifetime_counts.sum())
+        recent_denom = int(recent_counts.sum())
+    else:
+        lifetime_denom = len(gaps)
+        recent_denom = len(recent)
+    lifetime = (
+        lifetime_counts / lifetime_denom if lifetime_denom else np.zeros(window)
+    )
+    recent_p = recent_counts / recent_denom if recent_denom else np.zeros(window)
+    if lifetime_denom and recent_denom:
+        exact = (lifetime + recent_p) / 2.0
+    else:
+        exact = lifetime if lifetime_denom else recent_p
+    if mode == "exact":
+        return exact, exact
+    if mode == "cumulative":
+        return exact, np.minimum(np.cumsum(exact), 1.0)
+    survival = np.minimum(np.cumsum(exact[::-1])[::-1], 1.0)
+    if mode == "survival":
+        return exact, survival
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hazard = np.where(survival > 0, exact / survival, 0.0)
+    return exact, np.minimum(hazard, 1.0)
+
+
+class TestFloatListBitIdentity:
+    """The Python-float estimator against an in-test copy of the numpy
+    formulas, with exact equality, on streams that exercise local-window
+    eviction and gaps longer than the keep-alive window."""
+
+    @pytest.mark.parametrize("normalization", ["all", "window"])
+    @pytest.mark.parametrize("mode", ["exact", "survival", "cumulative", "hazard"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_numpy_formulas(self, mode, normalization, seed):
+        rng = np.random.default_rng(seed)
+        window, local_window = 10, 30
+        est = InterArrivalEstimator(
+            1, window=window, local_window=local_window,
+            normalization=normalization, mode=mode,
+        )
+        arrivals: list[int] = []
+        t = int(rng.integers(0, 5))
+        for _ in range(120):
+            # Mostly in-window gaps, some beyond the window, some beyond
+            # the local window (which evicts the whole recent period).
+            kind = rng.random()
+            if kind < 0.7:
+                t += int(rng.integers(1, window + 1))
+            elif kind < 0.9:
+                t += int(rng.integers(window + 1, local_window))
+            else:
+                t += int(rng.integers(local_window + 1, 3 * local_window))
+            est.observe(0, t)
+            arrivals.append(t)
+            for now in (t, t + int(rng.integers(0, 2 * local_window))):
+                exact, shaped = _numpy_reference(
+                    arrivals, now, window, local_window, normalization, mode
+                )
+                assert est.probability_values(0, now) == shaped.tolist()
+                assert est.exact_values(0, now) == exact.tolist()
+                assert est.probabilities(0, now).tolist() == shaped.tolist()
+                assert est.exact_probabilities(0, now).tolist() == exact.tolist()
+                offset = now - t
+                ip = est.invocation_probability(0, now)
+                if offset == 0:
+                    assert ip == 1.0
+                elif offset > window:
+                    assert ip == 0.0
+                else:
+                    assert ip == float(exact[offset - 1])
+            # Later queries never move backwards in time.
+            t = max(t, now)
+
+    def test_public_arrays_are_read_only(self):
+        est = InterArrivalEstimator(1, mode="survival")
+        feed(est, 0, range(0, 30, 3))
+        for arr in (est.probabilities(0, 30), est.exact_probabilities(0, 30)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5

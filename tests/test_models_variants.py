@@ -1,5 +1,7 @@
 """Tests for repro.models.variants."""
 
+import dataclasses
+
 import pytest
 
 from repro.models.variants import ModelFamily, ModelVariant
@@ -119,6 +121,23 @@ class TestModelFamily:
         other = make_variant(level=0, family="Other")
         with pytest.raises(ValueError, match="not a member"):
             fam.downgrade(other)
+
+    def test_equal_copy_is_a_member(self):
+        # The identity fast path must not turn away an equal object that
+        # is not the registered one (e.g. one restored from a pickle).
+        fam = make_family()
+        copy = dataclasses.replace(fam.variant(1))
+        assert copy is not fam.variant(1)
+        assert fam.downgrade(copy) is fam.lowest
+        assert fam.accuracy_improvement(copy) == fam.accuracy_improvement(
+            fam.variant(1)
+        )
+
+    def test_rejects_impostor_at_a_registered_level(self):
+        fam = make_family()
+        impostor = make_variant(level=1, accuracy=85.0)
+        with pytest.raises(ValueError, match="does not match"):
+            fam.upgrade(impostor)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):

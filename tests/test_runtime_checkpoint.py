@@ -364,7 +364,10 @@ class TestRetiredFastEngine:
             payload=states[0].payload,
             schema_version=5,
         ).save(tmp_path / "v5.ckpt")
-        with pytest.raises(ValueError, match=r"schema v5 .*expects v6"):
+        with pytest.raises(
+            ValueError,
+            match=rf"schema v5 .*expects v{CHECKPOINT_SCHEMA_VERSION}",
+        ):
             simulate(
                 tiny_trace, assignment=tiny_assignment, policy="pulse",
                 resume_from=path,
@@ -425,6 +428,58 @@ class TestSchemaNotes:
     def test_current_version_has_a_migration_note(self):
         source = inspect.getsource(checkpoint_module)
         assert f"v{CHECKPOINT_SCHEMA_VERSION}:" in source
+
+    def test_v7_note_names_the_estimator_layout(self):
+        assert CHECKPOINT_SCHEMA_VERSION == 7
+        source = inspect.getsource(checkpoint_module)
+        note = source[source.index("#: v7:"):source.index("CHECKPOINT_SCHEMA_VERSION =")]
+        assert "estimator" in note and "v6 is refused" in note
+
+
+class TestFloatListEstimatorBump:
+    """v7 pickles the reference estimator's histories as Python lists;
+    a v6 envelope (array-backed histories) is refused by version."""
+
+    def _state(self, tiny_trace, tiny_assignment) -> SimulationState:
+        states: list[SimulationState] = []
+        simulate(
+            tiny_trace, assignment=tiny_assignment, policy="pulse",
+            engine="reference",
+            checkpoint=CheckpointConfig(every_minutes=30,
+                                        on_snapshot=states.append),
+        )
+        return states[0]
+
+    def test_v6_checkpoint_file_refused_by_version(
+        self, tiny_trace, tiny_assignment, tmp_path
+    ):
+        state = self._state(tiny_trace, tiny_assignment)
+        path = SimulationState(
+            engine="reference",
+            next_minute=state.next_minute,
+            cursor=state.cursor,
+            payload=state.payload,
+            schema_version=6,
+        ).save(tmp_path / "v6.ckpt")
+        with pytest.raises(ValueError, match=r"schema v6 .*expects v7"):
+            simulate(
+                tiny_trace, assignment=tiny_assignment, policy="pulse",
+                resume_from=path,
+            )
+
+    def test_v6_wire_envelope_refused_by_version(
+        self, tiny_trace, tiny_assignment
+    ):
+        state = self._state(tiny_trace, tiny_assignment)
+        wire = SimulationState(
+            engine="session:reference",
+            next_minute=state.next_minute,
+            cursor=(),
+            payload=state.payload,
+            schema_version=6,
+        ).to_wire_json()
+        with pytest.raises(ValueError, match=r"schema v6 .*expects v7"):
+            SimulationState.from_wire_json(wire)
 
 
 class TestEnvelopeValidation:

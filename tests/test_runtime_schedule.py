@@ -5,6 +5,8 @@ any write sequence, ``memory_at`` must match a from-scratch
 recomputation over the entry maps.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,17 @@ class TestPlans:
     def test_bad_fid(self, sched, gpt):
         with pytest.raises(IndexError):
             sched.set_plan(3, 0, [gpt.highest])
+
+    def test_equal_distinct_variant_keeps_the_ledger(self, sched, gpt):
+        # set_plan compares by identity: an equal but distinct object
+        # replaces the entry, and the footprint counts stay as they were.
+        sched.set_plan(0, 0, [gpt.highest] * 10)
+        before = [sched.footprint_counts(m) for m in range(12)]
+        copy = dataclasses.replace(gpt.highest)
+        sched.set_plan(0, 0, [copy] * 10)
+        assert [sched.footprint_counts(m) for m in range(12)] == before
+        assert sched.alive_variant(0, 5) is copy
+        assert sched.memory_at(5) == gpt.highest.memory_mb
 
 
 class TestMemoryAccounting:
