@@ -2,10 +2,9 @@
 """Engine performance benchmark: reference loop vs fleet kernel.
 
 Times observed vs unobserved PULSE runs on the default 2-day synthetic
-trace in the lean engine configuration (``record_series=False,
-track_containers=False, record_events=False``), plus sweep throughput
-through ``run_policies`` at ``n_jobs`` in {1, 4}, plus the **fleet
-scaling curve**: PULSE runs at 12 / 1k / 10k / 100k functions per
+trace in the lean engine configuration (``record_series=False``), plus
+sweep throughput through ``run_policies`` at ``n_jobs`` in {1, 4}, plus
+the **fleet scaling curve**: PULSE runs at 12 / 1k / 10k / 100k functions per
 engine, each in its own subprocess so the reported peak RSS belongs to
 that point alone. Writes ``BENCH_perf.json``.
 
@@ -81,9 +80,7 @@ def bench_observability(trace, assignment, repeats: int) -> dict:
     ``overhead_enabled`` ratio is the full price of recording every
     decision, metric and span.
     """
-    lean = SimulationConfig(
-        record_series=False, track_containers=False, record_events=False
-    )
+    lean = SimulationConfig(record_series=False)
 
     def run(observe: bool) -> None:
         cfg = replace(lean, observe=observe)
@@ -118,7 +115,7 @@ def bench_sweep(trace, n_runs: int, repeats: int) -> dict:
             horizon_minutes=trace.horizon,
             seed=SEED,
             n_jobs=n_jobs,
-            sim=SimulationConfig(record_series=False, track_containers=False),
+            sim=SimulationConfig(record_series=False),
             engine="reference",
         )
 
@@ -197,7 +194,6 @@ def run_point(
     assignment = sample_assignment(n, seed=SEED)
     lean = SimulationConfig(
         record_series=False,
-        track_containers=False,
         observe=(
             ObservabilityConfig(trace_sample=OBS_TRACE_SAMPLE) if obs else None
         ),
@@ -515,8 +511,7 @@ def main() -> None:
             "seed": SEED,
             "repeats": repeats,
             "quick": args.quick,
-            "engine": "record_series=False track_containers=False "
-            "record_events=False",
+            "engine": "record_series=False",
             "platform": platform.platform(),
             "python": platform.python_version(),
             # Interpret the sweep scaling against this: n_jobs > cpus

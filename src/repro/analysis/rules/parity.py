@@ -16,10 +16,7 @@ two engine files and flags every
 
 that appears in one engine file but not the other. ``RunResult`` is not
 compared: both engines build it in the one shared
-:meth:`repro.runtime.driver.Stepper.finalize`. The event log
-(:class:`~repro.runtime.events.EventKind`) is not compared: it runs on
-the reference engine only, so the fleet engine has no event surface to
-match. A deliberate asymmetry (e.g. a hook fired from a helper that both
+:meth:`repro.runtime.driver.Stepper.finalize`. A deliberate asymmetry (e.g. a hook fired from a helper that both
 engines share) is waived at the referencing line with a reasoned
 ``# repro: lint-ok[RPR002] ...`` comment — except for the
 fleet-reducer emit site listed in :data:`FLEET_REDUCER_CARVEOUTS`,

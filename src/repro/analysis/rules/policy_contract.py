@@ -7,8 +7,8 @@ engines' lifecycle hooks (``attach_observability`` then ``bind``). Four
 mechanical mistakes break those contracts silently:
 
 - **skipping base initialisation** — a subclass ``__init__`` that never
-  calls ``super().__init__()`` leaves ``self.obs``/``self.event_sink``
-  unset, crashing only when observability is first enabled;
+  calls ``super().__init__()`` leaves ``self.obs`` and the bound-state
+  slots unset, crashing only when observability is first enabled;
 - **overriding the template hooks without delegating** — ``bind`` is a
   template method (it validates the assignment and then calls
   ``on_bind``); ``attach_observability`` wires the telemetry session.
@@ -142,7 +142,7 @@ class PolicyContractRule(Rule):
                 module,
                 init,
                 f"{cls.name}.__init__ never calls super().__init__(): the "
-                "base class wires self.obs/self.event_sink; skipping it "
+                "base class wires self.obs and the bound state; skipping it "
                 "breaks the first observed run",
             )
         for hook in DELEGATING_HOOKS:

@@ -248,10 +248,7 @@ def simulate(
       trace/assignment/policy/config that produced it.
 
     Every engine produces bit-identical metrics (fault-free and under
-    any fixed fault plan). The engines differ in speed and in the
-    opt-in observability they carry: the container pool and event log
-    (``track_containers``/``record_events``) run on the reference engine
-    only, and ``engine="fleet"`` refuses them with a ``ValueError``.
+    any fixed fault plan); they differ in speed.
 
     All arguments past ``trace`` are keyword-only (the whole ``repro.api``
     facade is — RPR007 — so call sites stay greppable and reorderable).

@@ -25,7 +25,6 @@ from repro.core.priority import PriorityStructure
 from repro.core.utility import UtilityComponents, UtilityWeights
 from repro.models.variants import ModelFamily
 from repro.obs.session import NULL_OBS
-from repro.runtime.events import EventKind
 from repro.runtime.schedule import KeepAliveSchedule
 
 __all__ = ["GlobalOptimizer"]
@@ -39,10 +38,9 @@ class GlobalOptimizer:
     utility components; the ablation harness zeroes individual terms.
     """
 
-    #: Observability session / event log; the owning policy replaces
-    #: these at bind time when the run is observed (``PulsePolicy.on_bind``).
+    #: Observability session; the owning policy replaces it at bind time
+    #: when the run is observed (``PulsePolicy.on_bind``).
     obs = NULL_OBS
-    event_sink = None
 
     def __init__(
         self,
@@ -88,7 +86,7 @@ class GlobalOptimizer:
             if obs.decisions_enabled:
                 obs.record_peak(minute, demand, prior, target)
             t0 = perf_counter() if obs.spans_enabled else 0.0
-            record = obs.decisions_enabled or self.event_sink is not None
+            record = obs.decisions_enabled
             # fid -> (Ip, max-remaining probability). Nothing writes the
             # estimator during a review, so both hold for all of it.
             terms: dict[int, tuple[float, float]] = {}
@@ -109,15 +107,10 @@ class GlobalOptimizer:
                 current = schedule.memory_at(minute)
                 if record:
                     new = schedule.alive_variant(victim, minute)
-                    new_name = new.name if new is not None else None
-                    if self.event_sink is not None:
-                        self.event_sink.emit(
-                            minute, EventKind.DOWNGRADE, victim, new_name
-                        )
-                    if obs.decisions_enabled:
-                        obs.record_downgrade(
-                            minute, victim, alive[victim].name, new_name, collect
-                        )
+                    obs.record_downgrade(
+                        minute, victim, alive[victim].name,
+                        new.name if new is not None else None, collect,
+                    )
             if obs.spans_enabled:
                 obs.spans.add("downgrade-select", perf_counter() - t0)
         self.detector.observe(demand, current)

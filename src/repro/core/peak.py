@@ -32,6 +32,7 @@ value, exactly the quantity "keep-alive memory of t-1" denotes.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 from repro.utils.validation import check_positive, check_positive_int
 
@@ -57,7 +58,10 @@ class PeakDetector:
         self.memory_threshold = memory_threshold
         self.local_window = local_window
         self.prior_rule = prior_rule
-        self._demand: list[float] = []  # pre-flattening memory per minute
+        # Pre-flattening memory of the last local_window + 1 minutes: the
+        # window plus the minute that leaves it on the next observe().
+        self._demand: deque[float] = deque(maxlen=local_window + 1)
+        self._n_minutes = 0
         self._prev_committed: float | None = None  # post-flattening, t-1
         self._last_nonzero: float | None = None
         self._window_sum = 0.0  # rolling sum of the last local_window demands
@@ -76,19 +80,20 @@ class PeakDetector:
         if committed < 0:
             raise ValueError(f"memory must be >= 0, got {committed}")
         self._demand.append(demand_mb)
+        self._n_minutes += 1
         self._window_sum += demand_mb
-        if len(self._demand) > self.local_window:
-            self._window_sum -= self._demand[-self.local_window - 1]
+        if self._n_minutes > self.local_window:
+            self._window_sum -= self._demand[0]
         if demand_mb > 0:
             self._last_nonzero = demand_mb
         self._prev_committed = committed
 
     @property
     def minutes_observed(self) -> int:
-        return len(self._demand)
+        return self._n_minutes
 
     def _window_average(self) -> float:
-        n = min(len(self._demand), self.local_window)
+        n = min(self._n_minutes, self.local_window)
         return self._window_sum / n if n else 0.0
 
     # -- Algorithm 1 ----------------------------------------------------------
@@ -99,7 +104,7 @@ class PeakDetector:
         peak-detector design) the prior is simply the previous minute's
         committed memory — no window floor, no inactivity handling.
         """
-        if not self._demand:
+        if not self._n_minutes:
             return math.inf
         prev = self._prev_committed
         assert prev is not None
@@ -113,7 +118,7 @@ class PeakDetector:
             # local-window average of demand (see module docstring).
             return max(prev, self._window_average())
         # Resumption after inactivity.
-        if len(self._demand) >= 2 * self.local_window:
+        if self._n_minutes >= 2 * self.local_window:
             avg = self._window_average()
             if avg > 0:
                 return avg

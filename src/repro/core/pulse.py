@@ -136,8 +136,6 @@ class PulsePolicy(KeepAlivePolicy):
         if self.obs.enabled:
             self._fopt.obs = self.obs
             self._gopt.obs = self.obs
-        if self.event_sink is not None:
-            self._gopt.event_sink = self.event_sink
 
     # -- engine interface ---------------------------------------------------
     def observe_invocation(self, function_id: int, minute: int, count: int) -> None:

@@ -42,7 +42,10 @@ __all__ = [
 #: longer partitioned), so a v1 manifest's config hash can never match
 #: a rebuilt config — refusing it by version names the real cause
 #: instead of a "sweep config mismatch".
-MANIFEST_SCHEMA_VERSION = 2
+#: v3: ``sweep_config["sim"]`` (the ``SimulationConfig`` repr) lost
+#: ``track_containers`` and ``record_events`` (the container pool and the
+#: event log are gone), so a v2 config hash can never match either.
+MANIFEST_SCHEMA_VERSION = 3
 
 #: Legal run states and the transitions the executor drives:
 #: pending -> running -> done | failed; failed -> running (retry/resume).

@@ -10,7 +10,7 @@ minute loop and the columnar fleet kernel:
   user-visible seconds injected at that (function, minute): retry/backoff
   latency from failed container spawns plus a contention slowdown of the
   cold-start penalty itself. It also updates the run's resilience
-  counters and, when enabled, the event log / decision trace.
+  counters and, when enabled, the decision trace.
 - **every minute's capacity check** — :meth:`effective_capacity` maps
   the configured standing memory capacity to the minute's effective one,
   applying the transient ``pressure_cap_mb`` on spike minutes. The
@@ -73,13 +73,12 @@ class FaultInjector:
 
     # -- cold-start faults -------------------------------------------------
     def cold_start_penalty(
-        self, minute: int, function_id: int, variant, rec=None, events=None
+        self, minute: int, function_id: int, variant, rec=None
     ) -> float:
         """Extra service seconds injected at one cold start.
 
         ``variant`` is the serving :class:`~repro.models.variants.ModelVariant`;
-        ``rec`` an :class:`~repro.obs.session.ObsSession` (or ``None``) and
-        ``events`` an :class:`~repro.runtime.events.EventLog` (or ``None``).
+        ``rec`` an :class:`~repro.obs.session.ObsSession` (or ``None``).
 
         Spawn model: the initial attempt fails with probability
         ``spawn_failure_rate``; each failure consumes a retry (at most
@@ -114,20 +113,6 @@ class FaultInjector:
             if failures:
                 self.n_spawn_failures += failures
                 self.n_retries += min(failures, plan.max_spawn_retries)
-                if events is not None:
-                    # Imported here, not at module level: the simulator
-                    # imports this module, and repro.runtime's __init__
-                    # imports the simulator — a top-level events import
-                    # would close that cycle.
-                    from repro.runtime.events import EventKind
-
-                    events.emit(
-                        minute,
-                        EventKind.SPAWN_FAILURE,
-                        function_id=function_id,
-                        variant_name=variant.name,
-                        value=float(failures),
-                    )
                 if rec is not None:
                     rec.record_spawn_fault(
                         minute, function_id, variant.name, failures, penalty_s

@@ -18,8 +18,7 @@ serving. The contract here mirrors that:
 - a crash in ``bind`` degrades every function from minute 0;
 - every caught fault is counted (``RunResult.n_policy_faults``),
   recorded on the decision trace (``policy_fault`` records — ``repro
-  inspect --faults`` answers "why did this function fall back"), and
-  emitted on the event log as :data:`~repro.runtime.events.EventKind.POLICY_FAULT`.
+  inspect --faults`` answers "why did this function fall back").
 
 The wrapper reports ``resilience_stats(horizon)`` — the engines collect
 it after the run via duck typing, so plain policies pay nothing.
@@ -34,8 +33,9 @@ stepped session and a resumed run.
 
 from __future__ import annotations
 
-from repro.runtime.events import EventKind
+from repro.models.variants import ModelFamily
 from repro.runtime.policy import KeepAlivePolicy
+from repro.traces.schema import Trace
 
 __all__ = ["ResilientPolicy", "FALLBACK_WINDOW_MINUTES"]
 
@@ -66,19 +66,23 @@ class ResilientPolicy(KeepAlivePolicy):
         )
 
     # -- lifecycle ---------------------------------------------------------
-    def attach_observability(self, obs=None, event_sink=None) -> None:
-        super().attach_observability(obs, event_sink)
-        self._inner.attach_observability(obs, event_sink)
+    def attach_observability(self, obs=None) -> None:
+        super().attach_observability(obs)
+        self._inner.attach_observability(obs)
 
-    def on_bind(self) -> None:
+    def bind(
+        self,
+        trace: Trace,
+        assignment: dict[int, ModelFamily],
+        keep_alive_window: int,
+    ) -> None:
+        super().bind(trace, assignment, keep_alive_window)
         try:
-            self._inner.bind(
-                self._trace, self._assignment, self._keep_alive_window
-            )
+            self._inner.bind(trace, assignment, keep_alive_window)
         except Exception as exc:  # noqa: BLE001 — isolation is the point
             self._record_fault(0, -1, "bind", exc)
             self._review_dead = True
-            for fid in range(self._trace.n_functions):
+            for fid in range(trace.n_functions):
                 self.degraded_since.setdefault(fid, 0)
 
     # -- fault bookkeeping -------------------------------------------------
@@ -87,10 +91,6 @@ class ResilientPolicy(KeepAlivePolicy):
         error = f"{type(exc).__name__}: {exc}"
         if self.obs.decisions_enabled:
             self.obs.record_policy_fault(minute, fid, hook, error)
-        if self.event_sink is not None:
-            self.event_sink.emit(
-                minute, EventKind.POLICY_FAULT, function_id=fid, variant_name=hook
-            )
 
     def _degrade(self, fid: int, minute: int, hook: str, exc: Exception) -> None:
         self._record_fault(minute, fid, hook, exc)

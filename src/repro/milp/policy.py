@@ -25,7 +25,6 @@ from scipy.sparse import csr_matrix
 
 from repro.core.pulse import PulseConfig, PulsePolicy
 from repro.milp.formulation import MilpProblem, build_peak_milp
-from repro.runtime.events import EventKind
 from repro.runtime.schedule import KeepAliveSchedule
 
 __all__ = ["MilpPolicy", "solve_milp"]
@@ -161,7 +160,7 @@ class MilpPolicy(PulsePolicy):
         """Realize the solver's selection as schedule downgrades."""
         assert self._gopt is not None
         obs = self.obs
-        record = obs.decisions_enabled or self.event_sink is not None
+        record = obs.decisions_enabled
         for fid, level in chosen.items():
             current_level = alive[fid].level
             family = self.assignment[fid]
@@ -184,9 +183,4 @@ class MilpPolicy(PulsePolicy):
                     else:
                         new_name = None
                         from_name = family.lowest.name
-                    if self.event_sink is not None:
-                        self.event_sink.emit(
-                            minute, EventKind.DOWNGRADE, fid, new_name
-                        )
-                    if obs.decisions_enabled:
-                        obs.record_downgrade(minute, fid, from_name, new_name)
+                    obs.record_downgrade(minute, fid, from_name, new_name)

@@ -1,7 +1,7 @@
 """Observability: decision traces, metrics and span timings for runs.
 
 The simulation engine can answer *what* happened (``RunResult``'s headline
-numbers, the event log) but not *why* — which probability band mapped an
+numbers) but not *why* — which probability band mapped an
 offset to which variant, which function Algorithm 2 downgraded during a
 peak and what its ``Uv = Ai + Pr + Ip`` terms were, why a particular
 invocation found nothing warm. This subpackage is that explanatory layer:
@@ -10,7 +10,7 @@ invocation found nothing warm. This subpackage is that explanatory layer:
   histograms with labeled series;
 - :mod:`repro.obs.spans`   — named wall-clock phase accumulators
   (estimate, band-mapping, peak-detect, downgrade-select,
-  pool-reconcile, engine-total);
+  engine-total);
 - :mod:`repro.obs.session` — :class:`ObsSession`, the per-run container
   the engine threads through the policy layer, and :data:`NULL_OBS`,
   the zero-cost disabled stand-in;

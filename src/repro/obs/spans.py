@@ -9,7 +9,6 @@ paper's pipeline actually consists of:
 - ``peak-detect``      — Algorithm 1 prior/IsPeak evaluation;
 - ``downgrade-select`` — Algorithm 2 utility scoring + schedule rewrite
   (or the MILP build+solve);
-- ``pool-reconcile``   — container pool reconciliation in the engine;
 - ``engine-total``     — the whole run (added by ``Simulation.run``).
 
 A span is just an accumulated ``(seconds, count)`` pair — there is no

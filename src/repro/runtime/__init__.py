@@ -7,7 +7,6 @@ warm/cold starts, keep-alive memory and provider cost. This subpackage is
 that platform:
 
 - :mod:`repro.runtime.costmodel`  — MB-minute pricing;
-- :mod:`repro.runtime.container`  — container lifecycle & pool statistics;
 - :mod:`repro.runtime.schedule`   — the keep-alive ledger policies write into;
 - :mod:`repro.runtime.policy`     — the :class:`KeepAlivePolicy` interface;
 - :mod:`repro.runtime.metrics`    — :class:`RunResult` and aggregation;
@@ -15,16 +14,12 @@ that platform:
 """
 
 from repro.runtime.costmodel import CostModel
-from repro.runtime.container import Container, ContainerPool, ContainerState
 from repro.runtime.schedule import KeepAliveSchedule
 from repro.runtime.policy import KeepAlivePolicy
 from repro.runtime.metrics import RunResult, aggregate_results, percent_improvement
 from repro.runtime.simulator import Simulation, SimulationConfig
 
 __all__ = [
-    "Container",
-    "ContainerPool",
-    "ContainerState",
     "CostModel",
     "KeepAlivePolicy",
     "KeepAliveSchedule",

@@ -17,12 +17,11 @@ make that hold:
 
 - *One pickle payload.* Everything mutable — the policy (with its
   estimators and cached plan objects), the schedule (whose uniform-plan
-  fast path compares plan objects by identity), the container pool, the
-  event log, the observability session, the capacity RNG, the fault
-  injector and the scalar accumulators — is pickled as **one** object
-  graph, so shared references (the policy's cached plan inside
-  ``schedule._last_plan``, the event log inside the pool) survive the
-  round trip with their identities intact.
+  fast path compares plan objects by identity), the observability
+  session, the capacity RNG, the fault injector and the scalar
+  accumulators — is pickled as **one** object graph, so shared
+  references (the policy's cached plan inside ``schedule._last_plan``)
+  survive the round trip with their identities intact.
 - *Boundary capture only.* Snapshots are taken between event groups,
   where the engine's local float accumulations are fully settled;
   immutable derived structures (the event table, metric handles) are
@@ -114,7 +113,15 @@ __all__ = [
 #: held ``int64``/``float64`` arrays), so a v6 reference or session
 #: snapshot would restore a history the estimator can no longer read;
 #: v6 is refused with the version message. Field sets are unchanged.
-CHECKPOINT_SCHEMA_VERSION = 7
+#: v8: the container pool and the event log are gone, so both payloads
+#: lost their ``events`` and ``pool`` fields, and two pickled classes
+#: changed layout: a bound policy keeps ``_n_functions`` instead of the
+#: whole trace (oracles still keep the trace), and the peak detector
+#: keeps a bounded demand window plus a minute count instead of every
+#: minute's demand. A v7 snapshot names modules that no longer exist and
+#: restores a detector the code can no longer read, so v7 is refused
+#: with the version message.
+CHECKPOINT_SCHEMA_VERSION = 8
 
 #: The snapshot schema: per engine key, the fields each stepper's
 #: payload carries, in payload order. :meth:`repro.runtime.driver.
@@ -128,10 +135,8 @@ CHECKPOINT_SCHEMA_VERSION = 7
 SNAPSHOT_FIELDS: dict[str, tuple[str, ...]] = {
     "reference": (
         "policy",
-        "events",
         "obs",
         "schedule",
-        "pool",
         "service_time",
         "accuracy_sum",
         "n_invocations",
@@ -150,12 +155,10 @@ SNAPSHOT_FIELDS: dict[str, tuple[str, ...]] = {
     ),
     "fleet": (
         "policy",
-        "events",
         "obs",
         "model",
         "tables",
         "fleet",
-        "pool",
         "injector",
         "service_time",
         "accuracy_sum",

@@ -100,7 +100,8 @@ class VariantTables:
         self.accuracy = np.zeros((n_fam, width))
         self.memory_mb = np.zeros((n_fam, width))
         self.ai = np.zeros((n_fam, width))  # family.accuracy_improvement
-        #: the zoo's singleton variant objects, for event/pool interop
+        #: the zoo's singleton variant objects, for decision-trace names
+        #: and fault injection
         self.variant_objs: list[list[ModelVariant]] = []
         for i, fam in enumerate(families):
             row = []

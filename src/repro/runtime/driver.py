@@ -17,12 +17,11 @@ and the trace-driven gap before a session's ``advance(minute)``.
   minute by minute.
 
 Every stepper subclasses :class:`Stepper`, the one run-state core: it
-builds the common fresh state (event log, obs session, policy binding,
-container pool, fault injector, accumulators, series), restores a
-snapshot payload after checking its key set against
-``SNAPSHOT_FIELDS``, builds the snapshot payload from that same entry
-(:meth:`Stepper.live_state`), derives the telemetry handles, walks an
-idle span minute by minute and builds the
+builds the common fresh state (obs session, policy binding, fault
+injector, accumulators, series), restores a snapshot payload after
+checking its key set against ``SNAPSHOT_FIELDS``, builds the snapshot
+payload from that same entry (:meth:`Stepper.live_state`), derives the
+telemetry handles, walks an idle span minute by minute and builds the
 :class:`~repro.runtime.metrics.RunResult`. An engine adds only its
 per-minute ``step``, its own fresh state, and the names of its
 snapshot-carried fields in ``SNAPSHOT_FIELDS``.
@@ -46,8 +45,6 @@ from repro.runtime.checkpoint import (
     CheckpointConfig,
     SimulationState,
 )
-from repro.runtime.container import ContainerPool
-from repro.runtime.events import EventLog
 from repro.runtime.metrics import RunResult
 from repro.runtime.policy import KeepAlivePolicy
 from repro.utils.specs import parse_engine
@@ -95,12 +92,12 @@ def collect_resilience(
 class Stepper:
     """The run-state core of every engine, steppable one minute at a time.
 
-    Constructed fresh (``live=None``: builds the event log and obs
-    session, attaches and binds the policy, allocates the pool, the
-    fault injector, the accumulators and the series, then calls the
-    engine's :meth:`_fresh_state`) or from a restored snapshot payload
-    (``live=`` the dict from :meth:`SimulationState.restore`, plus the
-    snapshot's ``next_minute``). A restore sets exactly the fields
+    Constructed fresh (``live=None``: builds the obs session, attaches
+    and binds the policy, allocates the fault injector, the accumulators
+    and the series, then calls the engine's :meth:`_fresh_state`) or
+    from a restored snapshot payload (``live=`` the dict from
+    :meth:`SimulationState.restore`, plus the snapshot's
+    ``next_minute``). A restore sets exactly the fields
     ``SNAPSHOT_FIELDS[engine]`` names, so shared identities survive the
     one-pickle round trip, and ``attach_observability``/``bind`` are not
     re-run — the restored policy already carries its bound state.
@@ -134,21 +131,15 @@ class Stepper:
         self.next_minute = next_minute
         if live is None:
             policy = sim.policy
-            self.events = EventLog() if cfg.record_events else None
             self.obs = self._open_obs() if cfg.observe is not None else None
             # Before bind, so on_bind can wire policy sub-components.
-            # Always called: NULL_OBS and a None sink detach whatever an
-            # earlier run of the same policy object left attached.
+            # Always called: NULL_OBS detaches whatever an earlier run of
+            # the same policy object left attached.
             policy.attach_observability(
-                self.obs if self.obs is not None else NULL_OBS, self.events
+                self.obs if self.obs is not None else NULL_OBS
             )
             policy.bind(trace, sim.assignment, cfg.keep_alive_window)
             self.policy = policy
-            self.pool = (
-                ContainerPool(self.events)
-                if (cfg.track_containers or cfg.record_events)
-                else None
-            )
             self.injector = (
                 FaultInjector(cfg.faults, self.horizon)
                 if cfg.faults is not None and cfg.faults.injects_runtime
@@ -234,8 +225,8 @@ class Stepper:
     def live_state(self) -> dict:
         """The checkpoint payload: the ``SNAPSHOT_FIELDS[engine]`` fields,
         in schema order. One dict → one pickle, so shared identities
-        (the policy's plan cache inside the schedule, the event log
-        inside the pool) survive the round trip."""
+        (the policy's plan cache inside the schedule) survive the round
+        trip."""
         return {name: getattr(self, name) for name in SNAPSHOT_FIELDS[self.engine]}
 
     def step(self, t: int, fids: np.ndarray, fid_counts: np.ndarray) -> None:
@@ -273,8 +264,6 @@ class Stepper:
             n_policy_decisions=self.n_decisions,
             memory_series_mb=self.mem_series,
             ideal_memory_series_mb=self.ideal_series,
-            pool_stats=self.pool.stats if self.pool is not None else None,
-            events=self.events,
             n_forced_downgrades=self.n_forced,
             n_checkpoints=self.n_checkpoints,
             obs=self.obs,
@@ -295,8 +284,7 @@ def open_stepper(
 
     ``engine`` is ``"reference"``, ``"fleet"``, or ``"auto"``/``None``
     (both the reference loop). ``fleet`` refuses ``measure_overhead``,
-    ``track_containers`` and ``record_events``: those need the reference
-    loop's per-function objects.
+    which needs the reference loop's per-decision cadence.
 
     ``resume_from`` is an engine checkpoint to continue. Its engine wins
     over ``None``/``"auto"``, and any other selector must name the same
@@ -321,26 +309,11 @@ def open_stepper(
         name = origin
         live, next_minute = resume_from.restore(), resume_from.next_minute
     if name == "fleet":
-        cfg = sim.config
-        if cfg.measure_overhead:
+        if sim.config.measure_overhead:
             raise ValueError(
                 "engine='fleet' cannot honor measure_overhead=True (Figure "
                 "9's metric needs the reference loop's per-minute decision "
                 "cadence); use engine='auto' or 'reference'"
-            )
-        # A snapshot taken while the pool or log was on carries it even
-        # when the resuming config no longer asks for one.
-        carried = isinstance(live, dict) and (
-            live.get("pool") is not None or live.get("events") is not None
-        )
-        if cfg.track_containers or cfg.record_events or carried:
-            raise ValueError(
-                "engine='fleet' keeps no container pool or event log "
-                f"(track_containers={cfg.track_containers}, "
-                f"record_events={cfg.record_events}"
-                f"{', snapshot carries one' if carried else ''}); use "
-                "engine='reference', or the fleet's sampled decision "
-                "traces (observe=ObservabilityConfig(trace_sample=...))"
             )
         from repro.runtime.fleet import FleetStepper
 

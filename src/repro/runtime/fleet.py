@@ -25,10 +25,7 @@ reducer, bit-identical to the reference engine (pinned by
 
 Serving is fully vectorized; floats that the reference accumulates
 sequentially are folded with :func:`~repro.runtime.columnar.seq_fold` so
-the sums stay bit-identical. The engine has one execution path: it keeps
-no container pool and no event log. ``track_containers`` and
-``record_events`` are reference-engine features, and
-:func:`~repro.runtime.driver.open_stepper` refuses them on ``fleet``.
+the sums stay bit-identical. The engine has one execution path.
 
 Observability runs columnar too: ``SimulationConfig.observe`` gets a
 :class:`~repro.obs.fleet.FleetObsSession` whose ``tally_*`` batch hooks
@@ -49,10 +46,9 @@ cadence bucket, and a resumed run
 is bit-identical to an uninterrupted one.
 
 Not supported (explicit ``ValueError``): ``measure_overhead`` (defined
-over the reference loop's per-decision cadence), ``track_containers``
-and ``record_events``, oracle policies, and policies the compiler
-cannot map onto columnar state (anything beyond PULSE and the fixed
-baselines).
+over the reference loop's per-decision cadence), oracle policies, and
+policies the compiler cannot map onto columnar state (anything beyond
+PULSE and the fixed baselines).
 """
 
 from __future__ import annotations
@@ -292,7 +288,6 @@ class FleetState:
                 penalty[i] = injector.cold_start_penalty(
                     minute, fid, variant,
                     rec if rec is not None and rec.is_sampled(fid) else None,
-                    None,
                 )
             cold_part = (
                 tables.cold_s[fam, serve_lv] + penalty + (counts - 1) * warm_s
@@ -552,8 +547,8 @@ class FleetState:
                         rebuild = True
                 if victim_rec is not None:
                     emit_downgrade(
-                        minute, victim, from_name, to_name, None,
-                        victim_rec, candidates=cand,
+                        minute, victim, from_name, to_name, victim_rec,
+                        candidates=cand,
                     )
                 # The current minute's ring entry, as ``downgrade_many``
                 # will leave it: one level down, or dropped at level 0.
@@ -723,7 +718,7 @@ class FleetState:
                     self.tables.variant(fam, level - 1).name
                     if level > 0
                     else None,
-                    None, rec, forced=True,
+                    rec, forced=True,
                 )
             if level == 0:
                 alive = alive[alive != victim]
@@ -796,8 +791,7 @@ class FleetStepper(Stepper):
     the same code either way, so a stepped replay is bit-identical to
     the batch run by construction.
 
-    Entry validation (``measure_overhead``, ``track_containers``,
-    ``record_events``) stays with
+    Entry validation (``measure_overhead``) stays with
     :func:`repro.runtime.driver.open_stepper`; the stepper assumes a
     config it can honor.
     """

@@ -6,8 +6,7 @@
 - **accuracy** — the mean accuracy delivered per invocation.
 
 :class:`RunResult` also carries per-minute memory series (for Figures 4,
-6b and 7), policy-decision overhead (Figure 9) and, when tracked,
-container-pool statistics.
+6b and 7) and policy-decision overhead (Figure 9).
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from statistics import fmean
 import numpy as np
 
 from repro.obs.session import ObsSession
-from repro.runtime.container import PoolStats
 from repro.runtime.costmodel import CostModel
-from repro.runtime.events import EventLog
 
 __all__ = ["RunResult", "aggregate_results", "percent_improvement"]
 
@@ -40,8 +37,6 @@ class RunResult:
     n_policy_decisions: int
     memory_series_mb: np.ndarray | None = None
     ideal_memory_series_mb: np.ndarray | None = None
-    pool_stats: PoolStats | None = None
-    events: EventLog | None = None
     #: Random platform downgrades forced by a memory capacity cap (0 when
     #: uncapped or when the policy kept memory within capacity).
     n_forced_downgrades: int = 0

@@ -42,30 +42,29 @@ class KeepAlivePolicy(abc.ABC):
     def __init__(self) -> None:
         self._assignment: dict[int, ModelFamily] | None = None
         self._keep_alive_window: int = 10
+        self._n_functions: int | None = None
+        #: The bound trace, kept for oracles only (:attr:`is_oracle`):
+        #: honest policies never read it, and a snapshot pickles
+        #: whatever the policy holds.
         self._trace: Trace | None = None
         #: The run's observability session (:data:`~repro.obs.session.NULL_OBS`
         #: unless the engine attached a live one). Policy instrumentation
         #: guards on its ``*_enabled`` flags, so unobserved runs pay one
         #: attribute load + branch per guarded site.
         self.obs = NULL_OBS
-        #: The run's event log, when ``record_events`` is on — lets the
-        #: policy layer emit first-class events (DOWNGRADE) itself.
-        self.event_sink = None
 
     # -- lifecycle -----------------------------------------------------------
-    def attach_observability(self, obs=None, event_sink=None) -> None:
+    def attach_observability(self, obs=None) -> None:
         """Engine hook: wire the run's telemetry before :meth:`bind`.
 
         Called by every engine before ``bind``, so ``on_bind`` can
-        propagate ``self.obs`` / ``self.event_sink`` into policy
-        sub-components. Both arguments replace what an earlier run
-        attached: ``None`` detaches (``obs`` falls back to
+        propagate ``self.obs`` into policy sub-components. It replaces
+        what an earlier run attached: ``None`` detaches (falls back to
         :data:`~repro.obs.session.NULL_OBS`), so a policy object reused
         for an unobserved run records nothing into the previous run's
         session. Wrapper policies forward this to their inner policies.
         """
         self.obs = obs if obs is not None else NULL_OBS
-        self.event_sink = event_sink
 
     def bind(
         self,
@@ -75,11 +74,13 @@ class KeepAlivePolicy(abc.ABC):
     ) -> None:
         """Attach the policy to a run.
 
-        Called once by the engine before the first minute. Non-oracle
-        policies must not read ``trace.counts`` after binding — the engine
-        hands it over only so oracles can; honest policies should use just
-        the shape metadata (``n_functions``/``horizon``) and the live
-        :meth:`observe_invocation` feed.
+        Called once by the engine before the first minute. The engine
+        hands the trace over only so oracles can read its counts: the
+        policy keeps it only when :attr:`is_oracle` is set. Honest
+        policies get :attr:`n_functions` and the live
+        :meth:`observe_invocation` feed. Wrappers that bind inner
+        policies override this, call ``super().bind(...)`` and pass the
+        trace on.
         """
         if len(assignment) != trace.n_functions:
             raise ValueError(
@@ -91,7 +92,8 @@ class KeepAlivePolicy(abc.ABC):
                 raise ValueError(f"assignment missing function {fid}")
         self._assignment = dict(assignment)
         self._keep_alive_window = keep_alive_window
-        self._trace = trace
+        self._n_functions = trace.n_functions
+        self._trace = trace if self.is_oracle else None
         self.on_bind()
 
     def on_bind(self) -> None:
@@ -114,9 +116,9 @@ class KeepAlivePolicy(abc.ABC):
 
     @property
     def n_functions(self) -> int:
-        if self._trace is None:
+        if self._n_functions is None:
             raise RuntimeError(f"policy {self.name!r} is not bound to a run yet")
-        return self._trace.n_functions
+        return self._n_functions
 
     # -- the engine-facing decisions --------------------------------------
     def observe_invocation(self, function_id: int, minute: int, count: int) -> None:

@@ -13,8 +13,8 @@ Per-minute order of operations (§5 of DESIGN.md):
    for the next K minutes;
 3. run the policy's cross-function review (PULSE flattens peaks here by
    rewriting schedule entries for the current and future minutes);
-4. reconcile the container pool, commit the minute's keep-alive memory to
-   the ledger and accumulate cost.
+4. commit the minute's keep-alive memory to the ledger and accumulate
+   cost.
 
 The *ideal* memory series (Figure 6b's reference) is accounted alongside:
 a container of the assigned family's highest variant alive exactly during
@@ -24,7 +24,7 @@ invocation minutes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,6 @@ from repro.obs.session import ObservabilityConfig, ObsSession
 from repro.runtime.checkpoint import CheckpointConfig, SimulationState
 from repro.runtime.costmodel import CostModel
 from repro.runtime.driver import Stepper, drive, open_stepper
-from repro.runtime.events import EventKind, EventLog
 from repro.runtime.metrics import RunResult
 from repro.runtime.policy import KeepAlivePolicy
 from repro.runtime.schedule import KeepAliveSchedule
@@ -57,33 +56,25 @@ def emit_downgrade(
     victim: int,
     from_name: str,
     to_name: str | None,
-    events: EventLog | None,
-    obs: ObsSession | None,
+    obs: ObsSession,
     *,
     forced: bool = False,
     candidates: list[dict] | None = None,
 ) -> None:
-    """One downgrade's telemetry — the DOWNGRADE event plus the decision
-    trace record — in one place, shared by every emit site.
+    """One downgrade's decision-trace record, shared by every emit site.
 
     The capacity valve below, the fleet reducer's Algorithm 2 and its
     valve all funnel through this helper, so the record schema cannot
-    drift between engines. The DOWNGRADE event is reference-only (the
-    fleet passes ``events=None``): ``value=1.0`` marks a forced valve
-    victim, ``0.0`` an Algorithm-2 one, matching
-    ``GlobalOptimizer.review``'s emissions. Pass ``obs=None`` to skip
-    the trace record (e.g. fleet victims outside the trace sample).
+    drift between engines. ``forced=True`` marks a capacity-valve
+    victim. Callers skip the call when nothing is recorded (fleet
+    victims outside the trace sample, unobserved runs).
     """
-    if events is not None:
-        events.emit(minute, EventKind.DOWNGRADE, victim, to_name,
-                    1.0 if forced else 0.0)
-    if obs is not None:
-        # repro: lint-ok[RPR002] record_downgrade fires only here and in
-        # GlobalOptimizer.review; every engine funnels through one of the two
-        obs.record_downgrade(
-            minute, victim, from_name, to_name,
-            candidates=candidates, forced=forced,
-        )
+    # repro: lint-ok[RPR002] record_downgrade fires only here and in
+    # GlobalOptimizer.review; every engine funnels through one of the two
+    obs.record_downgrade(
+        minute, victim, from_name, to_name,
+        candidates=candidates, forced=forced,
+    )
 
 
 def apply_capacity_valve(
@@ -92,7 +83,6 @@ def apply_capacity_valve(
     capacity_mb: float,
     rng,
     assignment: dict[int, ModelFamily],
-    events: EventLog | None = None,
     obs: ObsSession | None = None,
 ) -> int:
     """§III-A's provider pressure valve: randomly downgrade kept-alive
@@ -106,15 +96,14 @@ def apply_capacity_valve(
     fid-sorted throughout, which keeps victim selection deterministic
     under ``capacity_seed``.
 
-    ``events``/``obs`` only *record* each forced downgrade (DOWNGRADE
-    events with ``value=1.0``; ``forced=True`` trace records) — victim
-    selection and the RNG stream are unaffected.
+    ``obs`` only *records* each forced downgrade (``forced=True``
+    trace records) — victim selection and the RNG stream are unaffected.
     """
     if schedule.memory_at(minute) <= capacity_mb:
         return 0
     alive_fids = np.fromiter(schedule.alive_at(minute), dtype=np.int64)
     n_forced = 0
-    record = events is not None or obs is not None
+    record = obs is not None
     while schedule.memory_at(minute) > capacity_mb and alive_fids.size:
         victim = int(rng.choice(alive_fids))
         if record:
@@ -126,7 +115,7 @@ def apply_capacity_valve(
             emit_downgrade(
                 minute, victim, frm.name,
                 new.name if new is not None else None,
-                events, obs, forced=True,
+                obs, forced=True,
             )
         if new is None:
             alive_fids = alive_fids[alive_fids != victim]
@@ -141,14 +130,10 @@ class SimulationConfig:
     memory/cost-error figures; disable for large sweeps).
     ``measure_overhead`` wall-clocks every policy decision (Figure 9).
 
-    Two observability opt-ins, off by default because no headline metric
-    reads them, run on the reference engine only (``engine="fleet"``
-    refuses them; its decision traces are ``observe``'s sampled records):
-    ``track_containers`` maintains the container pool (per-container
-    lifecycle statistics on ``RunResult.pool_stats``), and
-    ``record_events`` collects a structured event log (cold/warm starts,
-    pre-warms, evictions, memory commits) on ``RunResult.events``, which
-    implies the pool for the pre-warm/eviction events.
+    ``track_containers`` and ``record_events`` are the removed container
+    pool and event log: ``False`` (the default) is accepted and ignored,
+    ``True`` raises ``ValueError``. Neither is stored. The per-event
+    record of a run is its decision trace (``observe=``).
 
     ``memory_capacity_mb`` models the provider's finite memory (§III-A:
     memory "is shared between actual invocations and keep-alive"). When a
@@ -168,9 +153,9 @@ class SimulationConfig:
     keep_alive_window: int = 10
     cost_model: CostModel = field(default_factory=CostModel)
     record_series: bool = True
-    track_containers: bool = False
+    track_containers: InitVar[bool] = False
     measure_overhead: bool = False
-    record_events: bool = False
+    record_events: InitVar[bool] = False
     memory_capacity_mb: float | None = None
     capacity_seed: int = 0
     faults: FaultPlan | None = None
@@ -181,7 +166,18 @@ class SimulationConfig:
     #: test in ``tests/test_obs_equivalence.py`` pins bit-identity).
     observe: ObservabilityConfig | bool | None = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, track_containers: bool, record_events: bool) -> None:
+        for name, value in (
+            ("track_containers", track_containers),
+            ("record_events", record_events),
+        ):
+            if value:
+                raise ValueError(
+                    f"{name}=True is no longer supported: the container "
+                    "pool and the event log were removed; record cold "
+                    "starts, downgrades and faults with "
+                    "observe=ObservabilityConfig(...) decision traces"
+                )
         check_positive_int("keep_alive_window", self.keep_alive_window)
         if self.memory_capacity_mb is not None and self.memory_capacity_mb <= 0:
             raise ValueError(
@@ -295,7 +291,7 @@ class ReferenceStepper(Stepper):
     """The reference engine, one minute at a time.
 
     :meth:`step` executes exactly one minute (§5 order of operations —
-    pre-warm, serve+plan, review, valve, commit); the shared core
+    serve+plan, review, valve, commit); the shared core
     (:class:`~repro.runtime.driver.Stepper`) owns construction, restore,
     idle spans and :meth:`finalize`. The batch driver
     (:func:`repro.runtime.driver.drive`) and incremental sessions
@@ -352,16 +348,13 @@ class ReferenceStepper(Stepper):
         # mutated scalars are written back at the end of the minute.
         policy = self.policy
         schedule = self.schedule
-        pool = self.pool
-        events = self.events
-        rec, met, spans = self.rec, self.met, self.spans
+        rec, met = self.rec, self.met
         inv_counters, cold_counters = self.inv_counters, self.cold_counters
         warm_counter = self.warm_counter
         injector = self.injector
         last_arrival = self.last_arrival
         measure = self.measure
         clock = time.perf_counter
-        n_fn = self.n_fn
         service_time = self.service_time
         accuracy_sum = self.accuracy_sum
         n_invocations = self.n_invocations
@@ -369,18 +362,6 @@ class ReferenceStepper(Stepper):
         n_cold = self.n_cold
         overhead = self.overhead
         n_decisions = self.n_decisions
-
-        # Pre-warm pass: realize the schedule's decisions for this
-        # minute before invocations arrive.
-        if pool is not None:
-            if spans is None:
-                for fid in range(n_fn):
-                    pool.reconcile(fid, schedule.alive_variant(fid, t), t)
-            else:
-                s0 = clock()
-                for fid in range(n_fn):
-                    pool.reconcile(fid, schedule.alive_variant(fid, t), t)
-                spans.add("pool-reconcile", clock() - s0)
 
         # 1 + 2: serve invocations, then plan.
         for fid, count in zip(fids.tolist(), fid_counts.tolist()):
@@ -402,26 +383,13 @@ class ReferenceStepper(Stepper):
                 else:
                     service_time += (
                         variant.cold_service_time_s
-                        + injector.cold_start_penalty(
-                            t, fid, variant, rec, events
-                        )
+                        + injector.cold_start_penalty(t, fid, variant, rec)
                         + (count - 1) * variant.warm_service_time_s
                     )
                 n_cold += 1
                 n_warm += count - 1
                 accuracy_sum += count * variant.accuracy
                 schedule.mark_alive(fid, t, variant)
-                if pool is not None:
-                    pool.cold_start(fid, variant, t)
-                    # repro: lint-ok[RPR002] container-pool bookkeeping, not
-                    # an obs hook: the pool runs on the reference engine only
-                    pool.record_served(fid, count)
-                if events is not None:
-                    events.emit(t, EventKind.COLD_START, fid, variant.name, 1)
-                    if count > 1:
-                        events.emit(
-                            t, EventKind.WARM_START, fid, variant.name, count - 1
-                        )
                 if rec is not None:
                     rec.record_cold(
                         t, fid, variant.name, count, last_arrival[fid]
@@ -434,10 +402,6 @@ class ReferenceStepper(Stepper):
                 service_time += count * alive.warm_service_time_s
                 n_warm += count
                 accuracy_sum += count * alive.accuracy
-                if pool is not None:
-                    pool.record_served(fid, count)
-                if events is not None:
-                    events.emit(t, EventKind.WARM_START, fid, alive.name, count)
                 if met is not None:
                     warm_counter.inc(count)
             n_invocations += count
@@ -478,26 +442,12 @@ class ReferenceStepper(Stepper):
             if cap_t is not None:
                 self.n_forced += apply_capacity_valve(
                     schedule, t, cap_t, self.capacity_rng, self.assignment,
-                    events, rec,
+                    rec,
                 )
 
-        # 4: commit the minute — settle containers on the post-review
-        # variants, then charge warm minutes.
-        if pool is not None:
-            if spans is None:
-                for fid in range(n_fn):
-                    pool.reconcile(fid, schedule.alive_variant(fid, t), t)
-            else:
-                s0 = clock()
-                for fid in range(n_fn):
-                    pool.reconcile(fid, schedule.alive_variant(fid, t), t)
-                spans.add("pool-reconcile", clock() - s0)
-            pool.tick_all()
-
+        # 4: commit the minute — charge the post-review warm minutes.
         mem_t = schedule.memory_at(t)
         self.total_mb_minutes += mem_t
-        if events is not None:
-            events.emit(t, EventKind.MEMORY_COMMIT, value=mem_t)
         if met is not None:
             self.mem_hist.observe(mem_t)
         if self.mem_series is not None:

@@ -54,13 +54,13 @@ class PulseIntegratedPolicy(KeepAlivePolicy):
         self.is_oracle = base.is_oracle
 
     # -- lifecycle ------------------------------------------------------------
-    def attach_observability(self, obs=None, event_sink=None) -> None:
-        super().attach_observability(obs, event_sink)
+    def attach_observability(self, obs=None) -> None:
+        super().attach_observability(obs)
         # The inner PULSE makes the actual variant/downgrade decisions, so
         # it owns the trace; the base predictor sees the session too in
         # case a custom base instruments itself.
-        self.base.attach_observability(obs, event_sink)
-        self.pulse.attach_observability(obs, event_sink)
+        self.base.attach_observability(obs)
+        self.pulse.attach_observability(obs)
 
     def bind(
         self,

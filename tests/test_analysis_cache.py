@@ -127,11 +127,9 @@ class TestProjectScopeInteraction:
             tmp_path,
             "engines/simulator.py",
             """\
-            from repro.runtime.events import EventKind
-
-            def run(events, obs):
-                for e in events:
-                    if e.kind is EventKind.COLD_START:
+            def run(records, obs):
+                for r in records:
+                    if r.cold:
                         obs.record_cold()
             """,
         )
@@ -139,10 +137,8 @@ class TestProjectScopeInteraction:
             tmp_path,
             "engines/fleet.py",
             """\
-            from repro.runtime.events import EventKind
-
-            def run(events, obs):
-                if events and events[0].kind is EventKind.COLD_START:
+            def run(records, obs):
+                if records and records[0].cold:
                     obs.record_cold()
             """,
         )

@@ -191,9 +191,13 @@ class TestEngineParityRPR002:
         )
         assert rules_hit(self.pair(tmp_path, sim=sim, fleet=fleet), "RPR002") == []
 
-    def test_event_kinds_not_compared(self, tmp_path):
-        # The event log runs on the reference engine only.
-        sim = SIM_TEMPLATE + "\nKIND = EventKind.COLD_START\n"
+    def test_non_metric_strings_not_compared(self, tmp_path):
+        # Only strings handed to counter/gauge/histogram are metric
+        # names: a one-sided span name or string constant is not.
+        sim = SIM_TEMPLATE.replace(
+            "def run(obs, met):\n",
+            'def run(obs, met, spans):\n    spans.add("engine-only", 0.0)\n',
+        ) + '\nKIND = "sim_only_total"\n'
         assert rules_hit(self.pair(tmp_path, sim=sim), "RPR002") == []
 
     def test_unpaired_engine_file_not_compared(self, tmp_path):

@@ -1,9 +1,13 @@
 """Tests for repro.core.pulse — the assembled policy."""
 
+import io
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.baselines.openwhisk import OpenWhiskPolicy
+from repro.baselines.static import IntelligentOraclePolicy
 from repro.core.pulse import PulseConfig, PulsePolicy
 from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.traces.schema import FunctionSpec, Trace
@@ -145,3 +149,34 @@ class TestPulseHeadlineShape:
 
     def test_warm_starts_comparable(self, runs):
         assert runs["pulse"].warm_fraction >= runs["openwhisk"].warm_fraction - 0.05
+
+
+class _TypeSpy(pickle.Pickler):
+    """A pickler that notes the type of every object it serializes."""
+
+    def __init__(self, file):
+        super().__init__(file)
+        self.types: set[type] = set()
+
+    def reducer_override(self, obj):
+        self.types.add(type(obj))
+        return NotImplemented
+
+
+def pickled_types(obj) -> set[type]:
+    spy = _TypeSpy(io.BytesIO())
+    spy.dump(obj)
+    return spy.types
+
+
+class TestBoundState:
+    def test_bound_policy_holds_no_trace(self, small_trace, assignment):
+        policy = PulsePolicy()
+        Simulation(small_trace, assignment, policy).run()
+        assert policy.n_functions == small_trace.n_functions
+        assert Trace not in pickled_types(policy)
+
+    def test_oracle_keeps_the_trace(self, small_trace, assignment):
+        policy = IntelligentOraclePolicy()
+        policy.bind(small_trace, assignment, 10)
+        assert Trace in pickled_types(policy)

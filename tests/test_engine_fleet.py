@@ -40,7 +40,6 @@ from repro.models.zoo import default_zoo
 from repro.obs.fleet import CANDIDATE_CAP
 from repro.obs.session import ObservabilityConfig
 from repro.runtime.columnar import RingSchedule, VariantTables, seq_fold
-from repro.runtime.events import EventKind
 from repro.runtime.fleet import _vector_levels
 from repro.runtime.schedule import KeepAliveSchedule
 from repro.runtime.simulator import Simulation, SimulationConfig
@@ -127,22 +126,13 @@ def ref_vs_fleet(trace, assignment, factory, cfg):
     return ref, fleet
 
 
-def event_story(events):
-    """The reference event log's cold starts and downgrades, in order, in
-    the shape :func:`trace_story` gives the decision trace."""
-    return [
-        (e.minute, e.kind.value, e.function_id, e.variant_name, e.value)
-        for e in events
-        if e.kind in (EventKind.COLD_START, EventKind.DOWNGRADE)
-    ]
-
-
 def trace_story(result):
-    """The decision trace's cold starts and downgrades, in order."""
+    """The decision trace's cold starts and downgrades, interleaved in
+    recording order, with each downgrade's ``forced`` flag."""
     return [
-        (r["t"], "cold_start", r["fid"], r["variant"], 1.0)
+        (r["t"], "cold", r["fid"], r["variant"])
         if r["kind"] == "cold"
-        else (r["t"], "downgrade", r["fid"], r["to"], float(r["forced"]))
+        else (r["t"], "downgrade", r["fid"], r["to"], r["forced"])
         for r in result.obs.records
         if r["kind"] in ("cold", "downgrade")
     ]
@@ -165,18 +155,14 @@ class TestGoldenEquivalence:
 
     @pytest.mark.parametrize("name", ["openwhisk", "pulse", "pulse-t2"])
     def test_event_log(self, small_trace, assignment, name):
-        """The event log stays on the reference engine; its cold starts
-        and downgrade victims, in order, are the fleet's decision trace."""
+        """The reference decision trace's cold starts and downgrade
+        victims, interleaved in order, are the fleet's."""
         cfg = traced(SimulationConfig(), small_trace)
-        ref = Simulation(
-            small_trace, assignment, POLICIES[name](),
-            replace(cfg, record_events=True),
-        ).run(engine="reference")
-        fleet = Simulation(
-            small_trace, assignment, POLICIES[name](), cfg
-        ).run(engine="fleet")
+        ref, fleet = ref_vs_fleet(small_trace, assignment, POLICIES[name], cfg)
         assert_identical(ref, fleet)
-        assert event_story(ref.events) == trace_story(fleet)
+        story = trace_story(ref)
+        assert any(s[1] == "cold" for s in story)
+        assert story == trace_story(fleet)
 
     @pytest.mark.parametrize("name", ["openwhisk", "pulse"])
     def test_capacity_valve(self, small_trace, assignment, name):
@@ -192,16 +178,13 @@ class TestGoldenEquivalence:
             SimulationConfig(memory_capacity_mb=4000.0, capacity_seed=11),
             small_trace,
         )
-        ref = Simulation(
-            small_trace, assignment, PulsePolicy(),
-            replace(cfg, record_events=True),
-        ).run(engine="reference")
-        fleet = Simulation(small_trace, assignment, PulsePolicy(), cfg).run(
-            engine="fleet"
-        )
-        assert any(r["forced"] for r in decisions(fleet, "downgrade"))
+        ref, fleet = ref_vs_fleet(small_trace, assignment, PulsePolicy, cfg)
+        story = trace_story(ref)
+        # Both kinds of downgrade are exercised: Algorithm 2's and the
+        # valve's forced ones.
+        assert {s[4] for s in story if s[1] == "downgrade"} == {False, True}
         assert_identical(ref, fleet)
-        assert event_story(ref.events) == trace_story(fleet)
+        assert story == trace_story(fleet)
 
     @pytest.mark.parametrize(
         "spec",
@@ -440,74 +423,6 @@ class TestRejections:
         )
         with pytest.raises(ValueError, match="fleet"):
             sim.run(engine="fleet")
-
-    @pytest.mark.parametrize(
-        "opt_in", [{"track_containers": True}, {"record_events": True}]
-    )
-    def test_pool_and_event_log_refused(self, small_trace, assignment, opt_in):
-        from repro.api import simulate
-        from repro.serve.session import open_session
-
-        cfg = SimulationConfig(**opt_in)
-        with pytest.raises(ValueError, match="engine='reference'"):
-            simulate(
-                small_trace, assignment=assignment, policy=PulsePolicy(),
-                config=cfg, engine="fleet",
-            )
-        with pytest.raises(ValueError, match="engine='reference'"):
-            open_session(
-                small_trace, assignment=assignment, config=cfg, engine="fleet"
-            )
-
-    def test_restore_of_pool_tracking_session_refused(
-        self, small_trace, assignment
-    ):
-        """A fleet session snapshot whose config tracks containers (the
-        old default) is refused before any minute is stepped."""
-        from repro.runtime.checkpoint import SimulationState
-        from repro.serve.session import ControlSession, open_session
-
-        session = open_session(
-            small_trace, assignment=assignment, engine="fleet"
-        )
-        session.advance(30)
-        snap = session.snapshot()
-        payload = snap.restore()
-        payload["meta"]["config"] = replace(
-            payload["meta"]["config"], track_containers=True
-        )
-        old = SimulationState.snapshot(
-            snap.engine, snap.next_minute, snap.cursor, payload
-        )
-        with pytest.raises(ValueError, match="engine='reference'"):
-            ControlSession.restore(old)
-        ControlSession.restore(snap)  # the untouched snapshot still restores
-
-    def test_resume_of_checkpoint_carrying_a_pool_refused(
-        self, small_trace, assignment
-    ):
-        from repro.runtime.checkpoint import CheckpointConfig, SimulationState
-        from repro.runtime.container import ContainerPool
-
-        states = []
-        Simulation(
-            small_trace, assignment, PulsePolicy(), SimulationConfig()
-        ).run(
-            engine="fleet",
-            checkpoint=CheckpointConfig(
-                every_minutes=240, on_snapshot=states.append
-            ),
-        )
-        live = states[0].restore()
-        live["pool"] = ContainerPool()
-        carried = SimulationState.snapshot(
-            "fleet", states[0].next_minute, states[0].cursor, live
-        )
-        sim = Simulation(
-            small_trace, assignment, PulsePolicy(), SimulationConfig()
-        )
-        with pytest.raises(ValueError, match="snapshot carries one"):
-            sim.run(resume_from=carried)
 
     def test_checkpoint_accepted(self, small_trace, assignment, tmp_path):
         # Checkpointing is no longer rejected: the shared batch driver

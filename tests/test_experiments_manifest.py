@@ -102,6 +102,28 @@ class TestManifestLifecycle:
             run_sweep(trace, policies=["pulse"], durable=True, resume=path)
         assert "policy set" not in str(exc_info.value)
 
+    def test_v2_manifest_refused_by_version(self, tmp_path):
+        """A v2 manifest hashed a ``sim`` repr that still named
+        ``track_containers``/``record_events``; resume refuses it by
+        version rather than as a config mismatch."""
+        from repro.api import run_sweep
+
+        trace = _trace([[1, 0, 2]])
+        v2_config = {
+            "policies": ["pulse"], "n_runs": 1, "horizon_minutes": 3,
+            "seed": 7, "engine": "auto",
+            "sim": "SimulationConfig(track_containers=False, "
+            "record_events=False)",
+            "resilient": False,
+        }
+        m = RunManifest.create(v2_config, trace, ["pulse"], 1)
+        m.schema_version = 2
+        path = m.save(tmp_path / "manifest.json")
+        version_msg = r"manifest schema v2 is not readable by this build"
+        with pytest.raises(ValueError, match=version_msg) as exc_info:
+            run_sweep(trace, policies=["pulse"], durable=True, resume=path)
+        assert "sweep config mismatch" not in str(exc_info.value)
+
     def test_verify_trace_refuses_mismatch(self):
         m = RunManifest.create(SWEEP_CONFIG, _trace([[1, 2]]), ["pulse"], 1)
         m.verify_trace(_trace([[1, 2]]))  # identical content: fine

@@ -16,7 +16,7 @@ CONFIG = ExperimentConfig(
     n_runs=2,
     horizon_minutes=360,
     seed=7,
-    sim=SimulationConfig(track_containers=False),
+    sim=SimulationConfig(),
 )
 
 

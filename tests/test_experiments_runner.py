@@ -79,7 +79,7 @@ class TestRunPolicies:
             n_runs=3,
             horizon_minutes=240,
             seed=7,
-            sim=SimulationConfig(record_series=False, track_containers=False),
+            sim=SimulationConfig(record_series=False),
         )
         trace = default_trace(cfg)
         policies = {"ow": OpenWhiskPolicy, "low": AllLowQualityPolicy}

@@ -10,10 +10,11 @@ from __future__ import annotations
 import pytest
 from tests.test_engine_fleet import assert_identical
 
+from repro.baselines.ideal import IdealOraclePolicy
 from repro.baselines.openwhisk import OpenWhiskPolicy
+from repro.baselines.static import IntelligentOraclePolicy
 from repro.core.pulse import PulsePolicy
 from repro.faults.isolation import FALLBACK_WINDOW_MINUTES, ResilientPolicy
-from repro.runtime.events import EventKind
 from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.serve.session import open_session
 
@@ -117,15 +118,13 @@ class TestCrashIsolation:
         policy = ResilientPolicy(CrashOnPlan())
         r = Simulation(
             small_trace, assignment, policy,
-            SimulationConfig(observe=True, record_events=True),
+            SimulationConfig(observe=True),
         ).run(engine="reference")
         faults = [rec for rec in r.obs.records if rec["kind"] == "policy_fault"]
         assert len(faults) == 1
         assert faults[0]["hook"] == "plan"
         assert faults[0]["error"] == "RuntimeError: boom"
         assert faults[0]["fid"] == 2
-        events = [e for e in r.events if e.kind is EventKind.POLICY_FAULT]
-        assert len(events) == 1
 
     def test_double_wrap_rejected(self):
         with pytest.raises(ValueError, match="already"):
@@ -140,3 +139,24 @@ class TestCrashIsolation:
 
     def test_fallback_window_is_the_paper_default(self):
         assert FALLBACK_WINDOW_MINUTES == 10
+
+
+class TestWrappedBinding:
+    """The wrapper passes the trace through ``bind`` itself: a wrapped
+    oracle still reads its counts, a wrapped honest policy runs as bare."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [PulsePolicy, IntelligentOraclePolicy, IdealOraclePolicy],
+        ids=["pulse", "oracle", "ideal"],
+    )
+    def test_wrapped_run_matches_bare(self, small_trace, assignment, factory):
+        cfg = SimulationConfig(memory_capacity_mb=4000.0, capacity_seed=11)
+        bare = Simulation(
+            small_trace, assignment, factory(), cfg
+        ).run(engine="reference")
+        wrapped = Simulation(
+            small_trace, assignment, ResilientPolicy(factory()), cfg
+        ).run(engine="reference")
+        assert wrapped.n_policy_faults == 0
+        assert_identical(bare, wrapped)

@@ -26,7 +26,7 @@ from repro.runtime.simulator import Simulation, SimulationConfig
 
 @pytest.fixture(scope="module")
 def observed_result(small_trace, assignment_module):
-    cfg = SimulationConfig(observe=True, record_events=True)
+    cfg = SimulationConfig(observe=True)
     return Simulation(small_trace, assignment_module, PulsePolicy(), cfg).run()
 
 

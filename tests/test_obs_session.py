@@ -150,31 +150,22 @@ class TestEngineDisabledPath:
     @pytest.mark.parametrize("engine", ["reference", "fleet"])
     def test_reused_policy_detaches_previous_run(self, engine):
         # A policy object reused for an unobserved run must not keep
-        # writing into the first run's session or event log (the log is
-        # reference-only).
+        # writing into the first run's session.
         trace = generate_trace(
             SyntheticTraceConfig(n_functions=6, horizon_minutes=300, seed=4)
         )
         assignment = sample_assignment(trace.n_functions, seed=4)
         policy = PulsePolicy()
-        logged = engine == "reference"
         first = Simulation(
-            trace, assignment, policy,
-            SimulationConfig(observe=True, record_events=logged),
+            trace, assignment, policy, SimulationConfig(observe=True)
         ).run(engine=engine)
         records = len(first.obs.records)
         assert records > 0
-        if logged:
-            events = len(first.events)
-            assert events > 0
         Simulation(trace, assignment, policy, SimulationConfig()).run(
             engine=engine
         )
         assert len(first.obs.records) == records
-        if logged:
-            assert len(first.events) == events
         assert policy.obs is NULL_OBS
-        assert policy.event_sink is None
 
     def test_observe_bool_normalization(self):
         assert SimulationConfig(observe=True).observe == ObservabilityConfig()
@@ -189,8 +180,7 @@ class TestEngineDisabledPath:
 class TestEngineObservedPath:
     @pytest.mark.parametrize("engine", ["reference"])
     def test_observed_run_populates_session(self, small_trace, assignment, engine):
-        # Containers tracked so the pool-reconcile span has work to time.
-        cfg = SimulationConfig(observe=True, track_containers=True)
+        cfg = SimulationConfig(observe=True)
         r = Simulation(
             small_trace, assignment, PulsePolicy(), cfg
         ).run(engine=engine)
@@ -206,7 +196,7 @@ class TestEngineObservedPath:
         ) == r.n_invocations
         assert "engine-total" in s.spans.phases
         for phase in ("estimate", "band-mapping", "peak-detect",
-                      "downgrade-select", "pool-reconcile"):
+                      "downgrade-select"):
             assert s.spans.count(phase) > 0, phase
 
     def test_warm_cold_counters_match_headline(self, small_trace, assignment):

@@ -27,6 +27,7 @@ from repro.models.zoo import default_zoo
 from repro.runtime import checkpoint as checkpoint_module
 from repro.runtime.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
+    SNAPSHOT_FIELDS,
     CheckpointConfig,
     SimulationState,
     _envelope_digest,
@@ -430,10 +431,16 @@ class TestSchemaNotes:
         assert f"v{CHECKPOINT_SCHEMA_VERSION}:" in source
 
     def test_v7_note_names_the_estimator_layout(self):
-        assert CHECKPOINT_SCHEMA_VERSION == 7
         source = inspect.getsource(checkpoint_module)
-        note = source[source.index("#: v7:"):source.index("CHECKPOINT_SCHEMA_VERSION =")]
+        note = source[source.index("#: v7:"):source.index("#: v8:")]
         assert "estimator" in note and "v6 is refused" in note
+
+    def test_v8_note_names_the_removed_fields(self):
+        assert CHECKPOINT_SCHEMA_VERSION == 8
+        source = inspect.getsource(checkpoint_module)
+        note = source[source.index("#: v8:"):source.index("CHECKPOINT_SCHEMA_VERSION =")]
+        assert "``events``" in note and "``pool``" in note
+        assert "v7 is refused" in note
 
 
 class TestFloatListEstimatorBump:
@@ -461,7 +468,10 @@ class TestFloatListEstimatorBump:
             payload=state.payload,
             schema_version=6,
         ).save(tmp_path / "v6.ckpt")
-        with pytest.raises(ValueError, match=r"schema v6 .*expects v7"):
+        with pytest.raises(
+            ValueError,
+            match=rf"schema v6 .*expects v{CHECKPOINT_SCHEMA_VERSION}",
+        ):
             simulate(
                 tiny_trace, assignment=tiny_assignment, policy="pulse",
                 resume_from=path,
@@ -478,7 +488,61 @@ class TestFloatListEstimatorBump:
             payload=state.payload,
             schema_version=6,
         ).to_wire_json()
-        with pytest.raises(ValueError, match=r"schema v6 .*expects v7"):
+        with pytest.raises(
+            ValueError,
+            match=rf"schema v6 .*expects v{CHECKPOINT_SCHEMA_VERSION}",
+        ):
+            SimulationState.from_wire_json(wire)
+
+
+class TestObservabilityRemovalBump:
+    """v8 drops the event log and the container pool from both payloads
+    (and re-lays out the bound policy and the peak detector); every v7
+    carrier is refused by version before anything is unpickled."""
+
+    def _state(self, tiny_trace, tiny_assignment) -> SimulationState:
+        states: list[SimulationState] = []
+        simulate(
+            tiny_trace, assignment=tiny_assignment, policy="pulse",
+            engine="reference",
+            checkpoint=CheckpointConfig(every_minutes=30,
+                                        on_snapshot=states.append),
+        )
+        return states[0]
+
+    def test_payloads_carry_no_events_or_pool(self):
+        for engine, fields in SNAPSHOT_FIELDS.items():
+            assert not {"events", "pool"} & set(fields), engine
+
+    def test_v7_checkpoint_file_refused_by_version(
+        self, tiny_trace, tiny_assignment, tmp_path
+    ):
+        state = self._state(tiny_trace, tiny_assignment)
+        path = SimulationState(
+            engine="reference",
+            next_minute=state.next_minute,
+            cursor=state.cursor,
+            payload=state.payload,
+            schema_version=7,
+        ).save(tmp_path / "v7.ckpt")
+        with pytest.raises(ValueError, match=r"schema v7 .*expects v8"):
+            simulate(
+                tiny_trace, assignment=tiny_assignment, policy="pulse",
+                resume_from=path,
+            )
+
+    def test_v7_wire_envelope_refused_by_version(
+        self, tiny_trace, tiny_assignment
+    ):
+        state = self._state(tiny_trace, tiny_assignment)
+        wire = SimulationState(
+            engine="session:reference",
+            next_minute=state.next_minute,
+            cursor=(),
+            payload=state.payload,
+            schema_version=7,
+        ).to_wire_json()
+        with pytest.raises(ValueError, match=r"schema v7 .*expects v8"):
             SimulationState.from_wire_json(wire)
 
 

@@ -28,7 +28,7 @@ def assert_engines_agree(trace, level="highest", window=10):
     policy = (
         OpenWhiskPolicy() if level == "highest" else FixedKeepAlivePolicy("lowest")
     )
-    cfg = SimulationConfig(keep_alive_window=window, track_containers=False)
+    cfg = SimulationConfig(keep_alive_window=window)
     engine = Simulation(trace, assignment, policy, cfg).run()
     ref = FixedPolicyReference(keep_alive_window=window, level=level).run(
         trace, assignment

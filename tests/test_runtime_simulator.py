@@ -1,5 +1,7 @@
 """Tests for repro.runtime.simulator — engine semantics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,20 +88,30 @@ class TestEngineSemantics:
         r = Simulation(trace, {0: gpt}, OpenWhiskPolicy(), cfg).run()
         assert r.memory_series_mb is None
 
-    def test_pool_stats_collected(self, gpt):
-        trace = one_function_trace([1] + [0] * 12)
-        cfg = SimulationConfig(track_containers=True)
-        r = Simulation(trace, {0: gpt}, OpenWhiskPolicy(), cfg).run()
-        assert r.pool_stats is not None
-        assert r.pool_stats.cold_creates == 1
-        # warm 11 minutes (invocation minute + 10 window minutes)
-        assert r.pool_stats.warm_minutes_by_level[gpt.highest.level] == 11
-
-    def test_track_containers_off(self, gpt):
-        trace = one_function_trace([1, 0])
-        assert SimulationConfig().track_containers is False  # the default
-        r = Simulation(trace, {0: gpt}, OpenWhiskPolicy()).run()
-        assert r.pool_stats is None
+    @pytest.mark.parametrize("engine", ["reference", "fleet"])
+    def test_removed_observability_keywords(
+        self, tiny_trace, tiny_assignment, engine
+    ):
+        # The container pool and the event log are gone: False still
+        # constructs, is not stored and changes nothing; True is refused.
+        legacy = SimulationConfig(track_containers=False, record_events=False)
+        assert legacy == SimulationConfig()
+        assert "track_containers" not in vars(legacy)
+        assert "record_events" not in repr(legacy)
+        runs = [
+            Simulation(tiny_trace, tiny_assignment, PulsePolicy(), cfg)
+            .run(engine=engine).summary()
+            for cfg in (SimulationConfig(), legacy)
+        ]
+        for summary in runs:
+            del summary["wall_clock_s"]
+        assert runs[0] == runs[1]
+        for name in ("track_containers", "record_events"):
+            msg = rf"{name}=True .*observe=ObservabilityConfig"
+            with pytest.raises(ValueError, match=msg):
+                SimulationConfig(**{name: True})
+            with pytest.raises(ValueError, match=msg):
+                replace(legacy, **{name: True})
 
     def test_overhead_measured_when_enabled(self, gpt):
         trace = one_function_trace([1, 1, 1, 0])

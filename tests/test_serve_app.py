@@ -263,6 +263,24 @@ class TestSnapshotRestore:
         assert "'session:fast'" in body["error"]
         assert "reference, fleet" in body["error"]
 
+    def test_restore_v7_snapshot_400(self, base_url):
+        # v7 session snapshots carried the removed event log and container
+        # pool; they are refused by version, before anything is unpickled.
+        _, info = request(f"{base_url}/v1/sessions", "POST", SYNTH_SPEC)
+        _, payload = request(
+            f"{base_url}/v1/sessions/{info['id']}/snapshot", raw=True
+        )
+        state = SimulationState.from_wire_json(payload)
+        v7 = SimulationState(state.engine, state.next_minute, state.cursor,
+                             state.payload, schema_version=7)
+        status, body = request(
+            f"{base_url}/v1/sessions/restore", "POST",
+            v7.to_wire_json().encode(),
+        )
+        assert status == 400
+        assert "schema v7" in body["error"]
+        assert "expects v8" in body["error"]
+
     def test_restore_garbage_400(self, base_url):
         for payload in (
             b"not json at all",

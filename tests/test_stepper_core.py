@@ -68,10 +68,7 @@ class TestRestoreCarriesEveryField:
     def test_restored_vars_match_fresh(
         self, tiny_trace, tiny_assignment, engine, observe
     ):
-        # The event log (and the pool it implies) is reference-only.
-        config = SimulationConfig(
-            observe=observe, record_events=engine == "reference"
-        )
+        config = SimulationConfig(observe=observe)
         state = _checkpoints(tiny_trace, tiny_assignment, engine, config=config)[1]
         fresh = open_stepper(_sim(tiny_trace, tiny_assignment, config), engine)
         restored = open_stepper(
