@@ -12,7 +12,8 @@ and engine minutes are 1:1).
 
 Two numbers are reported so the transport cost is visible:
 
-- ``http``    — full loopback round trips through ThreadingHTTPServer;
+- ``http``    — full loopback round trips through the server's
+  HTTP/1.1 request loop;
 - ``inproc``  — the same drive calling ``SessionManager.advance()``
   directly, which bounds what a faster transport (an ASGI server, unix
   sockets) could recover.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Serving-layer CI smoke: the HTTP control plane replays exactly.
 
-Boots the stdlib transport on an ephemeral loopback port, creates one
+Boots the HTTP server on an ephemeral loopback port, creates one
 12-function synthetic-trace session, drives it 60 minutes with
 ``POST .../advance`` (one request per engine minute), and requires the
 decision stream gathered over HTTP to **byte-match** the same trace

@@ -35,26 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import list_policies, make_policy, policy_spec, simulate
-from repro.experiments import (
-    ExperimentConfig,
-    figure1_histograms,
-    figure2_drift,
-    figure4_and_7_memory,
-    figure5_tradeoff,
-    figure6_headline,
-    figure8_integration,
-    figure9_overhead,
-    figure10_threshold_schemes,
-    figure11_memory_thresholds,
-    figure12_local_windows,
-    table1_characterization,
-    tables2_3_peak_strategies,
-)
-from repro.experiments.ablations import (
-    peak_detector_ablation,
-    scalability_study,
-    utility_component_ablation,
-)
 from repro.experiments.assignments import sample_assignment
 from repro.experiments.reporting import format_bar_chart, format_series, format_table
 from repro.obs.session import ObservabilityConfig
@@ -284,6 +264,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.experiments.table1 import table1_characterization
+
     _, rows = table1_characterization(
         n_warm_samples=args.warm_samples, n_cold_samples=args.cold_samples,
         seed=args.seed,
@@ -311,6 +293,25 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from repro.experiments import (
+        ExperimentConfig,
+        figure1_histograms,
+        figure2_drift,
+        figure4_and_7_memory,
+        figure5_tradeoff,
+        figure6_headline,
+        figure8_integration,
+        figure9_overhead,
+        figure10_threshold_schemes,
+        figure11_memory_thresholds,
+        figure12_local_windows,
+        peak_detector_ablation,
+        scalability_study,
+        table1_characterization,
+        tables2_3_peak_strategies,
+        utility_component_ablation,
+    )
+
     config = ExperimentConfig(
         n_runs=args.runs, horizon_minutes=args.horizon, seed=args.seed
     )
@@ -424,6 +425,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
     from repro.experiments.resilience import resilience_sweep
+    from repro.experiments.runner import ExperimentConfig
 
     rates = tuple(parse_float_list(args.rates, "--rates"))
     config = ExperimentConfig(
@@ -478,6 +480,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.api import run_sweep
     from repro.experiments.durable import DurableSweepConfig
     from repro.experiments.manifest import RunManifest
+    from repro.experiments.runner import ExperimentConfig
 
     if args.resume:
         # Everything — policies, scale, trace source, durability knobs —
@@ -582,6 +585,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report
+    from repro.experiments.runner import ExperimentConfig
 
     config = ExperimentConfig(
         n_runs=args.runs, horizon_minutes=args.horizon, seed=args.seed
@@ -594,6 +598,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments.figures import render_all
+    from repro.experiments.runner import ExperimentConfig
 
     config = ExperimentConfig(
         n_runs=args.runs, horizon_minutes=args.horizon, seed=args.seed

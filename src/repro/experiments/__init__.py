@@ -9,70 +9,57 @@ per (policy, assignment), aggregated with
 
 Benches (``benchmarks/``) call these functions at reduced scale; the
 functions themselves accept the paper-scale parameters.
+
+The package's names load lazily: a submodule is imported when one of its
+names is first read, so ``repro.experiments.assignments`` (which every
+serve session imports) does not pull in the experiments, and scipy with
+them.
 """
 
-from repro.experiments.assignments import sample_assignment, sample_assignments
-from repro.experiments.runner import (
-    ExperimentConfig,
-    default_trace,
-    run_policies,
-    run_policy,
-)
-from repro.experiments.table1 import table1_characterization
-from repro.experiments.motivation import figure1_histograms, figure2_drift
-from repro.experiments.peaks import PeakStrategyRow, tables2_3_peak_strategies
-from repro.experiments.tradeoff import figure5_tradeoff
-from repro.experiments.headline import figure6_headline
-from repro.experiments.memory import figure4_and_7_memory
-from repro.experiments.integration import figure8_integration
-from repro.experiments.overhead import figure9_overhead
-from repro.experiments.sensitivity import (
-    figure10_threshold_schemes,
-    figure11_memory_thresholds,
-    figure12_local_windows,
-    keep_alive_duration_sweep,
-)
-from repro.experiments.ablations import (
-    peak_detector_ablation,
-    scalability_study,
-    utility_component_ablation,
-)
-from repro.experiments.capacity import memory_capacity_study
-from repro.experiments.pareto import pareto_frontier, pulse_configuration_sweep
-from repro.experiments.report import generate_report
-from repro.experiments.resilience import ResiliencePoint, resilience_sweep
-from repro.experiments.variance import paired_deltas, variance_report
+import importlib
 
-__all__ = [
-    "generate_report",
-    "memory_capacity_study",
-    "ResiliencePoint",
-    "resilience_sweep",
-    "paired_deltas",
-    "pareto_frontier",
-    "pulse_configuration_sweep",
-    "variance_report",
-    "peak_detector_ablation",
-    "scalability_study",
-    "utility_component_ablation",
-    "ExperimentConfig",
-    "PeakStrategyRow",
-    "default_trace",
-    "figure1_histograms",
-    "figure2_drift",
-    "figure4_and_7_memory",
-    "figure5_tradeoff",
-    "figure6_headline",
-    "figure8_integration",
-    "figure9_overhead",
-    "figure10_threshold_schemes",
-    "figure11_memory_thresholds",
-    "figure12_local_windows",
-    "keep_alive_duration_sweep",
-    "run_policies",
-    "run_policy",
-    "sample_assignment",
-    "sample_assignments",
-    "table1_characterization",
-    "tables2_3_peak_strategies",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "generate_report": "report",
+    "memory_capacity_study": "capacity",
+    "ResiliencePoint": "resilience",
+    "resilience_sweep": "resilience",
+    "paired_deltas": "variance",
+    "pareto_frontier": "pareto",
+    "pulse_configuration_sweep": "pareto",
+    "variance_report": "variance",
+    "peak_detector_ablation": "ablations",
+    "scalability_study": "ablations",
+    "utility_component_ablation": "ablations",
+    "ExperimentConfig": "runner",
+    "PeakStrategyRow": "peaks",
+    "default_trace": "runner",
+    "figure1_histograms": "motivation",
+    "figure2_drift": "motivation",
+    "figure4_and_7_memory": "memory",
+    "figure5_tradeoff": "tradeoff",
+    "figure6_headline": "headline",
+    "figure8_integration": "integration",
+    "figure9_overhead": "overhead",
+    "figure10_threshold_schemes": "sensitivity",
+    "figure11_memory_thresholds": "sensitivity",
+    "figure12_local_windows": "sensitivity",
+    "keep_alive_duration_sweep": "sensitivity",
+    "run_policies": "runner",
+    "run_policy": "runner",
+    "sample_assignment": "assignments",
+    "sample_assignments": "assignments",
+    "table1_characterization": "table1",
+    "tables2_3_peak_strategies": "peaks",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -25,11 +25,12 @@ must stay one-directional. ``RunResult`` is consumed duck-typed.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from collections.abc import Iterable, Mapping
 
-from repro.obs.metrics import Histogram, HistogramSummary
+from repro.obs.metrics import Histogram, HistogramSummary, LabelKey
 from repro.obs.session import ObsSession
 from repro.utils.atomicio import atomic_writer
 
@@ -198,11 +199,22 @@ def _prom_escape(value: str) -> str:
     )
 
 
-def _prom_series(name: str, key, value: float) -> str:
+@functools.lru_cache(maxsize=4096)
+def _prom_prefix(name: str, key: LabelKey) -> str:
+    """``name{k="v",...} `` for one series: escaped and formatted once,
+    since a series' name and labels do not change between scrapes."""
     if key:
         inner = ",".join(f'{k}="{_prom_escape(v)}"' for k, v in key)
-        return f"{name}{{{inner}}} {float(value):g}"
-    return f"{name} {float(value):g}"
+        return f"{name}{{{inner}}} "
+    return f"{name} "
+
+
+@functools.lru_cache(maxsize=1024)
+def _prom_head(name: str, kind: str, help: str) -> str:
+    """A metric's ``# HELP`` / ``# TYPE`` lines."""
+    if help:
+        return f"# HELP {name} {_prom_escape(help)}\n# TYPE {name} {kind}"
+    return f"# TYPE {name} {kind}"
 
 
 def render_prometheus(session: ObsSession) -> str:
@@ -214,7 +226,8 @@ def render_prometheus(session: ObsSession) -> str:
     ``<name>_min`` / ``<name>_max`` series — the min/max suffixes are
     not part of the standard exposition format but mirror the summary
     kept by :class:`~repro.obs.metrics.Histogram`, which stores no
-    buckets or quantiles.
+    buckets or quantiles. A scrape formats only the values: each
+    series' ``name{labels}`` prefix is cached.
     """
     if session is None or not session.metrics_enabled:
         raise ValueError(
@@ -225,20 +238,18 @@ def render_prometheus(session: ObsSession) -> str:
     for metric in sorted(session.metrics, key=lambda m: m.name):
         if not metric.series:
             continue
-        if metric.help:
-            lines.append(f"# HELP {metric.name} {_prom_escape(metric.help)}")
+        name = metric.name
         if isinstance(metric, Histogram):
-            lines.append(f"# TYPE {metric.name} summary")
+            lines.append(_prom_head(name, "summary", metric.help))
             for key, summary in sorted(metric.series.items()):
                 assert isinstance(summary, HistogramSummary)
                 for suffix, v in summary.as_dict().items():
-                    lines.append(
-                        _prom_series(f"{metric.name}_{suffix}", key, v)
-                    )
+                    prefix = _prom_prefix(f"{name}_{suffix}", key)
+                    lines.append(f"{prefix}{float(v):g}")
         else:
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
+            lines.append(_prom_head(name, metric.kind, metric.help))
             for key, value in sorted(metric.series.items()):
-                lines.append(_prom_series(metric.name, key, value))
+                lines.append(f"{_prom_prefix(name, key)}{float(value):g}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

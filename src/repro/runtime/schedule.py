@@ -340,6 +340,18 @@ class KeepAliveSchedule:
                 # scanning the few live entries beats walking the range.
                 for m in [m for m in entries if m < minute]:
                     self._remove(m, entries.pop(m).memory_mb)
+        # The minutes just forgotten hold no entries, so their counts are
+        # empty and 0.0 is their canonical fold: settle them now instead
+        # of keeping every past minute in _dirty (and in every snapshot).
+        dirty, mem = self._dirty, self._mem
+        forgotten = (
+            range(start, minute) if span <= len(dirty)
+            else [m for m in dirty if start <= m < minute]
+        )
+        for m in forgotten:
+            if m in dirty:
+                dirty.discard(m)
+                mem[m] = 0.0
 
     # -- reads --------------------------------------------------------------
     def alive_variant(self, function_id: int, minute: int) -> ModelVariant | None:

@@ -5,7 +5,7 @@
 simulated minute on any of the three engines and reports that minute's
 decisions; ``snapshot()``/``restore()`` make sessions survive process
 restarts. :mod:`repro.serve.app` wraps sessions in a multi-tenant
-HTTP service on the stdlib ``ThreadingHTTPServer``.
+HTTP service with its own HTTP/1.1 request loop.
 :mod:`repro.serve.journal` adds crash durability: a per-session
 write-ahead journal with snapshot compaction, and a supervisor that
 rebuilds every tenant bit-identically after a SIGKILL.

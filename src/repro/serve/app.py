@@ -22,9 +22,19 @@ clock cadence. The HTTP layer is a thin JSON translation over it:
 ``GET``     ``/v1/sessions/{id}/result``           final RunResult summary
 ==========  =====================================  ========================
 
-The one transport is the **stdlib** server (:func:`make_server`,
-``http.server.ThreadingHTTPServer``): it has no dependencies, and it is
-what the test suite and ``repro serve`` exercise.
+The one transport is the server's own HTTP/1.1 request loop
+(:func:`make_server`) on a stdlib thread-per-connection
+``socketserver.ThreadingTCPServer``: no dependencies, and what the test
+suite and ``repro serve`` exercise. Per request it reads the request
+line and headers in one pass (lines of at most 65,536 bytes, at most
+100 headers), routes on a (verb, path shape) table, and writes the
+response head and body in one write on a ``TCP_NODELAY`` socket.
+Bodies are framed by ``Content-Length`` only: any ``Transfer-Encoding``
+answers 501. HTTP/1.1 connections stay open unless the client sends
+``Connection: close``; HTTP/1.0 ones close unless it sends
+``Connection: keep-alive``; ``Expect: 100-continue`` gets its interim
+100. Transport errors answer in the API's JSON error shape and close
+the connection.
 
 Production hardening lives here too:
 
@@ -51,15 +61,17 @@ Production hardening lives here too:
 from __future__ import annotations
 
 import hmac
-import io
 import json
 import re
 import signal
+import socketserver
 import threading
+import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from pathlib import Path
 from typing import Any, Callable
+from urllib.parse import parse_qs
 
 from repro.obs.export import render_prometheus
 from repro.runtime.checkpoint import SimulationState
@@ -562,25 +574,363 @@ class SessionManager:
         return dict(summary)
 
 
-# -- stdlib transport --------------------------------------------------------
-class _ControlPlaneServer(ThreadingHTTPServer):
-    """The control-plane HTTP server: a ``ThreadingHTTPServer`` with the
-    attached :class:`SessionManager` reachable as ``server.manager``.
+# -- transport ---------------------------------------------------------------
+
+#: Request-head limits (the values ``http.server`` enforces).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+#: ``HTTP/1.1 <code> <phrase>\r\n`` per status code, built once.
+_STATUS_LINES = {
+    status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+    for status in HTTPStatus
+}
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("", "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug",
+           "Sep", "Oct", "Nov", "Dec")
+
+
+class _DateLine:
+    """The ``Date:`` header line, formatted at most once per second.
+
+    Threads race benignly: the cache is one tuple, swapped whole."""
+
+    def __init__(self) -> None:
+        self._cached = (-1, "")
+
+    def __call__(self) -> str:
+        now = int(time.time())
+        second, line = self._cached
+        if second != now:
+            t = time.gmtime(now)
+            line = (
+                f"Date: {_WEEKDAYS[t.tm_wday]}, {t.tm_mday:02d} "
+                f"{_MONTHS[t.tm_mon]} {t.tm_year:04d} {t.tm_hour:02d}:"
+                f"{t.tm_min:02d}:{t.tm_sec:02d} GMT\r\n"
+            )
+            self._cached = (now, line)
+        return line
+
+
+#: One route: handler(manager, session id, query, body) -> payload.
+_Route = Callable[[SessionManager, str, dict[str, list[str]], bytes], Any]
+
+#: Routes on a fixed path, keyed by (verb, path).
+_ROUTES: dict[tuple[str, str], _Route] = {
+    ("GET", "/v1/healthz"): lambda m, s, q, b: {"status": "ok"},
+    ("GET", "/v1/readyz"): lambda m, s, q, b: _readyz(m),
+    ("GET", "/v1/sessions"): lambda m, s, q, b: {"sessions": m.list()},
+    ("POST", "/v1/sessions"): lambda m, s, q, b: m.create(_json_body(b)),
+    ("POST", "/v1/sessions/restore"): lambda m, s, q, b: m.restore(b),
+}
+
+#: Routes under ``/v1/sessions/{id}``, keyed by (verb, rest of the path).
+_SESSION_ROUTES: dict[tuple[str, str], _Route] = {
+    ("GET", ""): lambda m, s, q, b: m.info(s),
+    ("DELETE", ""): lambda m, s, q, b: m.close(s),
+    ("POST", "/advance"): lambda m, s, q, b: m.advance(s, _json_body(b, {})),
+    ("POST", "/tick"): lambda m, s, q, b: m.tick(s, _json_body(b, {})),
+    ("GET", "/metrics"): lambda m, s, q, b: _Raw(
+        m.metrics(s).encode(), "text/plain; version=0.0.4; charset=utf-8"
+    ),
+    ("GET", "/snapshot"): lambda m, s, q, b: _Raw(
+        m.snapshot(s).encode(), "application/json"
+    ),
+    ("GET", "/decisions"): lambda m, s, q, b: {
+        "decisions": m.decisions(
+            s,
+            _query_int(q, "fid"),
+            q["kind"][0] if "kind" in q else None,
+        )
+    },
+    ("GET", "/result"): lambda m, s, q, b: m.result(s),
+}
+
+_SESSIONS_PREFIX = "/v1/sessions/"
+_SID = re.compile(r"[A-Za-z0-9_-]+")
+_METHODS = frozenset({"GET", "POST", "DELETE"})
+
+
+def _route(method: str, path: str) -> tuple[_Route, str] | None:
+    """The route and session id for a request, or ``None``."""
+    route = _ROUTES.get((method, path))
+    if route is not None:
+        return route, ""
+    if path.startswith(_SESSIONS_PREFIX):
+        sid, sep, rest = path[len(_SESSIONS_PREFIX):].partition("/")
+        route = _SESSION_ROUTES.get((method, sep + rest))
+        if route is not None and _SID.fullmatch(sid):
+            return route, sid
+    return None
+
+
+def _query_int(query: dict[str, list[str]], name: str) -> int | None:
+    if name not in query:
+        return None
+    try:
+        return int(query[name][0])
+    except ValueError:
+        raise ApiError(400, f"bad {name}: {query[name][0]!r}") from None
+
+
+class _ControlPlaneServer(socketserver.ThreadingTCPServer):
+    """The control-plane server: one thread per connection, each running
+    :class:`_Handler`'s request loop against ``server.manager``.
 
     Multi-tenant control planes see bursts of simultaneous connects
-    (every tenant advancing each minute); the stdlib default backlog of
-    5 drops connections under that load.
+    (every tenant advancing each minute); the default backlog of 5
+    drops connections under that load.
     """
 
     request_queue_size = 128
     daemon_threads = True
-    manager: SessionManager
+    allow_reuse_address = True
+
+    def __init__(
+        self,
+        address: tuple[str, int],
+        *,
+        manager: SessionManager,
+        token: str | None,
+        limits: ServeLimits,
+    ) -> None:
+        self.manager = manager
+        self.token = token.encode() if token is not None else None
+        self.limits = limits
+        self.date_line = _DateLine()
+        super().__init__(address, _Handler)
 
 
-#: One route: (HTTP verb, path pattern, handler(match, query, body)).
-_RouteHandler = Callable[
-    ["dict[str, str]", "dict[str, list[str]]", bytes], Any
-]
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection's HTTP/1.1 request loop (rules in the module
+    docstring)."""
+
+    # TCP_NODELAY on every accepted socket: with Nagle on, a response
+    # written after the client's last ACK waits for its delayed ACK
+    # (~40 ms) on a keep-alive connection.
+    disable_nagle_algorithm = True
+    server: _ControlPlaneServer
+
+    def setup(self) -> None:
+        super().setup()
+        # Socket timeout for the whole exchange: a client that stalls
+        # mid-headers or mid-body cannot pin a worker thread forever.
+        self.connection.settimeout(self.server.limits.read_timeout_s)
+
+    def handle(self) -> None:
+        try:
+            while self._handle_one():
+                pass
+        except (TimeoutError, ConnectionError):  # repro: lint-ok[RPR006] an idle keep-alive client timed out or the peer reset: the connection ends and there is no one left to answer
+            pass
+
+    def _handle_one(self) -> bool:
+        """Serve one request; returns whether the connection stays open."""
+        try:
+            head = self._read_head()
+        except ApiError as exc:
+            # The byte stream cannot be framed past a bad head.
+            return self._send_api_error(exc, keep_alive=False)
+        if head is None:
+            return False
+        method, target, headers, keep_alive, expect_100 = head
+        path, has_query, query = target.partition("?")
+        server = self.server
+        if (
+            server.token is not None
+            and path not in _UNAUTHENTICATED_PATHS
+            and not _bearer_ok(headers.get("authorization", ""), server.token)
+        ):
+            # An unread body would be parsed as the next request.
+            pending = headers.get("content-length", "0") != "0"
+            return self._send_api_error(
+                ApiError(401, "missing or invalid bearer token"),
+                keep_alive=keep_alive and not pending,
+                extra="WWW-Authenticate: Bearer\r\n",
+            )
+        try:
+            body = self._read_body(headers, expect_100=expect_100)
+        except ApiError as exc:
+            return self._send_api_error(exc, keep_alive=False)
+
+        found = _route(method, path)
+        if found is None:
+            status = 404 if method in _METHODS else 501
+            return self._send_api_error(
+                ApiError(status, f"no route {method} {path}"),
+                keep_alive=keep_alive,
+            )
+        route, sid = found
+        try:
+            payload = route(
+                server.manager, sid,
+                parse_qs(query) if has_query else {}, body,
+            )
+        except ApiError as exc:
+            return self._send_api_error(exc, keep_alive=keep_alive)
+        except Exception as exc:  # repro: lint-ok[RPR006] HTTP crash-isolation boundary: an engine bug becomes a structured 500 for this one request and the server keeps serving other tenants; re-raising would tear down the worker thread with nothing on the wire
+            return self._send_api_error(
+                ApiError(500, f"internal: {exc}"), keep_alive=keep_alive
+            )
+        if isinstance(payload, _Raw):
+            return self._send(
+                200, payload.value, payload.ctype, keep_alive=keep_alive
+            )
+        return self._send(
+            200, json.dumps(payload).encode(), "application/json",
+            keep_alive=keep_alive,
+        )
+
+    def _read_head(
+        self,
+    ) -> tuple[str, str, dict[str, str], bool, bool] | None:
+        """Read the request line and headers in one pass: ``(method,
+        target, headers, keep_alive, expect_100)``, or ``None`` at end of
+        stream. Header names are lower-cased; a repeated header's values
+        are joined with ``", "``."""
+        rfile = self.rfile
+        line = rfile.readline(_MAX_LINE + 1)
+        while line in (b"\r\n", b"\n"):  # blank lines before a request
+            line = rfile.readline(_MAX_LINE + 1)
+        if not line:
+            return None
+        if len(line) > _MAX_LINE:
+            raise ApiError(414, f"request line exceeds {_MAX_LINE} bytes")
+        words = line.decode("latin-1").split()
+        if len(words) != 3:
+            raise ApiError(400, f"malformed request line {line[:100]!r}")
+        method, target, version = words
+        if version == "HTTP/1.1":
+            keep_alive = True
+        elif version == "HTTP/1.0":
+            keep_alive = False
+        elif version.startswith("HTTP/"):
+            raise ApiError(505, f"unsupported HTTP version {version!r}")
+        else:
+            raise ApiError(400, f"malformed request line {line[:100]!r}")
+
+        headers: dict[str, str] = {}
+        n_lines = 0
+        while True:
+            line = rfile.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if len(line) > _MAX_LINE:
+                raise ApiError(431, f"header line exceeds {_MAX_LINE} bytes")
+            n_lines += 1
+            if n_lines > _MAX_HEADERS:
+                raise ApiError(431, f"more than {_MAX_HEADERS} headers")
+            name, colon, value = line.decode("latin-1").partition(":")
+            name = name.lower()
+            if not colon or not name or name != name.strip():
+                raise ApiError(400, f"malformed header line {line[:100]!r}")
+            value = value.strip()
+            headers[name] = (
+                f"{headers[name]}, {value}" if name in headers else value
+            )
+
+        if "transfer-encoding" in headers:
+            raise ApiError(
+                501,
+                "Transfer-Encoding is not supported; send a "
+                "Content-Length body",
+            )
+        connection = headers.get("connection")
+        if connection is not None:
+            tokens = connection.lower().replace(" ", "").split(",")
+            if "close" in tokens:
+                keep_alive = False
+            elif "keep-alive" in tokens:
+                keep_alive = True
+        expect_100 = (
+            version == "HTTP/1.1"
+            and headers.get("expect", "").lower() == "100-continue"
+        )
+        return method, target, headers, keep_alive, expect_100
+
+    def _read_body(self, headers: dict[str, str], *, expect_100: bool) -> bytes:
+        """Read the request body defensively: bad or oversized
+        ``Content-Length`` and truncated/stalled uploads become
+        structured errors instead of hung or corrupted workers. A client
+        that sent ``Expect: 100-continue`` gets the interim 100 only once
+        the body is wanted."""
+        raw = headers.get("content-length")
+        if raw is None:
+            return b""
+        try:
+            length = int(raw)
+        except ValueError:
+            raise ApiError(400, f"bad Content-Length: {raw!r}") from None
+        if length < 0:
+            raise ApiError(400, f"bad Content-Length: {raw!r}")
+        limit = self.server.limits.max_body_bytes
+        if length > limit:
+            raise ApiError(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{limit}-byte limit",
+            )
+        if length == 0:
+            return b""
+        if expect_100:
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            raise ApiError(408, "timed out reading the request body") from None
+        if len(body) != length:
+            raise ApiError(
+                400,
+                f"truncated request body: got {len(body)} of {length} bytes",
+            )
+        return body
+
+    def _send_api_error(
+        self, exc: ApiError, *, keep_alive: bool, extra: str = ""
+    ) -> bool:
+        if exc.retry_after is not None:
+            extra += f"Retry-After: {exc.retry_after:g}\r\n"
+        return self._send(
+            exc.status,
+            json.dumps({"error": str(exc), "status": exc.status}).encode(),
+            "application/json",
+            keep_alive=keep_alive,
+            extra=extra,
+        )
+
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        ctype: str,
+        *,
+        keep_alive: bool,
+        extra: str = "",
+    ) -> bool:
+        """Write one response — head and body in one write — and return
+        whether the connection stays open."""
+        if not keep_alive:
+            extra += "Connection: close\r\n"
+        head = (
+            f"{_STATUS_LINES[status]}{self.server.date_line()}"
+            f"Content-Type: {ctype}\r\n"
+            f"Content-Length: {len(body)}\r\n{extra}\r\n"
+        )
+        try:
+            self.wfile.write(head.encode("latin-1") + body)
+        except (BrokenPipeError, ConnectionResetError, TimeoutError):
+            # The client vanished mid-response; the byte stream is
+            # unusable for keep-alive.
+            return False
+        return keep_alive
+
+
+def _bearer_ok(supplied: str, token: bytes) -> bool:
+    """Whether an ``Authorization`` value carries the bearer token
+    (compared in constant time)."""
+    return supplied.startswith("Bearer ") and hmac.compare_digest(
+        supplied[len("Bearer "):].encode(), token
+    )
 
 
 def make_server(
@@ -591,7 +941,7 @@ def make_server(
     token: str | None = None,
     limits: ServeLimits | None = None,
 ) -> _ControlPlaneServer:
-    """A ready-to-run ``ThreadingHTTPServer`` serving the v1 API.
+    """A ready-to-run threaded server serving the v1 API.
 
     Returns the server; call ``serve_forever()`` (typically on a
     thread) and ``shutdown()`` to stop. ``port=0`` binds an ephemeral
@@ -606,214 +956,12 @@ def make_server(
     manager was built elsewhere.
     """
     manager = manager if manager is not None else SessionManager(limits=limits)
-    limits = limits if limits is not None else manager.limits
-
-    _SID = r"(?P<sid>[A-Za-z0-9_-]+)"
-    routes: list[tuple[str, re.Pattern[str], _RouteHandler]] = [
-        ("GET", re.compile(r"^/v1/healthz$"),
-         lambda m, q, b: {"status": "ok"}),
-        ("GET", re.compile(r"^/v1/readyz$"),
-         lambda m, q, b: _readyz(manager)),
-        ("GET", re.compile(r"^/v1/sessions$"),
-         lambda m, q, b: {"sessions": manager.list()}),
-        ("POST", re.compile(r"^/v1/sessions$"),
-         lambda m, q, b: manager.create(_json_body(b))),
-        ("POST", re.compile(r"^/v1/sessions/restore$"),
-         lambda m, q, b: manager.restore(b)),
-        ("GET", re.compile(rf"^/v1/sessions/{_SID}$"),
-         lambda m, q, b: manager.info(m["sid"])),
-        ("DELETE", re.compile(rf"^/v1/sessions/{_SID}$"),
-         lambda m, q, b: manager.close(m["sid"])),
-        ("POST", re.compile(rf"^/v1/sessions/{_SID}/advance$"),
-         lambda m, q, b: manager.advance(m["sid"], _json_body(b, {}))),
-        ("POST", re.compile(rf"^/v1/sessions/{_SID}/tick$"),
-         lambda m, q, b: manager.tick(m["sid"], _json_body(b, {}))),
-        ("GET", re.compile(rf"^/v1/sessions/{_SID}/metrics$"),
-         lambda m, q, b: _Raw(
-             manager.metrics(m["sid"]).encode(),
-             "text/plain; version=0.0.4; charset=utf-8",
-         )),
-        ("GET", re.compile(rf"^/v1/sessions/{_SID}/snapshot$"),
-         lambda m, q, b: _Raw(
-             manager.snapshot(m["sid"]).encode(), "application/json"
-         )),
-        ("GET", re.compile(rf"^/v1/sessions/{_SID}/decisions$"),
-         lambda m, q, b: {
-             "decisions": manager.decisions(
-                 m["sid"],
-                 int(q["fid"][0]) if "fid" in q else None,
-                 q["kind"][0] if "kind" in q else None,
-             )
-         }),
-        ("GET", re.compile(rf"^/v1/sessions/{_SID}/result$"),
-         lambda m, q, b: manager.result(m["sid"])),
-    ]
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        # TCP_NODELAY on every accepted socket: with Nagle on, a response
-        # written after the client's last ACK waits for its delayed ACK
-        # (~40 ms) on a keep-alive connection.
-        disable_nagle_algorithm = True
-        # Socket timeout for the whole exchange: a client that stalls
-        # mid-headers or mid-body cannot pin a worker thread forever.
-        timeout = limits.read_timeout_s
-
-        def log_message(self, format: str, *args: Any) -> None:
-            pass  # quiet by default
-
-        def _dispatch(self, method: str) -> None:
-            from urllib.parse import parse_qs, urlsplit
-
-            split = urlsplit(self.path)
-            if not self._authorized(split.path):
-                return
-            try:
-                body = self._read_body()
-            except ApiError as exc:
-                self._send_api_error(exc)
-                return
-            query = parse_qs(split.query)
-            for verb, pattern, handler in routes:
-                if verb != method:
-                    continue
-                match = pattern.match(split.path)
-                if match is None:
-                    continue
-                try:
-                    payload = handler(match.groupdict(), query, body)
-                except ApiError as exc:
-                    self._send_api_error(exc)
-                except Exception as exc:  # repro: lint-ok[RPR006] HTTP crash-isolation boundary: an engine bug becomes a structured 500 for this one request and the server keeps serving other tenants; re-raising would tear down the worker thread with nothing on the wire
-                    self._send_json(
-                        500, {"error": f"internal: {exc}", "status": 500}
-                    )
-                else:
-                    if isinstance(payload, _Raw):
-                        self._send_raw(200, payload.value, payload.ctype)
-                    else:
-                        self._send_json(200, payload)
-                return
-            self._send_json(
-                404,
-                {"error": f"no route {method} {split.path}", "status": 404},
-            )
-
-        def _authorized(self, path: str) -> bool:
-            if token is None or path in _UNAUTHENTICATED_PATHS:
-                return True
-            supplied = self.headers.get("Authorization", "")
-            if supplied.startswith("Bearer ") and hmac.compare_digest(
-                supplied[len("Bearer "):].encode(), token.encode()
-            ):
-                return True
-            self._send_raw(
-                401,
-                json.dumps(
-                    {"error": "missing or invalid bearer token",
-                     "status": 401}
-                ).encode(),
-                "application/json",
-                extra_headers=(("WWW-Authenticate", "Bearer"),),
-            )
-            return False
-
-        def _read_body(self) -> bytes:
-            """Read the request body defensively: bad or oversized
-            ``Content-Length`` and truncated/stalled uploads become
-            structured errors instead of hung or corrupted workers."""
-            raw = self.headers.get("Content-Length")
-            if raw is None:
-                return b""
-            try:
-                length = int(raw)
-            except ValueError:
-                raise ApiError(400, f"bad Content-Length: {raw!r}") from None
-            if length < 0:
-                raise ApiError(400, f"bad Content-Length: {raw!r}")
-            if length > limits.max_body_bytes:
-                self.close_connection = True
-                raise ApiError(
-                    413,
-                    f"request body of {length} bytes exceeds the "
-                    f"{limits.max_body_bytes}-byte limit",
-                )
-            if length == 0:
-                return b""
-            try:
-                body = self.rfile.read(length)
-            except TimeoutError:
-                self.close_connection = True
-                raise ApiError(
-                    408, "timed out reading the request body"
-                ) from None
-            if len(body) != length:
-                # The connection byte-stream is now unframed; drop it.
-                self.close_connection = True
-                raise ApiError(
-                    400,
-                    f"truncated request body: got {len(body)} of "
-                    f"{length} bytes",
-                )
-            return body
-
-        def _send_api_error(self, exc: ApiError) -> None:
-            extra: list[tuple[str, str]] = []
-            if exc.retry_after is not None:
-                extra.append(("Retry-After", f"{exc.retry_after:g}"))
-            self._send_raw(
-                exc.status,
-                json.dumps(
-                    {"error": str(exc), "status": exc.status}
-                ).encode(),
-                "application/json",
-                extra_headers=tuple(extra),
-            )
-
-        def _send_json(self, status: int, payload: Any) -> None:
-            self._send_raw(
-                status, json.dumps(payload).encode(), "application/json"
-            )
-
-        def _send_raw(
-            self,
-            status: int,
-            body: bytes,
-            ctype: str,
-            extra_headers: tuple[tuple[str, str], ...] = (),
-        ) -> None:
-            # The status line and headers are staged in memory and go
-            # out with the body in one write, so a response is one send.
-            head = io.BytesIO()
-            sock_out, self.wfile = self.wfile, head
-            try:
-                self.send_response(status)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                for name, value in extra_headers:
-                    self.send_header(name, value)
-                self.end_headers()
-            finally:
-                self.wfile = sock_out
-            try:
-                sock_out.write(head.getvalue() + body)
-            except (BrokenPipeError, ConnectionResetError, TimeoutError):
-                # Client vanished mid-response; nothing to send it,
-                # and the byte-stream is unusable for keep-alive.
-                self.close_connection = True
-
-        def do_GET(self) -> None:
-            self._dispatch("GET")
-
-        def do_POST(self) -> None:
-            self._dispatch("POST")
-
-        def do_DELETE(self) -> None:
-            self._dispatch("DELETE")
-
-    server = _ControlPlaneServer((host, port), Handler)
-    server.manager = manager
-    return server
+    return _ControlPlaneServer(
+        (host, port),
+        manager=manager,
+        token=token,
+        limits=limits if limits is not None else manager.limits,
+    )
 
 
 def _readyz(manager: SessionManager) -> dict:

@@ -132,6 +132,36 @@ class TestAdvance:
         assert sched.alive_variant(0, 5) == gpt.highest
         assert sched.planned_minutes(0) == [5, 6, 7, 8, 9, 10]
 
+    def test_forgotten_minutes_leave_the_dirty_set(self, sched, gpt):
+        sched.set_plan(0, 0, [gpt.highest] * 10)
+        assert sched.memory_at(3) == gpt.highest.memory_mb
+        sched.advance(5)
+        assert all(m >= 5 for m in sched._dirty)
+        assert [sched.memory_at(m) for m in (3, 5)] == [
+            0.0, gpt.highest.memory_mb
+        ]
+        sched.advance(10**9)  # a huge jump settles from the dirty set
+        assert not sched._dirty
+        assert sched.memory_vector.sum() == 0.0
+
+    def test_dirty_set_stays_bounded_over_two_weeks(self):
+        """A 20,160-minute pulse run leaves at most K+2 dirty minutes
+        (it held every past minute, ~60 kB in each snapshot)."""
+        from repro.serve.session import open_session
+        from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+
+        trace = generate_trace(
+            SyntheticTraceConfig(horizon_minutes=20_160, seed=1)
+        )
+        session = open_session(trace, policy="pulse", seed=1, observe=False)
+        session.advance(trace.horizon - 1)
+        schedule = session.stepper.schedule
+        assert schedule._frontier == trace.horizon
+        assert len(schedule._dirty) <= schedule.keep_alive_window + 2
+        assert not any(
+            schedule.footprint_counts(m) for m in range(trace.horizon)
+        )
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             KeepAliveSchedule(0, 10)

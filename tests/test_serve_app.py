@@ -1,8 +1,8 @@
 """The HTTP serving layer (:mod:`repro.serve.app`).
 
-These tests run the stdlib ``ThreadingHTTPServer`` transport — the one
-that works in every environment — on an ephemeral loopback port and
-drive it with :mod:`urllib`.
+These tests run the server's own HTTP/1.1 request loop on an ephemeral
+loopback port and drive it with :mod:`urllib`, :mod:`http.client` and,
+for framing and transport errors, raw sockets.
 """
 
 from __future__ import annotations
@@ -10,11 +10,15 @@ from __future__ import annotations
 import contextlib
 import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -567,6 +571,218 @@ class TestTransport:
         for sent, body in zip(writes, bodies):
             assert sent.startswith(b"HTTP/1.1 ")
             assert sent.endswith(b"\r\n\r\n" + body)
+
+
+def _exchange(url, data, *, then=None):
+    """Send raw bytes on one connection and read until the server closes
+    it; ``then`` (bytes) is sent once the first reply bytes arrive."""
+    host, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(data)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return reply
+            reply += chunk
+            if then is not None and b"\r\n\r\n" in reply:
+                sock.sendall(then)
+                then = None
+
+
+def _responses(data):
+    """Split a byte stream into (status, headers, body) responses."""
+    out = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        fields = (line.partition(":") for line in lines[1:])
+        headers = {k.lower(): v.strip() for k, _, v in fields}
+        n = int(headers.get("content-length", 0))
+        out.append((int(lines[0].split()[1]), headers, data[:n]))
+        data = data[n:]
+    return out
+
+
+class TestOwnedTransport:
+    """The server's own HTTP/1.1 request loop: framing, keep-alive
+    rules and transport errors in the API's JSON shape."""
+
+    def test_pipelined_requests_answered_in_order(self):
+        with running_server() as (url, _server):
+            reply = _exchange(
+                url,
+                b"GET /v1/readyz HTTP/1.1\r\nHost: x\r\n\r\n"
+                b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n"
+                b"Connection: close\r\n\r\n",
+            )
+        (s1, h1, b1), (s2, h2, b2) = _responses(reply)
+        assert (s1, json.loads(b1)) == (200, {"status": "ready"})
+        assert (s2, json.loads(b2)) == (200, {"status": "ok"})
+        assert "connection" not in h1
+        assert h2["connection"] == "close"
+        assert h1["date"].endswith(" GMT")
+
+    @pytest.mark.parametrize("request_head", [
+        b"GET /v1/healthz HTTP/1.0\r\n\r\n",
+        b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+    ], ids=["http10", "connection-close"])
+    def test_connection_closes_after_the_response(self, request_head):
+        with running_server() as (url, _server):
+            # The second request is never read: the server closes first.
+            reply = _exchange(url, request_head + request_head)
+        [(status, headers, body)] = _responses(reply)
+        assert (status, json.loads(body)) == (200, {"status": "ok"})
+        assert headers["connection"] == "close"
+
+    def test_http10_keep_alive_stays_open(self):
+        with running_server() as (url, _server):
+            reply = _exchange(
+                url,
+                b"GET /v1/healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                b"GET /v1/healthz HTTP/1.0\r\n\r\n",
+            )
+        assert [r[0] for r in _responses(reply)] == [200, 200]
+
+    def test_lower_case_authorization_header(self):
+        with running_server(token="hunter2") as (url, _server):
+            reply = _exchange(
+                url,
+                b"GET /v1/sessions HTTP/1.1\r\n"
+                b"authorization: Bearer hunter2\r\nconnection: close\r\n\r\n",
+            )
+        [(status, _, body)] = _responses(reply)
+        assert (status, json.loads(body)) == (200, {"sessions": []})
+
+    def test_unauthorized_request_with_a_body_closes(self):
+        with running_server(token="hunter2") as (url, _server):
+            reply = _exchange(
+                url,
+                b"POST /v1/sessions HTTP/1.1\r\nContent-Length: 2\r\n\r\n"
+                b"{}",
+            )
+        [(status, headers, body)] = _responses(reply)
+        assert status == 401
+        assert headers["www-authenticate"] == "Bearer"
+        assert headers["connection"] == "close"
+        assert json.loads(body)["status"] == 401
+
+    @pytest.mark.parametrize("request_head, status, needle", [
+        (b"GET /v1/healthz HTTP/1.1\r\n"
+         + b"".join(b"X-H%d: v\r\n" % i for i in range(101)) + b"\r\n",
+         431, "headers"),
+        (b"GET /v1/healthz HTTP/1.1\r\n" + b"X-H: v\r\n" * 101 + b"\r\n",
+         431, "headers"),
+        (b"GET /v1/healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000
+         + b"\r\n\r\n", 431, "header line"),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414,
+         "request line"),
+        (b"GARBAGE\r\n\r\n", 400, "malformed request line"),
+        (b"GET /v1/healthz SPDY/3\r\n\r\n", 400, "malformed request line"),
+        (b"GET /v1/healthz HTTP/2.0\r\n\r\n", 505, "version"),
+        (b"GET /v1/healthz HTTP/1.1\r\nno-colon-here\r\n\r\n", 400,
+         "malformed header"),
+        (b"PUT /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n", 501,
+         "no route PUT"),
+    ], ids=["too-many-headers", "repeated-header", "long-header", "long-request-line",
+            "bad-request-line", "bad-version", "http2", "bad-header",
+            "unknown-method"])
+    def test_transport_errors_are_json(self, request_head, status, needle):
+        with running_server() as (url, _server):
+            reply = _exchange(url, request_head)
+        (got, headers, body), *_ = _responses(reply)
+        assert got == status
+        assert headers["content-type"] == "application/json"
+        payload = json.loads(body)
+        assert payload["status"] == status
+        assert needle in payload["error"]
+
+    def test_transfer_encoding_is_refused_and_closes(self):
+        """A chunked body cannot be framed: 501, and the request
+        pipelined behind it is never read."""
+        with running_server() as (url, _server):
+            reply = _exchange(
+                url,
+                b"POST /v1/sessions HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n"
+                b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            )
+        [(status, headers, body)] = _responses(reply)
+        assert status == 501
+        assert headers["connection"] == "close"
+        assert "Transfer-Encoding" in json.loads(body)["error"]
+
+    def test_expect_100_continue(self):
+        body = json.dumps(SYNTH_SPEC).encode()
+        with running_server() as (url, _server):
+            reply = _exchange(
+                url,
+                b"POST /v1/sessions HTTP/1.1\r\nHost: x\r\n"
+                b"Expect: 100-continue\r\nConnection: close\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body),
+                then=body,
+            )
+        assert reply.startswith(b"HTTP/1.1 100 Continue\r\n\r\n")
+        [(status, _, payload)] = _responses(
+            reply.removeprefix(b"HTTP/1.1 100 Continue\r\n\r\n")
+        )
+        assert status == 200
+        assert json.loads(payload)["id"] == "s1"
+
+    def test_route_shapes(self, base_url):
+        _, info = request(f"{base_url}/v1/sessions", "POST", SYNTH_SPEC)
+        sid = info["id"]
+        for path in (f"/v1/sessions/{sid}/", f"/v1/sessions/{sid}/metrics/x",
+                     "/v1/sessions/a.b", "/v1/healthz/"):
+            status, body = request(f"{base_url}{path}")
+            assert (status, body["status"]) == (404, 404), path
+        status, body = request(
+            f"{base_url}/v1/sessions/{sid}/decisions?fid=one"
+        )
+        assert (status, body["error"]) == (400, "bad fid: 'one'")
+        status, body = request(f"{base_url}/v1/healthz?probe=1")
+        assert (status, body) == (200, {"status": "ok"})
+
+
+_LEAN_PROBE = """
+import json, socket, sys, threading
+import repro.cli
+from repro.serve.app import make_server
+
+server = make_server("127.0.0.1", port=0)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+body = json.dumps({"meta": {"n_functions": 4, "horizon_minutes": 8}}).encode()
+with socket.create_connection(server.server_address, timeout=10) as sock:
+    sock.sendall(
+        b"POST /v1/sessions HTTP/1.1\\r\\nConnection: close\\r\\n"
+        b"Content-Length: %d\\r\\n\\r\\n%s" % (len(body), body)
+    )
+    reply = b""
+    while chunk := sock.recv(65536):
+        reply += chunk
+server.shutdown()
+print(json.dumps({
+    "status": reply.split()[1].decode(),
+    "loaded": sorted(m for m in ("scipy", "email", "http.client",
+                                 "http.server") if m in sys.modules),
+}))
+"""
+
+
+class TestLeanProcess:
+    def test_cli_and_a_meta_session_load_no_scipy_or_email(self):
+        """``repro serve``'s process stays lean: the CLI module, an
+        online session and the request loop never import scipy (the
+        experiments) or the stdlib's email-based header parser."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", _LEAN_PROBE], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        ).stdout
+        assert json.loads(out.splitlines()[-1]) == {
+            "status": "200", "loaded": [],
+        }
 
 
 class TestDrainAndReadiness:
