@@ -13,7 +13,8 @@ and engine minutes are 1:1).
 Two numbers are reported so the transport cost is visible:
 
 - ``http``    — full loopback round trips through the server's
-  HTTP/1.1 request loop;
+  HTTP/1.1 request loop, each client thread on one keep-alive
+  connection (``http.client.HTTPConnection``);
 - ``inproc``  — the same drive calling ``SessionManager.advance()``
   directly, which bounds what a faster transport (an ASGI server, unix
   sockets) could recover.
@@ -25,8 +26,8 @@ estimator), reported as ``journal.overhead_frac`` and gated by
 ``--gate-journal-overhead`` (the durability budget is <=10%). The
 journaled rounds run the production-default 240-minute compaction
 cadence, so the gated number is the steady-state write-ahead append
-cost; compaction (a snapshot + fsync every 4 simulated hours per
-session, ~4 ms each) amortizes below measurement noise at that cadence
+cost; compaction (the inputs document written + fsynced every 4
+simulated hours per session) amortizes below measurement noise at that cadence
 and is exercised separately — and aggressively, every 16 minutes — by
 ``serve_chaos.py``.
 
@@ -42,13 +43,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import platform
 import sys
 import tempfile
 import threading
 import time
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -59,7 +60,7 @@ from repro.utils.atomicio import atomic_write_json
 SEED = 2024
 #: Compaction cadence for the journaled rounds — the production
 #: default (``repro serve --compact-every``). Tighter cadences turn the
-#: per-bucket snapshot fsync into a convoy (every lockstep session
+#: per-bucket document fsync into a convoy (every lockstep session
 #: compacts in the same instant) and measure filesystem batching, not
 #: the advance path; the chaos drill stresses that regime instead.
 JOURNAL_EVERY_MINUTES = 240
@@ -80,39 +81,56 @@ def make_spec(n_functions: int, horizon: int, seed: int) -> dict:
     }
 
 
-def post_json(url: str, body: dict) -> dict:
-    req = urllib.request.Request(
-        url,
-        data=json.dumps(body).encode(),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    # A connect can still be reset under a simultaneous-connect burst
-    # (urllib opens a fresh connection per request); retry briefly.
-    # Worst case a session advances one extra minute — harmless for a
-    # throughput measurement, and the horizon has slack for it.
+def post_json(conn: http.client.HTTPConnection, path: str,
+              body: dict) -> dict:
+    """POST ``body`` on a keep-alive connection; return the decoded reply.
+
+    A connect can still be reset under a simultaneous-connect burst;
+    the connection then reopens and the request is retried briefly.
+    Worst case a session advances one extra minute — harmless for a
+    throughput measurement, and the horizon has slack for it.
+    """
     for attempt in range(3):
         try:
-            with urllib.request.urlopen(req, timeout=30) as resp:
-                return json.loads(resp.read())
+            conn.request("POST", path, body=json.dumps(body).encode(),
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            payload = resp.read()
         except ConnectionError:
+            conn.close()  # the next request reconnects
             if attempt == 2:
                 raise
             time.sleep(0.05 * (attempt + 1))
+            continue
+        if resp.status != 200:
+            raise RuntimeError(
+                f"POST {path} answered {resp.status}: {payload[:200]!r}"
+            )
+        return json.loads(payload)
+    raise AssertionError("unreachable")
 
 
-def drive_http(base_url: str, sids: list[str], minutes: int,
+def drive_http(address: tuple[str, int], sids: list[str], minutes: int,
                workers: int) -> float:
-    """Advance every session `minutes` minutes over HTTP; return seconds."""
+    """Advance every session `minutes` minutes over HTTP; return seconds.
 
-    def drive(sid: str) -> None:
-        url = f"{base_url}/v1/sessions/{sid}/advance"
-        for _ in range(minutes):
-            post_json(url, {})
+    Each of the `workers` client threads drives its share of the
+    sessions over one keep-alive connection."""
 
+    def drive(share: list[str]) -> None:
+        conn = http.client.HTTPConnection(*address, timeout=30)
+        try:
+            for sid in share:
+                path = f"/v1/sessions/{sid}/advance"
+                for _ in range(minutes):
+                    post_json(conn, path, {})
+        finally:
+            conn.close()
+
+    shares = [sids[i::workers] for i in range(workers) if sids[i::workers]]
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(drive, sid) for sid in sids]:
+        for future in [pool.submit(drive, share) for share in shares]:
             future.result()
     return time.perf_counter() - start
 
@@ -190,24 +208,26 @@ def bench(sessions: int, minutes: int, n_functions: int,
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    host, port = server.server_address[:2]
-    base_url = f"http://{host}:{port}"
+    address = server.server_address[:2]
     try:
+        conn = http.client.HTTPConnection(*address, timeout=30)
         create_start = time.perf_counter()
         sids = [
             post_json(
-                f"{base_url}/v1/sessions",
+                conn,
+                "/v1/sessions",
                 make_spec(n_functions, horizon, SEED + i),
             )["id"]
             for i in range(sessions)
         ]
         create_s = time.perf_counter() - create_start
+        conn.close()
 
         # Warm each session one minute (JITs the stepping path, pays
         # first-minute planning) before the timed windows.
-        drive_http(base_url, sids, 1, workers)
+        drive_http(address, sids, 1, workers)
 
-        http_s = drive_http(base_url, sids, minutes, workers)
+        http_s = drive_http(address, sids, minutes, workers)
         inproc_s = drive_inproc(server.manager, sids, minutes, workers)
 
         total = sessions * minutes

@@ -9,14 +9,15 @@ The serving-layer counterpart of ``chaos_smoke.py`` — per engine
 2. open ``N_TENANTS`` concurrent sessions (mixed clean/fault-plan
    specs) and advance them from parallel client threads;
 3. SIGKILL the server while those advances are in flight;
-4. restart with ``--recover`` and drive every session to the horizon;
+4. restart with ``--recover`` (printing its total seconds, slowest
+   session and bytes read) and drive every session to the horizon;
 5. require each tenant's decision JSONL and final summary to be
    **byte-identical** to the same spec replayed in-process through
    ``Simulation.run()``'s stepper (the batch path);
 6. SIGTERM the recovered server and require a graceful drain: exit
    code 0, and the drained journal directory must itself recover.
 
-Artifacts (journals + snapshots + per-tenant decision JSONL) are left
+Artifacts (journals + inputs documents + per-tenant decision JSONL) are left
 in the work directory (first argv, default ``./serve-chaos``) for
 upload. Exit code 0 only if every assertion holds for every engine.
 
@@ -31,6 +32,7 @@ import argparse
 import http.client
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -55,6 +57,11 @@ MINUTES = 48
 FAULTS = "seed=7,spawn=0.2,slow=0.1"
 #: SIGKILL once every tenant has at least this many acknowledged advances.
 KILL_AFTER_ADVANCES = 5
+#: ``repro serve --recover``'s report line.
+RECOVERED = re.compile(
+    r"recovered (\d+) session\(s\) in ([\d.]+)s \(slowest \S+ ([\d.]+)s\), "
+    r"read (\d+) bytes"
+)
 
 
 def tenant_spec(engine: str, tenant: int) -> dict:
@@ -107,6 +114,7 @@ class Server:
             text=True,
         )
         self.recovered = 0
+        self.recovery = ""
         self.base = self._await_listening()
 
     def _await_listening(self) -> str:
@@ -123,6 +131,13 @@ class Server:
             print(f"  server: {line}")
             if "recovered" in line:
                 self.recovered = int(line.split()[3])
+                found = RECOVERED.search(line)
+                if found is not None:
+                    n, total_s, slowest_s, n_bytes = found.groups()
+                    self.recovery = (
+                        f"{n} sessions in {total_s}s, slowest "
+                        f"{slowest_s}s, {n_bytes} bytes read"
+                    )
             if "listening on " in line:
                 url = line.split("listening on ", 1)[1]
                 return url.removesuffix("/v1")
@@ -204,6 +219,9 @@ def drill(engine: str, workdir: Path, n_tenants: int) -> None:
         raise SystemExit(
             f"FAIL: recovered {server.recovered} of {n_tenants} sessions"
         )
+    if not server.recovery:
+        raise SystemExit("FAIL: the recovery line reported no timings")
+    print(f"[{engine}] recovery after SIGKILL: {server.recovery}")
     listed = request(f"{server.base}/v1/sessions")["sessions"]
     if sorted(s["id"] for s in listed) != sids:
         raise SystemExit("FAIL: recovered session ids drifted")
@@ -248,13 +266,20 @@ def drill(engine: str, workdir: Path, n_tenants: int) -> None:
     manager = SessionManager(
         journal=JournalSupervisor(journal_dir, every_minutes=16)
     )
+    t0 = time.perf_counter()
     infos = manager.recover()
+    total_s = time.perf_counter() - t0
     if sorted(i["id"] for i in infos) != sids or not all(
         i["done"] for i in infos
     ):
         raise SystemExit("FAIL: drained journal dir did not recover clean")
-    manager.drain()  # keep journals + snapshots as uploadable artifacts
-    print(f"[{engine}] drained snapshots recover clean")
+    manager.drain()  # keep journals + documents as uploadable artifacts
+    print(
+        f"[{engine}] drained directory recovers clean: {len(infos)} "
+        f"sessions in {total_s:.3f}s, slowest "
+        f"{max(i['recovery_s'] for i in infos):.3f}s, "
+        f"{sum(i['bytes_read'] for i in infos)} bytes read"
+    )
 
 
 def main(argv: list[str]) -> int:

@@ -9,6 +9,12 @@ stepped in-process — both serialized as canonical JSONL (sorted keys).
 Also cross-checks the per-advance decision deltas against the final
 ``GET .../decisions`` stream and the finished run summaries.
 
+Restore across servers: after 30 of the 60 minutes it takes the
+session's inputs document (``GET .../snapshot``), restores it into a
+second, fresh server with no journal (``POST /v1/sessions/restore``),
+drives the restored session to minute 60 there, and requires its
+decision JSONL to byte-match the in-process run too.
+
 Writes the JSONL decision trace to the path given as argv[1]
 (default ``serve-decisions.jsonl``) for upload as a CI artifact.
 
@@ -19,10 +25,12 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 import threading
 import urllib.request
+from collections.abc import Iterator
 from pathlib import Path
 
 from repro.serve.app import make_server, open_session_from_spec
@@ -41,14 +49,36 @@ SPEC = {
 }
 
 
-def request(url: str, method: str = "GET", body: dict | None = None) -> dict:
-    data = None if body is None else json.dumps(body).encode()
+def request(
+    url: str, method: str = "GET", body: dict | bytes | None = None,
+    raw: bool = False,
+):
+    data = body if body is None or isinstance(body, bytes) else (
+        json.dumps(body).encode()
+    )
     req = urllib.request.Request(
         url, data=data, method=method,
         headers={"Content-Type": "application/json"} if data else {},
     )
     with urllib.request.urlopen(req, timeout=30) as resp:
-        return json.loads(resp.read())
+        payload = resp.read()
+    return payload if raw else json.loads(payload)
+
+
+@contextlib.contextmanager
+def running_server() -> Iterator[str]:
+    """A fresh in-process server (no journal) on an ephemeral port."""
+    server = make_server("127.0.0.1", port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        server.manager.close_all()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
 
 
 def to_jsonl(records: list[dict]) -> bytes:
@@ -63,19 +93,19 @@ def to_jsonl(records: list[dict]) -> bytes:
 def main(argv: list[str]) -> int:
     artifact = Path(argv[1]) if len(argv) > 1 else Path("serve-decisions.jsonl")
 
-    server = make_server("127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    base = f"http://{host}:{port}"
-    try:
+    with running_server() as base:
         info = request(f"{base}/v1/sessions", "POST", SPEC)
         sid = info["id"]
         print(f"session {sid}: {info['n_functions']} functions, "
               f"{info['horizon_minutes']} minutes, engine={info['engine']}")
 
         streamed: list[dict] = []
-        for _ in range(MINUTES):
+        document = b""
+        for minute in range(MINUTES):
+            if minute == MINUTES // 2:
+                document = request(
+                    f"{base}/v1/sessions/{sid}/snapshot", raw=True
+                )
             step = request(f"{base}/v1/sessions/{sid}/advance", "POST", {})
             streamed.extend(step["decisions"])
         print(f"drove {MINUTES} minutes over HTTP: "
@@ -88,11 +118,20 @@ def main(argv: list[str]) -> int:
             return 1
 
         http_summary = request(f"{base}/v1/sessions/{sid}/result")
-    finally:
-        server.manager.close_all()
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5.0)
+
+    # Restore across servers: the minute-30 inputs document, rebuilt in
+    # a second server that never saw the session, then driven on.
+    with running_server() as other:
+        restored = request(f"{other}/v1/sessions/restore", "POST", document)
+        rid = restored["id"]
+        print(f"restored the minute-{MINUTES // 2} inputs document "
+              f"({len(document)} bytes) into a fresh server as {rid} "
+              f"at minute {restored['next_minute']}")
+        while not request(f"{other}/v1/sessions/{rid}")["done"]:
+            request(f"{other}/v1/sessions/{rid}/advance", "POST", {})
+        restored_decisions = request(
+            f"{other}/v1/sessions/{rid}/decisions"
+        )["decisions"]
 
     # The same trace stepped in-process (the batch path every run —
     # repro.api.simulate included — goes through).
@@ -110,6 +149,11 @@ def main(argv: list[str]) -> int:
         return 1
     print(f"decision byte-match ok: {len(gathered)} records, "
           f"{len(http_bytes)} bytes")
+    if to_jsonl(restored_decisions) != batch_bytes:
+        print("FAIL: restored session's decision trace != batch decision "
+              "trace", file=sys.stderr)
+        return 1
+    print("restore-across-servers byte-match ok")
 
     batch_summary = json.loads(json.dumps(batch_result.summary()))
     for summary in (http_summary, batch_summary):

@@ -3,11 +3,10 @@
 An AST-based lint engine plus a rule pack enforcing this repository's
 reproducibility contracts *at lint time* — determinism of the replay
 harness (RPR001), parity between the reference and fleet engines
-(RPR002), the policy lifecycle/picklability contract (RPR003), internal
-deprecation hygiene (RPR004), spec-string hygiene (RPR005), exception
-hygiene (RPR006), facade signatures (RPR007), serve-layer lock
-discipline (RPR008) and columnar-kernel hygiene (RPR009). Project-wide
-rules run over a
+(RPR002), the policy lifecycle/picklability contract (RPR003),
+spec-string hygiene (RPR005), exception hygiene (RPR006), facade
+signatures (RPR007), serve-layer lock discipline (RPR008) and
+columnar-kernel hygiene (RPR009). Project-wide rules run over a
 :class:`~repro.analysis.project.ProjectContext` — a symbol table, call
 graph and reaching-definitions helper built over every linted module —
 and per-file results are cached content-addressed

@@ -8,7 +8,6 @@ reference them. Add new rules with fresh ids; never renumber.
 """
 
 from repro.analysis.rules.columnar_hygiene import ColumnarHygieneRule
-from repro.analysis.rules.deprecation import DeprecationHygieneRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exception_hygiene import ExceptionHygieneRule
 from repro.analysis.rules.facade import FacadeSignatureRule
@@ -19,7 +18,6 @@ from repro.analysis.rules.spec_strings import SpecStringRule
 
 __all__ = [
     "ColumnarHygieneRule",
-    "DeprecationHygieneRule",
     "DeterminismRule",
     "EngineParityRule",
     "ExceptionHygieneRule",

@@ -706,10 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-lint the codebase against the repro-specific rule pack: "
             "RPR001 determinism, RPR002 engine parity, RPR003 policy "
-            "contract, RPR004 deprecation hygiene, RPR005 spec-string "
-            "hygiene, RPR006 exception hygiene, RPR007 facade "
-            "signatures, RPR008 serve-layer lock discipline, RPR009 "
-            "columnar-kernel hygiene. "
+            "contract, RPR005 spec-string hygiene, RPR006 exception "
+            "hygiene, RPR007 facade signatures, RPR008 serve-layer lock "
+            "discipline, RPR009 columnar-kernel hygiene. "
             "Directory operands are expanded to their *.py files; a "
             "file operand is always linted, even when discovery would "
             "skip it."
@@ -878,14 +877,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--journal-dir", default=None, metavar="DIR",
                          help="write-ahead-journal directory: every "
                               "advance is journaled before it executes, "
-                              "with periodic snapshot compaction")
+                              "and compaction writes each session's "
+                              "inputs document (its JSON spec plus its "
+                              "advances) to <sid>.snapshot.json")
     p_serve.add_argument("--recover", action="store_true",
                          help="rebuild all sessions found in "
                               "--journal-dir before serving")
     p_serve.add_argument("--compact-every", type=int, default=240,
                          metavar="MINUTES",
-                         help="snapshot-compaction cadence in "
-                              "session-minutes")
+                         help="compaction cadence in session-minutes: "
+                              "write the inputs document, fsync, and "
+                              "reset the journal")
     p_serve.add_argument("--max-sessions", type=int, default=64,
                          help="admission control: 503 past this many "
                               "open sessions")

@@ -41,13 +41,15 @@ nothing. The cadence is a pure function of the trace, so an interrupted
 run and a clean run write checkpoints at the same minutes — which is
 what keeps checkpoint counters identical between them — and both
 engines capture at the same ``next_minute`` values. The cursor is just the
-bucket: ``(bucket,)`` for engine checkpoints, ``()`` for session
-snapshots.
+bucket, ``(bucket,)``.
 
 On disk a snapshot is the JSON wire envelope
 (:meth:`SimulationState.to_wire_json`), so :meth:`SimulationState.load`
 checks the format, the schema version and one SHA-256 over its header
-and payload before anything is unpickled.
+and payload before anything is unpickled. Checkpoints are for a run's
+own process or a trusted successor: the payload is a pickle, so the
+serving layer never accepts one (a serve session persists as its
+inputs, see :mod:`repro.serve.journal`).
 """
 
 from __future__ import annotations
@@ -211,12 +213,10 @@ class SimulationState:
     """One engine checkpoint: where the run is, plus everything mutable.
 
     ``engine`` records which engine produced it (``"reference"`` or
-    ``"fleet"``, or ``"session:<name>"`` for a session snapshot) — a
-    state can only resume on the engine that captured it.
-    ``next_minute`` is the first minute not yet executed. ``cursor`` is
-    the driver's checkpoint-cadence bucket, ``(bucket,)``, or ``()`` for
-    a session snapshot. ``payload`` is a single pickle of the live
-    object graph.
+    ``"fleet"``) — a state can only resume on the engine that captured
+    it. ``next_minute`` is the first minute not yet executed.
+    ``cursor`` is the driver's checkpoint-cadence bucket, ``(bucket,)``.
+    ``payload`` is a single pickle of the live object graph.
     """
 
     engine: str
@@ -263,17 +263,15 @@ class SimulationState:
     def to_wire_json(self) -> str:
         """The snapshot as a canonical-JSON wire envelope.
 
-        This is the format snapshots travel in over HTTP (and the
-        on-disk form the serve-layer journal compacts to): a versioned,
-        inspectable JSON object instead of a raw pickle stream. The
-        pickle payload rides inside as base64 with a SHA-256 of the
-        header and the payload beside it, so the envelope round-trips
-        **bit-identically** — ``payload`` bytes are preserved exactly —
-        while transport corruption, an edited header and schema drift
-        are detected before anything is unpickled.
+        This is the on-disk form of a checkpoint (:meth:`save`): a
+        versioned, inspectable JSON object instead of a raw pickle
+        stream. The pickle payload rides inside as base64 with a SHA-256
+        of the header and the payload beside it, so the envelope
+        round-trips **bit-identically** — ``payload`` bytes are
+        preserved exactly — while corruption, an edited header and
+        schema drift are detected before anything is unpickled.
         Deserializing the payload still executes pickle bytecode, so
-        the serving layer only accepts envelopes from authenticated
-        callers (see the bearer-token gate in :mod:`repro.serve.app`).
+        only load envelopes a trusted process wrote.
         """
         return canonical_json(
             {

@@ -51,8 +51,7 @@ from repro.utils.specs import parse_engine
 
 __all__ = ["NO_EVENTS", "Stepper", "drive", "open_stepper"]
 
-#: The engines whose checkpoints a batch run resumes (``session:*``
-#: snapshots restore through ``ControlSession.restore`` instead).
+#: The engines whose checkpoints a batch run resumes.
 _STEPPER_ENGINES = tuple(SNAPSHOT_FIELDS)
 
 #: Minutes per block of the sparse event table :func:`drive` extracts
@@ -276,9 +275,6 @@ def open_stepper(
     sim,
     engine: str | None = None,
     resume_from: SimulationState | None = None,
-    *,
-    live: dict | None = None,
-    next_minute: int = 0,
 ) -> Stepper:
     """Build the stepper that runs ``sim`` on the selected engine.
 
@@ -288,19 +284,18 @@ def open_stepper(
 
     ``resume_from`` is an engine checkpoint to continue. Its engine wins
     over ``None``/``"auto"``, and any other selector must name the same
-    engine: the steppers' payloads are not interchangeable. A session
-    restore passes the snapshot's already-unpickled ``live`` payload and
-    its ``next_minute`` instead.
+    engine: the steppers' payloads are not interchangeable.
     """
     name = None if engine is None else parse_engine(engine)
+    live: dict | None = None
+    next_minute = 0
     if resume_from is not None:
         origin = resume_from.engine
         if origin not in _STEPPER_ENGINES:
             raise ValueError(
                 f"cannot resume a {origin!r} snapshot: Simulation.run "
                 f"resumes checkpoints of the {', '.join(_STEPPER_ENGINES)} "
-                "engines; restore session snapshots with "
-                "ControlSession.restore"
+                "engines"
             )
         if name not in (None, "auto", origin):
             raise ValueError(

@@ -265,7 +265,7 @@ class Simulation:
         trace/assignment/policy/config that produced the checkpoint (the
         durable sweep layer verifies this via content hashes); the engine
         is taken from the checkpoint unless explicitly overridden, and an
-        explicit mismatch errors, as does a ``session:*`` snapshot.
+        explicit mismatch errors, as does a state of any other engine.
         """
         if checkpoint is not None and not isinstance(checkpoint, CheckpointConfig):
             raise TypeError(

@@ -2,18 +2,19 @@
 
 :mod:`repro.serve.session` owns the :class:`ControlSession` API —
 ``open_session(...)`` returns a session whose ``advance()`` executes one
-simulated minute on any of the three engines and reports that minute's
-decisions; ``snapshot()``/``restore()`` make sessions survive process
-restarts. :mod:`repro.serve.app` wraps sessions in a multi-tenant
-HTTP service with its own HTTP/1.1 request loop.
-:mod:`repro.serve.journal` adds crash durability: a per-session
-write-ahead journal with snapshot compaction, and a supervisor that
+simulated minute on either engine and reports that minute's decisions.
+:mod:`repro.serve.app` wraps sessions in a multi-tenant HTTP service
+with its own HTTP/1.1 request loop. :mod:`repro.serve.journal` holds a
+session's persistent form, its inputs document (the JSON spec plus the
+advances it accepted), and adds crash durability: a per-session
+write-ahead journal compacted into that document, and a supervisor that
 rebuilds every tenant bit-identically after a SIGKILL.
 """
 
 from repro.serve.journal import (
     JournalError,
     JournalSupervisor,
+    SessionInputs,
     SessionJournal,
 )
 from repro.serve.session import (
@@ -28,6 +29,7 @@ __all__ = [
     "ControlSession",
     "JournalError",
     "JournalSupervisor",
+    "SessionInputs",
     "SessionJournal",
     "TraceMeta",
     "open_session",

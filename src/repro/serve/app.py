@@ -11,13 +11,13 @@ clock cadence. The HTTP layer is a thin JSON translation over it:
 ``GET``     ``/v1/readyz``                         readiness (503 draining)
 ``GET``     ``/v1/sessions``                       list open sessions
 ``POST``    ``/v1/sessions``                       open (JSON spec body)
-``POST``    ``/v1/sessions/restore``               reopen from a snapshot
+``POST``    ``/v1/sessions/restore``               rebuild from inputs
 ``GET``     ``/v1/sessions/{id}``                  session info
 ``DELETE``  ``/v1/sessions/{id}``                  close (stops its ticker)
 ``POST``    ``/v1/sessions/{id}/advance``          execute one minute
 ``POST``    ``/v1/sessions/{id}/tick``             start/stop auto-tick
 ``GET``     ``/v1/sessions/{id}/metrics``          Prometheus exposition
-``GET``     ``/v1/sessions/{id}/snapshot``         JSON snapshot envelope
+``GET``     ``/v1/sessions/{id}/snapshot``         JSON inputs document
 ``GET``     ``/v1/sessions/{id}/decisions?fid=``   decision-trace records
 ``GET``     ``/v1/sessions/{id}/result``           final RunResult summary
 ==========  =====================================  ========================
@@ -38,24 +38,27 @@ the connection.
 
 Production hardening lives here too:
 
-- **Snapshots cross the wire as versioned JSON envelopes**
-  (:meth:`~repro.runtime.checkpoint.SimulationState.to_wire_json` —
-  sha256-checked, key set pinned by ``WIRE_FIELDS``), not raw pickles,
-  so the bytes are inspectable and integrity-checked in transit. The payload
-  still deserializes engine state, so non-loopback binds additionally
-  require a **bearer token** (:func:`serve` refuses to start without
-  one; requests without it get 401).
+- **A session persists as its inputs**: ``GET .../snapshot`` returns
+  the inputs document (:class:`~repro.serve.journal.SessionInputs` —
+  the JSON spec, its fingerprint and the successful advances), and
+  ``POST /v1/sessions/restore`` rebuilds from one through
+  :func:`rebuild_session`. Every body is parsed as JSON and validated
+  (:func:`~repro.serve.journal.parse_advance` for each advance); no
+  request byte is ever unpickled. Every route still drives engine work
+  on a caller's behalf, so non-loopback binds require a **bearer
+  token** (:func:`serve` refuses to start without one; requests without
+  it get 401).
 - **Backpressure**: a full session table or a drained server answers
   503, a session already at its in-flight cap answers 429, and a
   per-request deadline on the session lock answers 503 — all with
   ``Retry-After`` (:class:`ServeLimits` holds the knobs).
 - **Crash durability**: give the manager a
   :class:`~repro.serve.journal.JournalSupervisor` and every advance is
-  write-ahead journaled with periodic snapshot compaction;
+  write-ahead journaled, and compaction writes the inputs document;
   :meth:`SessionManager.recover` rebuilds all tenants bit-identically
   after a SIGKILL. SIGTERM triggers a graceful drain: tickers stop,
-  in-flight advances finish, every session is snapshotted and fsynced,
-  and the process exits 0.
+  in-flight advances finish, every session's inputs document is
+  written and fsynced, and the process exits 0.
 """
 
 from __future__ import annotations
@@ -74,8 +77,12 @@ from typing import Any, Callable
 from urllib.parse import parse_qs
 
 from repro.obs.export import render_prometheus
-from repro.runtime.checkpoint import SimulationState
-from repro.serve.journal import JournalSupervisor, SessionJournal
+from repro.serve.journal import (
+    JournalSupervisor,
+    SessionInputs,
+    SessionJournal,
+    parse_advance,
+)
 from repro.serve.session import ControlSession, TraceMeta, open_session
 
 __all__ = [
@@ -84,6 +91,7 @@ __all__ = [
     "SessionManager",
     "make_server",
     "open_session_from_spec",
+    "rebuild_session",
     "serve",
 ]
 
@@ -183,6 +191,32 @@ def open_session_from_spec(spec: dict) -> ControlSession:
         raise ApiError(400, str(exc)) from exc
 
 
+def rebuild_session(inputs: SessionInputs) -> ControlSession:
+    """Rebuild a session from its inputs: reopen the spec, refuse a
+    fingerprint that differs from the recorded one, then re-run every
+    recorded advance. Restore and recovery both come through here.
+
+    Bit-identical to the session that recorded the inputs, because a
+    session is a pure function of its spec and its advances. Raises
+    ``ValueError`` on a bad spec, a fingerprint mismatch or a record
+    the session refuses.
+    """
+    try:
+        session = open_session_from_spec(inputs.spec)
+    except ApiError as exc:
+        raise ValueError(f"session spec: {exc}") from exc
+    actual = session.fingerprint()
+    if actual != inputs.fingerprint:
+        raise ValueError(
+            f"rebuilt session fingerprint {actual[:12]} does not match "
+            f"the recorded {inputs.fingerprint[:12]} — the spec or its "
+            "registries drifted; replaying advances would diverge silently"
+        )
+    for minute, invocations in inputs.advances:
+        session.advance(minute, invocations)
+    return session
+
+
 class _Ticker:
     """Background thread driving one session's ``advance()`` on a
     wall-clock cadence until the horizon, a stop, or an error."""
@@ -224,22 +258,24 @@ class _ManagedSession:
         self,
         sid: str,
         session: ControlSession,
+        inputs: SessionInputs,
         *,
         max_inflight: int = 4,
         journal: SessionJournal | None = None,
     ) -> None:
         self.sid = sid
         self.session = session
+        self.inputs = inputs
         self.lock = threading.Lock()
         self.gate = threading.BoundedSemaphore(max_inflight)
         self.journal = journal
         self.ticker: _Ticker | None = None
-        self.n_advances = 0
 
     def step(
         self, minute: int | None, invocations: dict[int, int] | None
     ) -> Any:
-        """Execute one advance — journal record first, then the engine.
+        """Execute one advance — journal record first, then the engine,
+        then the inputs record of the advance that stepped.
 
         The caller holds ``self.lock`` (every call site acquires it;
         a timed acquire cannot be a lexical ``with``)."""
@@ -249,9 +285,9 @@ class _ManagedSession:
                 invocations,
             )
         result = self.session.advance(minute, invocations)
-        self.n_advances += 1  # repro: lint-ok[RPR008] caller holds self.lock — step() is only invoked with the session lock held (see advance()/_Ticker._run)
+        self.inputs.advances.append((result.minute, invocations))
         if self.journal is not None:
-            self.journal.maybe_compact(self.session)
+            self.journal.maybe_compact()
         return result
 
 
@@ -288,9 +324,7 @@ class SessionManager:
     def journaled(self) -> bool:
         return self._journal is not None
 
-    def _register(
-        self, session: ControlSession, *, spec: dict | None = None
-    ) -> dict:
+    def _register(self, session: ControlSession, inputs: SessionInputs) -> dict:
         with self._registry_lock:
             if self._draining.is_set():
                 raise ApiError(
@@ -307,38 +341,43 @@ class SessionManager:
             self._next_id += 1
             sid = f"s{self._next_id}"
             journal = (
-                self._journal.create(sid, spec, session)
+                self._journal.create(sid, inputs)
                 if self._journal is not None
                 else None
             )
             self._sessions[sid] = _ManagedSession(
                 sid,
                 session,
+                inputs,
                 max_inflight=self.limits.max_inflight,
                 journal=journal,
             )
         return self.info(sid)
 
     def create(self, spec: dict) -> dict:
-        return self._register(open_session_from_spec(spec), spec=spec)
+        session = open_session_from_spec(spec)
+        return self._register(
+            session, SessionInputs(spec, session.fingerprint())
+        )
 
     def restore(self, payload: bytes) -> dict:
-        """Reopen a session from a JSON snapshot envelope (the body a
-        ``/snapshot`` GET returned)."""
+        """Rebuild a session from an inputs document (the body a
+        ``/snapshot`` GET returned) under a new id; 400 on a malformed
+        document, a fingerprint mismatch or a refused record."""
         try:
-            state = SimulationState.from_wire_json(payload.decode("utf-8"))
-        except ValueError as exc:
-            raise ApiError(400, f"undecodable snapshot payload: {exc}") from exc
-        try:
-            return self._register(ControlSession.restore(state), spec=None)
+            inputs = SessionInputs.from_json(payload)
+            session = rebuild_session(inputs)
         except ValueError as exc:
             raise ApiError(400, str(exc)) from exc
+        return self._register(session, inputs)
 
     def recover(self) -> list[dict]:
         """Rebuild every session the journal directory holds (after a
         crash or a drain) and register them under their original ids.
 
-        Returns the recovered sessions' info dicts. Raises
+        Returns the recovered sessions' info dicts, each with two more
+        keys: ``recovery_s`` (wall seconds to rebuild it) and
+        ``bytes_read`` (its journal plus inputs-document bytes). Raises
         :class:`~repro.serve.journal.JournalError` on unrecoverable
         state — silently dropping a tenant would defeat the journal.
         """
@@ -346,17 +385,22 @@ class SessionManager:
             raise ValueError("recover() needs a manager with a journal")
         out: list[dict] = []
         for sid in self._journal.discover():
-            session, journal = self._journal.recover(sid)
+            t0 = time.perf_counter()
+            session, journal, n_bytes = self._journal.recover(sid)
+            seconds = time.perf_counter() - t0
             with self._registry_lock:
                 if sid.startswith("s") and sid[1:].isdigit():
                     self._next_id = max(self._next_id, int(sid[1:]))
                 self._sessions[sid] = _ManagedSession(
                     sid,
                     session,
+                    journal.inputs,
                     max_inflight=self.limits.max_inflight,
                     journal=journal,
                 )
-            out.append(self.info(sid))
+            out.append(
+                dict(self.info(sid), recovery_s=seconds, bytes_read=n_bytes)
+            )
         return out
 
     def _get(self, sid: str) -> _ManagedSession:
@@ -381,7 +425,6 @@ class SessionManager:
         managed = self._get(sid)
         session = managed.session
         with managed.lock:
-            n_advances = managed.n_advances
             ticker = managed.ticker
             info = {
                 "id": sid,
@@ -391,7 +434,7 @@ class SessionManager:
                 "horizon_minutes": session.horizon,
                 "next_minute": session.next_minute,
                 "done": session.done,
-                "n_advances": n_advances,
+                "n_advances": len(managed.inputs.advances),
                 "ticking": ticker is not None and ticker.running,
                 "tick_error": ticker.error if ticker is not None else None,
             }
@@ -434,9 +477,10 @@ class SessionManager:
 
     def drain(self) -> None:
         """Graceful shutdown: refuse new work, stop tickers, let
-        in-flight advances finish, then snapshot + fsync every session.
+        in-flight advances finish, then write and fsync every session's
+        inputs document.
 
-        Journal and snapshot files are *kept* (unlike :meth:`close`):
+        Journal and document files are *kept* (unlike :meth:`close`):
         a drained directory is a valid ``--recover`` source, so a
         deploy can SIGTERM one process and recover in the next.
         Idempotent — a second drain (signal racing the finally block)
@@ -446,7 +490,7 @@ class SessionManager:
         with self._registry_lock:
             managed_all = list(self._sessions.values())
         # Tickers first, *before* taking any session lock for the
-        # snapshot pass: stop() joins a loop that needs managed.lock,
+        # compaction pass: stop() joins a loop that needs managed.lock,
         # so detaching under the lock and joining outside is the only
         # deadlock-free order.
         tickers: list[_Ticker] = []
@@ -461,23 +505,26 @@ class SessionManager:
         for managed in managed_all:
             with managed.lock:
                 if managed.journal is not None:
-                    managed.journal.compact(managed.session)
+                    managed.journal.compact()
                     managed.journal.close()
 
     # -- stepping ----------------------------------------------------------
 
-    def advance(self, sid: str, body: dict | None = None) -> dict:
+    def advance(self, sid: str, body: Any = None) -> dict:
+        """Execute one minute. ``body`` is the parsed JSON body (``None``
+        means ``{}``); a malformed one answers 400 before anything is
+        journaled (see :func:`~repro.serve.journal.parse_advance`), and
+        one the session refuses (a past minute, an unknown fid) 409."""
         if self._draining.is_set():
             raise ApiError(
                 503, "server is draining",
                 retry_after=self.limits.retry_after_s,
             )
-        body = body or {}
+        try:
+            minute, invocations = parse_advance({} if body is None else body)
+        except ValueError as exc:
+            raise ApiError(400, str(exc)) from exc
         managed = self._get(sid)
-        invocations = body.get("invocations")
-        if isinstance(invocations, dict):
-            # JSON object keys are strings; fids are ints.
-            invocations = {int(k): v for k, v in invocations.items()}
         if not managed.gate.acquire(blocking=False):
             raise ApiError(
                 429,
@@ -494,7 +541,7 @@ class SessionManager:
                     retry_after=self.limits.retry_after_s,
                 )
             try:
-                result = managed.step(body.get("minute"), invocations)
+                result = managed.step(minute, invocations)
             except ValueError as exc:
                 raise ApiError(409, str(exc)) from exc
             finally:
@@ -545,12 +592,11 @@ class SessionManager:
                 raise ApiError(409, str(exc)) from exc
 
     def snapshot(self, sid: str) -> str:
-        """The session's state as a JSON snapshot envelope (see
-        :meth:`~repro.runtime.checkpoint.SimulationState.to_wire_json`)."""
+        """The session's inputs document (see
+        :class:`~repro.serve.journal.SessionInputs`)."""
         managed = self._get(sid)
         with managed.lock:
-            state = managed.session.snapshot()
-        return state.to_wire_json()
+            return managed.inputs.to_json()
 
     def decisions(
         self, sid: str, fid: int | None = None, kind: str | None = None
@@ -1009,22 +1055,26 @@ def serve(
     entry point); returns the process exit code.
 
     Binds loopback by default. A non-loopback ``host`` requires
-    ``token`` (snapshot restore deserializes engine state — never
-    expose it unauthenticated); with a token set, every request must
-    carry ``Authorization: Bearer <token>``.
+    ``token`` (every route runs engine work for its caller, and restore
+    replays a caller's whole document — never expose that
+    unauthenticated); with a token set, every request must carry
+    ``Authorization: Bearer <token>``.
 
-    ``journal_dir`` turns on write-ahead journaling (compaction every
-    ``compact_every`` session-minutes); ``recover=True`` first rebuilds
-    every session the directory holds. SIGTERM (and Ctrl-C) trigger a
-    graceful drain — tickers stop, in-flight advances finish, all
-    sessions are snapshotted + fsynced — and the function returns 0,
-    so a drained ``journal_dir`` is always a valid ``--recover`` source.
+    ``journal_dir`` turns on write-ahead journaling (the inputs document
+    is written and the journal fsynced every ``compact_every``
+    session-minutes); ``recover=True`` first rebuilds every session the
+    directory holds and prints how long that took and how many bytes it
+    read. SIGTERM (and Ctrl-C) trigger a graceful drain — tickers stop,
+    in-flight advances finish, every inputs document is written and
+    fsynced — and the function returns 0, so a drained ``journal_dir``
+    is always a valid ``--recover`` source.
     """
     if host not in _LOOPBACK_HOSTS and token is None:
         raise SystemExit(
             f"repro serve: refusing to bind non-loopback host {host!r} "
-            "without --token: snapshot restore deserializes engine "
-            "state and must not be open to unauthenticated callers"
+            "without --token: every route runs engine work for its "
+            "caller (restore replays a whole session) and must not be "
+            "open to unauthenticated callers"
         )
     if manager is None:
         supervisor = (
@@ -1039,8 +1089,20 @@ def serve(
                 "repro serve: --recover needs --journal-dir (there is "
                 "no journal to recover from)"
             )
+        t0 = time.perf_counter()
         recovered = manager.recover()
-        print(f"repro serve: recovered {len(recovered)} session(s)")
+        slowest = max(
+            recovered, key=lambda info: info["recovery_s"],
+            default={"id": "-", "recovery_s": 0.0},
+        )
+        print(
+            f"repro serve: recovered {len(recovered)} session(s) in "
+            f"{time.perf_counter() - t0:.3f}s (slowest {slowest['id']} "
+            f"{slowest['recovery_s']:.3f}s), read "
+            f"{sum(info['bytes_read'] for info in recovered)} bytes of "
+            "journal and inputs documents",
+            flush=True,
+        )
     server = make_server(
         host, port=port, manager=manager, token=token, limits=limits
     )
@@ -1063,7 +1125,7 @@ def serve(
     except KeyboardInterrupt:
         print("repro serve: interrupted, draining")
     finally:
-        # Drain keeps journal/snapshot files for --recover; without a
+        # Drain keeps journal and inputs-document files for --recover; without a
         # journal there is nothing to persist, so just tear down.
         server.manager.drain()
         if not server.manager.journaled:

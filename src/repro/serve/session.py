@@ -30,20 +30,16 @@ Two workload modes share the API:
   arrive. The oracle baseline and trace-perturbing fault plans are
   rejected here (both need the full future trace).
 
-``snapshot()`` captures the session as a
-:class:`~repro.runtime.checkpoint.SimulationState` (the engine
-checkpoint format, ``engine="session:<name>"``, with an empty cursor —
-the cadence bucket belongs to batch checkpoints) and
-``ControlSession.restore()`` rebuilds it — in the same process or after
-a restart — bit-identically, by the same one-pickle-payload rule the
-engine checkpoints use.
+A session keeps no persistent form of its own: it is a pure function
+of what opened it and of the advances it was fed, so the serving layer
+persists exactly that (the inputs document of
+:mod:`repro.serve.journal`) and rebuilds a session by replaying it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
-from pathlib import Path
 from time import perf_counter
 from typing import Any
 
@@ -52,7 +48,6 @@ import numpy as np
 from repro.faults.plan import FaultPlan
 from repro.models.variants import ModelFamily
 from repro.obs.session import ObservabilityConfig
-from repro.runtime.checkpoint import SNAPSHOT_FIELDS, SimulationState
 from repro.runtime.driver import drive, open_stepper
 from repro.runtime.metrics import RunResult
 from repro.runtime.policy import KeepAlivePolicy
@@ -61,17 +56,6 @@ from repro.traces.schema import FunctionSpec, Trace
 from repro.utils.validation import check_positive_int
 
 __all__ = ["AdvanceResult", "ControlSession", "TraceMeta", "open_session"]
-
-#: The binding context a session snapshot's ``meta`` entry carries.
-_SESSION_META = ("trace", "assignment", "config", "online")
-
-
-def _shape(value: object) -> str:
-    """A short description of a snapshot payload entry, for errors."""
-    if isinstance(value, dict):
-        return f"keys {', '.join(sorted(map(str, value))) or '(none)'}"
-    return type(value).__name__
-
 
 @dataclass(frozen=True)
 class TraceMeta:
@@ -137,8 +121,7 @@ class AdvanceResult:
 class ControlSession:
     """One live run, driven minute-by-minute over a single stepper.
 
-    Construct through :func:`open_session` (fresh) or
-    :meth:`ControlSession.restore` (from a snapshot). The session owns a
+    Construct through :func:`open_session`. The session owns a
     stepper for the selected engine and only ever feeds it minutes in
     order, which is the whole bit-identity argument: the per-minute
     semantics live in the stepper classes the batch drivers share.
@@ -150,7 +133,6 @@ class ControlSession:
         *,
         engine: str = "auto",
         online: bool = False,
-        _restored: tuple | None = None,
     ) -> None:
         self.sim = sim
         self.trace = sim.trace
@@ -163,10 +145,7 @@ class ControlSession:
         # handle stays untyped because two values read per advance
         # (n_forced, last_memory_mb) are attributes on some engines and
         # properties on others.
-        live, next_minute = _restored if _restored is not None else (None, 0)
-        self.stepper: Any = open_stepper(
-            sim, engine, live=live, next_minute=next_minute
-        )
+        self.stepper: Any = open_stepper(sim, engine)
         self.engine: str = self.stepper.engine
 
     # -- position ----------------------------------------------------------
@@ -192,8 +171,8 @@ class ControlSession:
 
         ``minute`` defaults to :attr:`next_minute`; a later minute first
         drives the gap from the trace (all-idle for online sessions).
-        Earlier minutes error — sessions only move forward; ``restore()``
-        an earlier snapshot to rewind.
+        Earlier minutes error — sessions only move forward; rebuild from
+        a shorter run of inputs to rewind.
 
         ``invocations`` overrides the trace for the target minute: a
         ``{fid: count}`` mapping or ``(fid, count)`` pairs (duplicates
@@ -208,8 +187,7 @@ class ControlSession:
         if minute < start:
             raise ValueError(
                 f"minute {minute} was already executed (next is {start}); "
-                "sessions only move forward — restore() an earlier "
-                "snapshot to rewind"
+                "sessions only move forward"
             )
         if minute >= self.horizon:
             raise ValueError(
@@ -293,17 +271,21 @@ class ControlSession:
         """A stable SHA-256 naming *what this session runs*.
 
         Hashes the engine selection, mode, policy class, the full
-        ``SimulationConfig`` (fault plan and observability included) and
-        the trace content (shape + counts bytes — already perturbed if
+        ``SimulationConfig`` (fault plan and observability included),
+        the model assignment (each fid's family, and every assigned
+        family's variants) and the trace content (shape + counts bytes — already perturbed if
         the fault plan perturbs traces, so a session rebuilt from the
-        same spec hashes identically). The serve-layer journal records
-        it at open and recovery refuses to replay advances against a
-        session that rebuilt differently — a spec or trace drift would
-        otherwise replay into silently different state.
+        same spec hashes identically). The serve layer records it in
+        every inputs document, and restore and recovery refuse to replay
+        advances against a session that rebuilt differently — a spec or
+        trace drift would otherwise replay into silently different
+        state.
         """
         from repro.utils.atomicio import sha256_bytes
 
         trace_sha = sha256_bytes(self.trace.counts.tobytes())
+        assignment = self.sim.assignment
+        families = {family.name: family for family in assignment.values()}
         identity = "|".join(
             (
                 self.engine,
@@ -312,88 +294,11 @@ class ControlSession:
                 repr(self.sim.config),
                 f"{self.n_functions}x{self.horizon}",
                 trace_sha,
+                repr([(fid, assignment[fid].name) for fid in sorted(assignment)]),
+                repr(sorted(families.items())),
             )
         )
         return sha256_bytes(identity.encode("utf-8"))
-
-    # -- snapshot / restore ------------------------------------------------
-
-    def snapshot(self) -> SimulationState:
-        """Capture the session as a :class:`SimulationState`.
-
-        ``engine`` is ``"session:<name>"`` so engine checkpoints and
-        session snapshots cannot be confused; the payload is one pickle
-        of the stepper's live state plus the binding context (trace,
-        assignment, config), so shared identities survive the round trip
-        — the same rule the engine checkpoints follow. Persist with
-        ``snapshot().save(path)``.
-        """
-        stepper = self.stepper
-        payload = {
-            "live": stepper.live_state(),
-            "meta": {
-                "trace": self.sim.trace,
-                "assignment": self.sim.assignment,
-                "config": self.sim.config,
-                "online": self.online,
-            },
-        }
-        return SimulationState.snapshot(
-            f"session:{self.engine}", stepper.next_minute, (), payload
-        )
-
-    @classmethod
-    def restore(cls, state: SimulationState | str | Path) -> "ControlSession":
-        """Rebuild a session from :meth:`snapshot` (or a saved path).
-
-        The restored session continues bit-identically — replaying the
-        rest of the trace matches an uninterrupted run, byte for byte.
-        """
-        if isinstance(state, (str, Path)):
-            state = SimulationState.load(state)
-        prefix, _, name = state.engine.partition(":")
-        if prefix != "session" or not name:
-            raise ValueError(
-                f"not a session snapshot: engine={state.engine!r} "
-                "(engine checkpoints resume through Simulation.run)"
-            )
-        if name not in SNAPSHOT_FIELDS:
-            raise ValueError(
-                f"cannot restore a {state.engine!r} snapshot: sessions "
-                f"run on the {', '.join(SNAPSHOT_FIELDS)} engines"
-            )
-        payload = state.restore()
-        if not isinstance(payload, dict) or set(payload) != {"live", "meta"}:
-            raise ValueError(
-                "session snapshot payload must be a dict with exactly the "
-                f"keys live, meta; got {_shape(payload)}"
-            )
-        live, meta = payload["live"], payload["meta"]
-        if not isinstance(live, dict):
-            raise ValueError(
-                f"session snapshot 'live' must be a dict, got {_shape(live)}"
-            )
-        if not isinstance(meta, dict) or set(meta) != set(_SESSION_META):
-            raise ValueError(
-                "session snapshot 'meta' must be a dict with exactly the "
-                f"keys {', '.join(_SESSION_META)}; got {_shape(meta)}"
-            )
-        # Rebuild the Simulation context without __init__: the captured
-        # trace is already fault-perturbed (Simulation.__init__ perturbs
-        # up front), so going through it again would perturb twice.
-        sim = object.__new__(Simulation)
-        sim.trace = meta["trace"]
-        sim.assignment = meta["assignment"]
-        # .get: a payload without a policy is refused by the stepper's
-        # restore, which names every missing or unexpected key.
-        sim.policy = live.get("policy")
-        sim.config = meta["config"]
-        return cls(
-            sim,
-            engine=name,
-            online=meta["online"],
-            _restored=(live, state.next_minute),
-        )
 
     # -- workload ----------------------------------------------------------
 

@@ -65,15 +65,15 @@ class TestEngineBasics:
 
     def test_registry_lists_the_rule_pack(self):
         assert rule_ids() == [
-            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPR007", "RPR008", "RPR009",
+            "RPR001", "RPR002", "RPR003", "RPR005", "RPR006", "RPR007",
+            "RPR008", "RPR009",
         ]
         summaries = rule_summaries()
         assert set(summaries) == set(rule_ids())
         assert all(summaries.values())
 
     def test_rule_selection(self, bad_file):
-        assert lint_paths([bad_file], rule_ids=["RPR004"]).clean
+        assert lint_paths([bad_file], rule_ids=["RPR005"]).clean
         assert not lint_paths([bad_file], rule_ids=["RPR001"]).clean
 
     def test_unknown_rule_id_rejected(self):
@@ -120,7 +120,7 @@ class TestSuppressions:
         path = write(
             tmp_path,
             "runtime/waived.py",
-            "import random  # repro: lint-ok[RPR004] wrong rule\n",
+            "import random  # repro: lint-ok[RPR005] wrong rule\n",
         )
         assert [f.rule for f in lint_paths([path]).findings] == ["RPR001"]
 

@@ -337,115 +337,6 @@ class TestPolicyContractRPR003:
         assert rules_hit(path, "RPR003") == []
 
 
-class TestDeprecationRPR004:
-    def test_simulation_config_fast_flagged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "x.py",
-            """\
-            from repro.runtime.simulator import SimulationConfig
-
-            CONFIG = SimulationConfig(fast=True)
-            """,
-        )
-        report = lint_paths([path], rule_ids=["RPR004"])
-        (finding,) = report.findings
-        assert "fast" in finding.message
-
-    def test_simulation_config_without_fast_clean(self, tmp_path):
-        path = write(
-            tmp_path,
-            "x.py",
-            """\
-            from repro.runtime.simulator import SimulationConfig
-
-            CONFIG = SimulationConfig(horizon_minutes=60)
-            """,
-        )
-        assert rules_hit(path, "RPR004") == []
-
-    def test_shimmed_cli_import_flagged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "x.py",
-            "from repro.cli import _POLICIES\n",
-        )
-        report = lint_paths([path], rule_ids=["RPR004"])
-        (finding,) = report.findings
-        assert "_POLICIES" in finding.message
-
-    def test_shimmed_attribute_reference_flagged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "x.py",
-            """\
-            from repro import cli
-
-            NAMES = cli._LONG_WINDOW_POLICIES
-            """,
-        )
-        assert rules_hit(path, "RPR004") == ["RPR004"]
-
-    def test_new_shim_without_removal_note_flagged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "x.py",
-            """\
-            import warnings
-
-            def old_entry():
-                warnings.warn("use new_entry instead", DeprecationWarning)
-            """,
-        )
-        report = lint_paths([path], rule_ids=["RPR004"])
-        (finding,) = report.findings
-        assert "removal note" in finding.message
-
-    def test_shim_with_removal_note_in_message_clean(self, tmp_path):
-        path = write(
-            tmp_path,
-            "x.py",
-            """\
-            import warnings
-
-            def old_entry():
-                warnings.warn(
-                    "use new_entry instead; removed in the next release",
-                    DeprecationWarning,
-                )
-            """,
-        )
-        assert rules_hit(path, "RPR004") == []
-
-    def test_shim_with_removal_note_in_comment_clean(self, tmp_path):
-        path = write(
-            tmp_path,
-            "x.py",
-            """\
-            import warnings
-
-            def old_entry():
-                # Shim removed once downstream migrates (tracked in
-                # the deprecation section of the changelog).
-                warnings.warn("use new_entry instead", DeprecationWarning)
-            """,
-        )
-        assert rules_hit(path, "RPR004") == []
-
-    def test_non_deprecation_warn_ignored(self, tmp_path):
-        path = write(
-            tmp_path,
-            "x.py",
-            """\
-            import warnings
-
-            def noisy():
-                warnings.warn("heads up", RuntimeWarning)
-            """,
-        )
-        assert rules_hit(path, "RPR004") == []
-
-
 class TestFacadeRPR007:
     def test_positional_params_in_facade_flagged(self, tmp_path):
         path = write(
@@ -1272,5 +1163,7 @@ class TestShippedTreeSelfCheck:
         report = lint_paths([REPRO_ROOT])
         assert report.findings == [], [str(f) for f in report.findings]
         assert report.exit_code == 0
-        # The full pack ran — RPR001 through RPR009.
-        assert report.rule_ids == [f"RPR{n:03d}" for n in range(1, 10)]
+        # The full pack ran — RPR001 through RPR009 (RPR004 is retired).
+        assert report.rule_ids == [
+            f"RPR{n:03d}" for n in range(1, 10) if n != 4
+        ]

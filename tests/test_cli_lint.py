@@ -76,7 +76,7 @@ class TestLintCommand:
         assert main(["lint", "--rule", "rpr001", str(planted_dir)]) == 1
 
     def test_rule_filter_accepts_comma_lists(self, planted_dir):
-        assert main(["lint", "--rule", "rpr002,RPR004", str(planted_dir)]) == 0
+        assert main(["lint", "--rule", "rpr002,RPR005", str(planted_dir)]) == 0
 
     def test_unknown_rule_is_a_spec_error(self, planted_dir):
         with pytest.raises(SpecError, match="RPR999"):

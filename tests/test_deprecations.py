@@ -12,8 +12,7 @@ from repro.runtime.simulator import Simulation, SimulationConfig
 
 class TestFastFlagRemoved:
     def test_fast_true_raises_with_pointer(self):
-        # The field is deleted; the RPR004 lint still flags ``fast=``
-        # statically with the pointer to ``engine=``.
+        # The field is deleted; ``engine=`` is its replacement.
         with pytest.raises(TypeError, match="fast"):
             SimulationConfig(fast=True)
 

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from repro.api import make_policy, run_sweep, simulate
 from repro.experiments.manifest import RunManifest
 from repro.experiments.runner import ExperimentConfig
-from repro.serve.session import ControlSession, open_session
+from repro.serve.app import ApiError, SessionManager, rebuild_session
+from repro.serve.journal import SessionInputs
 from repro.models.zoo import default_zoo
 from repro.runtime import checkpoint as checkpoint_module
 from repro.runtime.checkpoint import (
@@ -312,15 +313,14 @@ class TestGuards:
             )
 
     def test_session_snapshot_refused_by_run(self, tiny_trace, tiny_assignment):
-        session = open_session(
-            tiny_trace, policy="pulse", assignment=tiny_assignment,
-            engine="reference",
+        # A pickled session snapshot (sessions persist as their inputs
+        # now) names no engine a batch run can resume.
+        state = SimulationState.snapshot(
+            "session:reference", 10, (), {"live": {}, "meta": {}}
         )
-        session.advance(10)
-        state = session.snapshot()
         sim = Simulation(tiny_trace, tiny_assignment, make_policy("pulse"))
         with pytest.raises(
-            ValueError, match="'session:reference'.*ControlSession.restore"
+            ValueError, match="'session:reference'.*reference, fleet"
         ):
             sim.run(engine="reference", resume_from=state)
 
@@ -392,17 +392,26 @@ class TestRetiredFastEngine:
                 resume_from=fast,
             )
 
-    def test_session_fast_snapshot_refused(self, tiny_trace, tiny_assignment):
-        session = open_session(
-            tiny_trace, policy="pulse", assignment=tiny_assignment,
-            engine="reference",
+    def test_session_fast_snapshot_refused(
+        self, tiny_trace, tiny_assignment, monkeypatch
+    ):
+        states: list[SimulationState] = []
+        simulate(
+            tiny_trace, assignment=tiny_assignment, policy="pulse",
+            checkpoint=CheckpointConfig(every_minutes=30,
+                                        on_snapshot=states.append),
         )
-        session.advance(10)
-        state = session.snapshot()
-        fast = SimulationState("session:fast", state.next_minute,
-                               state.cursor, state.payload)
+        fast = SimulationState("session:fast", states[0].next_minute,
+                               (), states[0].payload)
         with pytest.raises(ValueError, match="'session:fast'.*reference, fleet"):
-            ControlSession.restore(fast)
+            simulate(
+                tiny_trace, assignment=tiny_assignment, policy="pulse",
+                resume_from=fast,
+            )
+        monkeypatch.setattr(pickle, "loads", _no_pickle)
+        with pytest.raises(ApiError, match="v1 session snapshot") as exc_info:
+            SessionManager().restore(fast.to_wire_json().encode())
+        assert exc_info.value.status == 400
 
     def test_sweep_resume_refuses_fast_manifest(self, tiny_trace, tmp_path):
         config = ExperimentConfig(n_runs=1, horizon_minutes=60, seed=3)
@@ -577,25 +586,30 @@ class TestEnvelopeValidation:
             SimulationState.from_wire_json(_resealed(state, **edits))
 
 
-def _session_payload(tiny_trace, tiny_assignment):
-    session = open_session(
-        tiny_trace, policy="pulse", assignment=tiny_assignment,
-        engine="reference",
-    )
-    session.advance(10)
-    return pickle.loads(session.snapshot().payload)
+def _no_pickle(*args, **kwargs):
+    raise AssertionError("a session restore must not unpickle")
 
 
-#: Session snapshot payloads of the wrong shape, each built from a good
-#: ``{"live": ..., "meta": ...}`` payload.
+def _session_document() -> dict:
+    manager = SessionManager()
+    sid = manager.create(
+        {"synthetic": {"n_functions": 4, "horizon_minutes": 30, "seed": 2}}
+    )["id"]
+    manager.advance(sid, {"minute": 10})
+    return json.loads(manager.snapshot(sid))
+
+
+#: A session's persisted form — since journal v2 its inputs document, no
+#: longer a checkpoint payload — of the wrong shape, each built from a
+#: good document.
 BAD_SESSION_PAYLOADS = {
-    "not-a-dict": lambda good: [good["live"], good["meta"]],
-    "no-meta": lambda good: {"live": good["live"]},
-    "no-live": lambda good: {"meta": good["meta"]},
+    "not-a-dict": lambda good: [good["spec"], good["records"]],
+    "no-meta": lambda good: {k: v for k, v in good.items() if k != "spec"},
+    "no-live": lambda good: {k: v for k, v in good.items() if k != "records"},
     "extra-key": lambda good: dict(good, spare=None),
-    "live-not-a-dict": lambda good: dict(good, live=list(good["live"])),
+    "live-not-a-dict": lambda good: dict(good, records={"0": None}),
     "meta-missing-trace": lambda good: dict(
-        good, meta={k: v for k, v in good["meta"].items() if k != "trace"}
+        good, spec={k: v for k, v in good["spec"].items() if k != "synthetic"}
     ),
 }
 
@@ -604,10 +618,8 @@ class TestSessionPayloadShape:
     @pytest.mark.parametrize(
         "mutate", BAD_SESSION_PAYLOADS.values(), ids=BAD_SESSION_PAYLOADS
     )
-    def test_bad_payload_refused(self, tiny_trace, tiny_assignment, mutate):
-        good = _session_payload(tiny_trace, tiny_assignment)
-        state = SimulationState.snapshot(
-            "session:reference", 10, (), mutate(good)
-        )
-        with pytest.raises(ValueError, match="session snapshot"):
-            ControlSession.restore(state)
+    def test_bad_payload_refused(self, mutate):
+        good = _session_document()
+        assert rebuild_session(SessionInputs.from_json(json.dumps(good)))
+        with pytest.raises(ValueError, match="inputs document|session spec"):
+            rebuild_session(SessionInputs.from_json(json.dumps(mutate(good))))

@@ -11,6 +11,7 @@ import contextlib
 import http.client
 import json
 import os
+import pickle
 import socket
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runtime.checkpoint import WIRE_FORMAT, SimulationState
+from repro.runtime.checkpoint import SimulationState
 from repro.serve.app import (
     ApiError,
     ServeLimits,
@@ -30,7 +31,7 @@ from repro.serve.app import (
     make_server,
     open_session_from_spec,
 )
-from tests.test_runtime_checkpoint import _resealed
+from repro.serve.journal import INPUTS_FORMAT, JournalSupervisor, SessionInputs
 
 SYNTH_SPEC = {
     "synthetic": {"n_functions": 6, "horizon_minutes": 48, "seed": 3},
@@ -215,7 +216,30 @@ class TestReadouts:
         assert all(r["kind"] == "plan" for r in body["decisions"])
 
 
+def _document(base_url, minute=11):
+    """Create a SYNTH_SPEC session, advance it through ``minute`` and
+    return its inputs document as parsed JSON."""
+    _, info = request(f"{base_url}/v1/sessions", "POST", SYNTH_SPEC)
+    request(f"{base_url}/v1/sessions/{info['id']}/advance", "POST",
+            {"minute": minute})
+    _, payload = request(
+        f"{base_url}/v1/sessions/{info['id']}/snapshot", raw=True
+    )
+    return json.loads(payload)
+
+
+def _restore(base_url, document):
+    body = document if isinstance(document, bytes) else json.dumps(
+        document
+    ).encode()
+    return request(f"{base_url}/v1/sessions/restore", "POST", body)
+
+
 class TestSnapshotRestore:
+    """``GET .../snapshot`` returns the inputs document and
+    ``POST /v1/sessions/restore`` rebuilds from one; anything else is a
+    400, and nothing on this path is unpickled."""
+
     def test_snapshot_restore_over_http(self, base_url):
         _, info = request(f"{base_url}/v1/sessions", "POST", SYNTH_SPEC)
         sid = info["id"]
@@ -225,13 +249,13 @@ class TestSnapshotRestore:
             f"{base_url}/v1/sessions/{sid}/snapshot", raw=True
         )
         assert status == 200
-        # The wire form is a JSON envelope, not a pickle stream: it is
-        # inspectable as plain JSON and decodes through the codec.
-        envelope = json.loads(payload)
-        assert envelope["format"] == WIRE_FORMAT
-        assert isinstance(
-            SimulationState.from_wire_json(payload), SimulationState
-        )
+        # The wire form is the session's inputs: plain JSON holding the
+        # spec and the advances, parsed by the document codec.
+        document = json.loads(payload)
+        assert document["format"] == INPUTS_FORMAT
+        assert document["spec"] == SYNTH_SPEC
+        assert document["records"] == [{"minute": 11, "invocations": None}]
+        assert SessionInputs.from_json(payload).next_minute == 12
 
         status, restored = request(
             f"{base_url}/v1/sessions/restore", "POST", payload
@@ -251,111 +275,88 @@ class TestSnapshotRestore:
         assert a == b
 
     def test_restore_session_fast_400(self, base_url):
-        _, info = request(f"{base_url}/v1/sessions", "POST", SYNTH_SPEC)
-        _, payload = request(
-            f"{base_url}/v1/sessions/{info['id']}/snapshot", raw=True
-        )
-        state = SimulationState.from_wire_json(payload)
-        assert state.engine == "session:reference"
-        fast = SimulationState("session:fast", state.next_minute,
-                               state.cursor, state.payload)
-        status, body = request(
-            f"{base_url}/v1/sessions/restore", "POST",
-            fast.to_wire_json().encode(),
-        )
+        document = _document(base_url)
+        document["spec"]["engine"] = "fast"
+        status, body = _restore(base_url, document)
         assert status == 400
-        assert "'session:fast'" in body["error"]
+        assert "'fast'" in body["error"]
         assert "reference, fleet" in body["error"]
 
     def test_restore_v7_snapshot_400(self, base_url):
-        # v7 session snapshots carried the removed event log and container
-        # pool; they are refused by version, before anything is unpickled.
-        _, info = request(f"{base_url}/v1/sessions", "POST", SYNTH_SPEC)
-        _, payload = request(
-            f"{base_url}/v1/sessions/{info['id']}/snapshot", raw=True
+        # Pickled session snapshots (any checkpoint schema, here v7) are
+        # refused by format, before anything is unpickled.
+        legacy = SimulationState(
+            "session:reference", 0, (), pickle.dumps({}), schema_version=7
         )
-        state = SimulationState.from_wire_json(payload)
-        v7 = SimulationState(state.engine, state.next_minute, state.cursor,
-                             state.payload, schema_version=7)
-        status, body = request(
-            f"{base_url}/v1/sessions/restore", "POST",
-            v7.to_wire_json().encode(),
-        )
+        status, body = _restore(base_url, legacy.to_wire_json().encode())
         assert status == 400
-        assert "schema v7" in body["error"]
-        assert "expects v8" in body["error"]
+        assert "v1 session snapshot" in body["error"]
+        assert "never unpickled" in body["error"]
 
     def test_restore_garbage_400(self, base_url):
         for payload in (
             b"not json at all",
             json.dumps({"format": "something-else"}).encode(),
-            json.dumps({"format": WIRE_FORMAT}).encode(),  # missing keys
+            json.dumps({"format": INPUTS_FORMAT, "v": 2}).encode(),
         ):
-            status, body = request(
-                f"{base_url}/v1/sessions/restore", "POST", payload
-            )
+            status, body = _restore(base_url, payload)
             assert status == 400, payload
             assert "error" in body
 
     @pytest.mark.parametrize(
         "edits",
-        [{"next_minute": [3]}, {"next_minute": 2.7}, {"cursor": [[1]]},
+        [{"minute": [3]}, {"minute": 2.7}, {"invocations": {"0": [1]}},
          {"note": "x"}],
         ids=["next-minute-list", "next-minute-float", "cursor-nested",
              "extra-key"],
     )
     def test_restore_crafted_header_400(self, base_url, edits):
-        # A well-sealed envelope whose header the codec never writes.
-        state = SimulationState.snapshot(
-            "session:reference", 0, (), {"live": {}, "meta": {}}
-        )
-        status, body = request(
-            f"{base_url}/v1/sessions/restore", "POST",
-            _resealed(state, **edits).encode(),
-        )
+        # A well-formed document whose advance record the codec never
+        # writes: refused before the session replays anything.
+        document = _document(base_url)
+        document["records"][0].update(edits)
+        status, body = _restore(base_url, document)
         assert status == 400, body
-        # Refused by the envelope codec, before anything is unpickled.
-        assert body["error"].startswith("undecodable snapshot payload")
+        assert body["error"].startswith("inputs record 0:")
 
     @pytest.mark.parametrize(
-        "payload", [{"live": {}}, {"meta": {}}, []],
-        ids=["no-meta", "no-live", "not-a-dict"],
+        "drop", ["records", "spec", None],
+        ids=["no-live", "no-meta", "not-a-dict"],
     )
-    def test_restore_misshapen_session_payload_400(self, base_url, payload):
-        state = SimulationState.snapshot("session:reference", 0, (), payload)
-        status, body = request(
-            f"{base_url}/v1/sessions/restore", "POST",
-            state.to_wire_json().encode(),
-        )
+    def test_restore_misshapen_session_payload_400(self, base_url, drop):
+        document = _document(base_url)
+        if drop is None:
+            payload = [document]
+        else:
+            payload = {k: v for k, v in document.items() if k != drop}
+        status, body = _restore(base_url, payload)
         assert status == 400, body
-        assert "session snapshot payload" in body["error"]
+        assert "inputs document" in body["error"]
+        if drop is not None:
+            assert f"missing keys: {drop}" in body["error"]
 
     def test_restore_unpicklable_payload_400(self, base_url):
-        # Well sealed, but the payload bytes are not a pickle.
-        state = SimulationState("session:reference", 0, (), b"not a pickle")
-        status, body = request(
-            f"{base_url}/v1/sessions/restore", "POST",
-            state.to_wire_json().encode(),
-        )
+        # Raw pickle bytes are not a document; they are never loaded.
+        status, body = _restore(base_url, pickle.dumps({"records": []}))
         assert status == 400, body
-        assert "undecodable snapshot payload" in body["error"]
+        assert "undecodable inputs document" in body["error"]
 
     def test_restore_rejects_tampered_payload(self, base_url):
-        _, info = request(f"{base_url}/v1/sessions", "POST", SYNTH_SPEC)
-        sid = info["id"]
-        request(f"{base_url}/v1/sessions/{sid}/advance", "POST",
-                {"minute": 3})
-        _, payload = request(
-            f"{base_url}/v1/sessions/{sid}/snapshot", raw=True
-        )
-        envelope = json.loads(payload)
-        envelope["payload_b64"] = envelope["payload_b64"][:-8] + "AAAAAAA="
-        status, body = request(
-            f"{base_url}/v1/sessions/restore", "POST",
-            json.dumps(envelope).encode(),
-        )
+        document = _document(base_url, minute=3)
+        for tampered in (
+            dict(document, fingerprint="0" * 64),
+            dict(document, spec=dict(SYNTH_SPEC, seed=4)),
+        ):
+            status, body = _restore(base_url, tampered)
+            assert status == 400
+            assert "fingerprint" in body["error"]
+
+    def test_restore_refuses_a_record_the_session_refuses(self, base_url):
+        document = _document(base_url)
+        document["records"].append({"minute": 5, "invocations": None})
+        status, body = _restore(base_url, document)
         assert status == 400
-        assert "sha" in body["error"].lower() or "payload" in body["error"]
+        assert "already executed" in body["error"]
 
 
 FAULTY_ENGINE_SPECS = [
@@ -364,9 +365,9 @@ FAULTY_ENGINE_SPECS = [
 
 
 class TestFaultPlanRestore:
-    """Snapshot→restore over HTTP under an active FaultPlan: the plan's
-    spawn failures and its trace-perturbation handshake must survive
-    the wire round trip on every engine."""
+    """Snapshot→restore over HTTP under an active FaultPlan: the
+    rebuilt session replays the plan's spawn failures exactly, on every
+    engine."""
 
     @pytest.mark.parametrize("engine", FAULTY_ENGINE_SPECS)
     def test_roundtrip_under_faults(self, base_url, engine):
@@ -924,3 +925,28 @@ class TestManagerDirect:
         with pytest.raises(ApiError) as exc_info:
             SessionManager().info("missing")
         assert exc_info.value.status == 404
+
+
+class TestAdvanceBodies:
+    """Advance bodies are parsed once at the boundary: a malformed one
+    answers 400 and nothing is journaled."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"invocations": {"x": 1}}, [], {"minute": "x"},
+         {"invocations": {"0": True}}],
+        ids=["fid-not-decimal", "array-body", "minute-string",
+             "bool-count"],
+    )
+    def test_malformed_body_is_400_and_not_journaled(self, tmp_path, body):
+        manager = SessionManager(journal=JournalSupervisor(tmp_path))
+        sid = manager.create(dict(SYNTH_SPEC))["id"]
+        journal = manager._get(sid).journal
+        assert journal is not None
+        header = journal.path.read_bytes()
+        with pytest.raises(ApiError) as exc_info:
+            manager.advance(sid, body)
+        assert exc_info.value.status == 400
+        assert journal.path.read_bytes() == header
+        assert manager.info(sid)["next_minute"] == 0
+        manager.close_all()

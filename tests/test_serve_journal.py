@@ -7,26 +7,31 @@ in-process stand-in for SIGKILL — ``DurableAppender`` flushes every
 record to the kernel, so process death is survivable by construction),
 and a fresh supervisor must rebuild every session **bit-identically**:
 driven to the horizon, recovered sessions match ``Simulation.run()`` on
-all three engines, fault plans included.
+both engines, fault plans included. A session persists as its inputs
+document (spec, fingerprint, advances), so no pickle is ever loaded.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
-from repro.runtime.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    WIRE_FIELDS,
-    WIRE_FORMAT,
-    SimulationState,
+import repro.serve
+from repro.runtime.checkpoint import SimulationState
+from repro.serve import JournalError, JournalSupervisor, SessionInputs
+from repro.serve.app import ServeLimits, SessionManager, open_session_from_spec
+from repro.serve.journal import (
+    INPUTS_FIELDS,
+    INPUTS_FORMAT,
+    JOURNAL_SCHEMA_VERSION,
+    read_records,
 )
-from repro.serve import JournalError, JournalSupervisor, SessionJournal
-from repro.serve.app import ServeLimits, SessionManager
-from repro.serve.journal import read_records
-from tests.test_serve_session import _batch, _comparable
+from tests.test_serve_app import request, running_server
+from tests.test_serve_session import _comparable, _spec_batch
 
 ENGINES = ("reference", "fleet")
 FAULT_SPECS = (None, "seed=7,spawn=0.2,slow=0.1")
@@ -53,49 +58,63 @@ def _journaled_manager(tmp_path, every_minutes=240, **limit_kwargs):
 
 
 class TestWireCodec:
-    """The JSON envelope is a lossless re-encoding of the pickle
-    snapshot format it replaced on the wire."""
+    """The inputs document is a lossless, canonical JSON encoding of a
+    session's persistent form."""
 
-    def _state(self, tiny_trace, tiny_assignment, minute=10):
-        from repro.serve import open_session
+    def _document(self, minute=10):
+        manager = SessionManager()
+        sid = manager.create(_spec("reference"))["id"]
+        manager.advance(sid, {"minute": 3, "invocations": {"0": 2, "4": 1}})
+        manager.advance(sid, {"minute": minute})
+        return manager.snapshot(sid)
 
-        session = open_session(
-            tiny_trace, policy="pulse", assignment=tiny_assignment
-        )
-        session.advance(minute)
-        return session.snapshot()
+    def test_round_trip_is_bit_identical(self):
+        document = self._document()
+        inputs = SessionInputs.from_json(document)
+        assert inputs.advances == [(3, {0: 2, 4: 1}), (10, None)]
+        assert inputs.next_minute == 11
+        # Canonical JSON: re-encoding the parsed document is byte-stable.
+        assert inputs.to_json() == document
+        assert SessionInputs.from_json(document.encode()) == inputs
 
-    def test_round_trip_is_bit_identical(self, tiny_trace, tiny_assignment):
-        state = self._state(tiny_trace, tiny_assignment)
-        restored = SimulationState.from_wire_json(state.to_wire_json())
-        assert restored == state
-        assert pickle.dumps(restored) == pickle.dumps(state)
-        # Canonical JSON: re-encoding the restored state is byte-stable.
-        assert restored.to_wire_json() == state.to_wire_json()
+    def test_envelope_matches_pinned_schema(self):
+        document = json.loads(self._document())
+        assert set(document) == set(INPUTS_FIELDS)
+        assert document["format"] == INPUTS_FORMAT
+        assert document["v"] == JOURNAL_SCHEMA_VERSION == 2
+        assert document["spec"] == _spec("reference")
+        assert document["records"][0] == {
+            "minute": 3, "invocations": {"0": 2, "4": 1}
+        }
 
-    def test_envelope_matches_pinned_schema(self, tiny_trace, tiny_assignment):
-        envelope = json.loads(
-            self._state(tiny_trace, tiny_assignment).to_wire_json()
-        )
-        assert set(envelope) == set(WIRE_FIELDS)
-        assert envelope["format"] == WIRE_FORMAT
-        assert envelope["schema_version"] == CHECKPOINT_SCHEMA_VERSION
-
-    def test_rejections(self, tiny_trace, tiny_assignment):
-        good = json.loads(self._state(tiny_trace, tiny_assignment).to_wire_json())
+    def test_rejections(self):
+        good = json.loads(self._document())
+        record = good["records"][0]
         cases = {
             "not json": "}{",
+            "not an object": "[]",
             "wrong format": json.dumps(dict(good, format="other")),
-            "wrong version": json.dumps(dict(good, schema_version=999)),
-            "missing keys": json.dumps({"format": WIRE_FORMAT}),
-            "bad base64": json.dumps(dict(good, payload_b64="!!!")),
-            "sha mismatch": json.dumps(
-                dict(good, payload_sha256="0" * 64)
+            "wrong version": json.dumps(dict(good, v=1)),
+            "bool version": json.dumps(dict(good, v=True)),
+            "missing keys": json.dumps(
+                {"format": INPUTS_FORMAT, "v": JOURNAL_SCHEMA_VERSION}
+            ),
+            "spec not an object": json.dumps(dict(good, spec=[])),
+            "fingerprint not a string": json.dumps(dict(good, fingerprint=7)),
+            "records not a list": json.dumps(dict(good, records={})),
+            "record without minute": json.dumps(
+                dict(good, records=[{"invocations": None}])
+            ),
+            "record bool count": json.dumps(
+                dict(good, records=[dict(record, invocations={"0": True})])
+            ),
+            "record extra key": json.dumps(
+                dict(good, records=[dict(record, kind="advance")])
             ),
         }
         for label, text in cases.items():
             with pytest.raises(ValueError):
-                SimulationState.from_wire_json(text)
+                SessionInputs.from_json(text)
 
 
 class TestJournalPrimitives:
@@ -109,14 +128,18 @@ class TestJournalPrimitives:
         for _ in range(5):
             manager.advance(sid, {})
         records = read_records(journal.path)
-        assert records[0]["kind"] == "open"
+        # The first line is the session's inputs document, no records.
+        assert SessionInputs.from_document(records[0]).advances == []
         assert [r["minute"] for r in records[1:]] == [0, 1, 2, 3, 4]
 
         with managed.lock:
-            journal.compact(managed.session)
+            journal.compact()
         assert journal.snapshot_path.exists()
-        # Compaction resets the log to just the open header.
-        assert [r["kind"] for r in read_records(journal.path)] == ["open"]
+        # The document holds the five advances; compaction resets the
+        # log to just its first line.
+        document = SessionInputs.from_json(journal.snapshot_path.read_bytes())
+        assert [m for m, _ in document.advances] == [0, 1, 2, 3, 4]
+        assert read_records(journal.path) == records[:1]
         manager.close_all()
 
     def test_cadence_compaction_is_a_function_of_the_minute(self, tmp_path):
@@ -152,11 +175,11 @@ class TestJournalPrimitives:
             manager.advance(sid, {})
         path = manager._get(sid).journal.path
         with open(path, "ab") as fh:
-            fh.write(b'{"v": 1, "kind": "adva')  # the SIGKILL artifact
+            fh.write(b'{"minute": 4, "invoc')  # the SIGKILL artifact
         records = read_records(path)
         assert [r["minute"] for r in records[1:]] == [0, 1, 2, 3]
 
-        session, _journal = JournalSupervisor(journal_dir).recover(sid)
+        session, _journal, _ = JournalSupervisor(journal_dir).recover(sid)
         assert session.next_minute == 4
 
     def test_corrupt_middle_raises(self, tmp_path):
@@ -186,11 +209,30 @@ class TestJournalPrimitives:
 
     def test_nothing_to_recover_from_raises(self, tmp_path):
         supervisor = JournalSupervisor(tmp_path / "journal")
-        journal = SessionJournal(tmp_path / "journal", "s9")
-        journal.begin(None, "f" * 64)  # snapshot-only header, no snapshot
-        journal.close()
-        with pytest.raises(JournalError, match="no snapshot"):
+        # A journal torn before its header landed, and no document.
+        (tmp_path / "journal" / "s9.journal").write_bytes(b'{"v": 2, "ki')
+        with pytest.raises(JournalError, match="no inputs document"):
             supervisor.recover("s9")
+
+    def test_v1_directory_refused_by_version(self, tmp_path, monkeypatch):
+        """A v1 journal header, or a v1 pickled ``.snapshot.json``, is
+        refused with the version message and never unpickled."""
+        directory = tmp_path / "journal"
+        directory.mkdir()
+        monkeypatch.setattr(pickle, "loads", _no_pickle)
+        header = {"v": 1, "kind": "open", "sid": "s1", "spec": None,
+                  "fingerprint": "f" * 64}
+        (directory / "s1.journal").write_text(json.dumps(header) + "\n")
+        with pytest.raises(JournalError, match="v1 is not readable .*expects v2"):
+            JournalSupervisor(directory).recover("s1")
+
+        (directory / "s2.snapshot.json").write_text(
+            SimulationState.snapshot(
+                "session:reference", 4, (), {"live": {}, "meta": {}}
+            ).to_wire_json()
+        )
+        with pytest.raises(JournalError, match="v1 session snapshot"):
+            JournalSupervisor(directory).recover("s2")
 
 
 class TestCrashRecoveryGolden:
@@ -199,33 +241,30 @@ class TestCrashRecoveryGolden:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("faults", FAULT_SPECS)
-    def test_recovered_sessions_match_batch(
-        self, tmp_path, tiny_trace, tiny_assignment, engine, faults
-    ):
-        # The HTTP spec path regenerates its own trace; to golden-test
-        # against the *fixture* trace, drive the journal directly.
-        from repro.serve import open_session
-
+    def test_recovered_sessions_match_batch(self, tmp_path, engine, faults):
+        # Drive the journal directly, the way the manager does: record,
+        # step, then note the advance in the session's inputs.
+        spec = _spec(engine, faults)
         supervisor = JournalSupervisor(
             tmp_path / "journal", every_minutes=16
         )
-        session = open_session(
-            tiny_trace, policy="pulse", assignment=tiny_assignment,
-            engine=engine, faults=faults,
-        )
-        journal = supervisor.create("s1", None, session)
+        session = open_session_from_spec(spec)
+        inputs = SessionInputs(spec, session.fingerprint())
+        journal = supervisor.create("s1", inputs)
         for minute in range(25):
             journal.record_advance(minute, None)
             session.advance(minute)
-            journal.maybe_compact(session)
+            inputs.advances.append((minute, None))
+            journal.maybe_compact()
         # No close(), no sync(): the process "dies" here.
 
-        recovered, _journal = JournalSupervisor(
+        recovered, _journal, n_bytes = JournalSupervisor(
             tmp_path / "journal", every_minutes=16
         ).recover("s1")
         assert recovered.next_minute == 25
+        assert n_bytes > 0
         assert _comparable(recovered.result()) == _comparable(
-            _batch(tiny_trace, tiny_assignment, engine, faults)
+            _spec_batch(spec)
         )
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -284,9 +323,9 @@ class TestCrashRecoveryGolden:
         control.close_all()
 
     def test_restored_session_is_recoverable_immediately(self, tmp_path):
-        """A session opened via snapshot-restore has no spec to rejournal
-        from — the supervisor must write its snapshot at registration so
-        a crash one advance later still recovers."""
+        """A session rebuilt from an inputs document already has
+        advances, so registration compacts at once: a crash one advance
+        later still recovers every advance."""
         donor = SessionManager()
         did = donor.create(_spec("reference"))["id"]
         donor.advance(did, {"minute": 10})
@@ -301,4 +340,88 @@ class TestCrashRecoveryGolden:
         infos = fresh.recover()
         assert [i["id"] for i in infos] == [sid]
         assert infos[0]["next_minute"] == 12
+        assert infos[0]["bytes_read"] > 0 and infos[0]["recovery_s"] >= 0
         fresh.close_all()
+
+
+def _no_pickle(*args, **kwargs):
+    raise AssertionError("pickle must not load serve-layer input")
+
+
+class TestNoPickleOnTheServingPath:
+    """Restore and recovery read JSON only: with every pickle entry
+    point patched to raise, they still rebuild bit-identically."""
+
+    @pytest.fixture()
+    def no_pickle(self, monkeypatch):
+        monkeypatch.setattr(pickle, "loads", _no_pickle)
+        monkeypatch.setattr(pickle, "load", _no_pickle)
+        monkeypatch.setattr(pickle, "Unpickler", _no_pickle)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_http_restore_recover_and_recover_after_drain(
+        self, tmp_path, engine, no_pickle
+    ):
+        spec = _spec(engine, FAULT_SPECS[1])
+        batch = _comparable(_spec_batch(spec))
+
+        # HTTP restore.
+        with running_server() as (base, _server):
+            _, info = request(f"{base}/v1/sessions", "POST", spec)
+            request(f"{base}/v1/sessions/{info['id']}/advance", "POST",
+                    {"minute": 19})
+            _, document = request(
+                f"{base}/v1/sessions/{info['id']}/snapshot", raw=True
+            )
+            _, restored = request(
+                f"{base}/v1/sessions/restore", "POST", document
+            )
+            assert restored["next_minute"] == 20
+            rid = restored["id"]
+            request(f"{base}/v1/sessions/{rid}/advance", "POST",
+                    {"minute": 47})
+            _, summary = request(f"{base}/v1/sessions/{rid}/result")
+        summary.pop("wall_clock_s", None)
+        assert summary == json.loads(json.dumps(batch))
+
+        # --recover after a crash, then after a drain.
+        manager = _journaled_manager(tmp_path, every_minutes=16)
+        sid = manager.create(spec)["id"]
+        manager.advance(sid, {"minute": 20})
+        crashed = _journaled_manager(tmp_path, every_minutes=16)
+        assert [i["next_minute"] for i in crashed.recover()] == [21]
+        crashed.advance(sid, {"minute": 30})
+        crashed.drain()
+        drained = _journaled_manager(tmp_path, every_minutes=16)
+        assert [i["next_minute"] for i in drained.recover()] == [31]
+        drained.advance(sid, {"minute": 47})
+        result = drained._get(sid).session.result()
+        assert _comparable(result) == batch
+        drained.close_all()
+
+
+class TestServePackageHasNoPickle:
+    def test_no_pickle_import_or_simulation_state_reference(self):
+        root = Path(repro.serve.__file__).parent
+        for path in sorted(root.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [
+                        alias.name for alias in node.names
+                    ]
+                elif isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[0] not in {"pickle", "cPickle"}, (
+                        f"{path.name}:{node.lineno} imports pickle"
+                    )
+                    assert name != "SimulationState", (
+                        f"{path.name}:{node.lineno} references SimulationState"
+                    )

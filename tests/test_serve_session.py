@@ -2,9 +2,9 @@
 
 The golden contract: a full-trace replay through ``advance()`` — or
 ``replay()`` — is **bit-identical** to ``Simulation.run()`` on every
-engine, with and without a fault plan; and a session snapshotted at any
-minute ``k`` and restored continues to the same bytes (the resume
-property test). Sessions and the batch drivers share the stepper
+engine, with and without a fault plan; and a session rebuilt from its
+inputs document at any minute ``k`` continues to the same bytes (the
+resume property test). Sessions and the batch drivers share the stepper
 classes, so these tests pin that the session layer feeds them minutes
 faithfully.
 """
@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.checkpoint import CHECKPOINT_SCHEMA_VERSION, SimulationState
+from repro.runtime.checkpoint import SimulationState
 from repro.runtime.simulator import Simulation, SimulationConfig
-from repro.serve import AdvanceResult, ControlSession, TraceMeta, open_session
+from repro.serve import AdvanceResult, SessionInputs, TraceMeta, open_session
 from repro.serve.session import open_session as session_open
 
 ENGINES = ("reference", "fleet")
@@ -200,47 +200,88 @@ class TestDecisions:
         assert json.loads(json.dumps(payload)) == payload
 
 
+def _spec(engine, faults=None, seed=3):
+    spec = {
+        "synthetic": {"n_functions": 5, "horizon_minutes": 60, "seed": seed},
+        "policy": "pulse",
+        "engine": engine,
+    }
+    if faults is not None:
+        spec["faults"] = faults
+    return spec
+
+
+def _spec_batch(spec):
+    """``Simulation.run()`` over exactly the workload ``spec`` opens."""
+    from repro.api import make_policy
+    from repro.serve.app import open_session_from_spec
+
+    sim = open_session_from_spec(spec).sim
+    return Simulation(
+        sim.trace, sim.assignment, make_policy(spec["policy"]), sim.config
+    ).run(engine=spec["engine"])
+
+
+def _document_at(spec, k):
+    """The inputs document of a session advanced through minute
+    ``k - 1``: even minutes replay the trace column, odd ones pass the
+    same column as explicit invocations, so the document carries both
+    record shapes."""
+    from repro.serve.app import SessionManager
+
+    manager = SessionManager()
+    sid = manager.create(spec)["id"]
+    counts = manager._get(sid).session.trace.counts
+    for t in range(k):
+        column = {
+            str(fid): int(counts[fid, t]) for fid in np.flatnonzero(counts[:, t])
+        }
+        body = {"invocations": column} if t % 2 and column else {}
+        manager.advance(sid, body)
+    return manager.snapshot(sid)
+
+
+def _rebuilt(document):
+    from repro.serve.app import rebuild_session
+
+    return rebuild_session(SessionInputs.from_json(document))
+
+
 class TestSnapshotRestore:
+    """A session persists as its inputs document (spec, fingerprint,
+    advances) and rebuilds bit-identically by replaying it."""
+
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("faults", FAULT_SPECS)
-    def test_restored_session_finishes_identically(
-        self, tiny_trace, tiny_assignment, engine, faults
-    ):
-        batch = _batch(tiny_trace, tiny_assignment, engine, faults)
-        session = open_session(
-            tiny_trace, policy="pulse", assignment=tiny_assignment,
-            engine=engine, faults=faults,
-        )
-        session.advance(24)
-        restored = ControlSession.restore(session.snapshot())
+    def test_restored_session_finishes_identically(self, engine, faults):
+        spec = _spec(engine, faults)
+        restored = _rebuilt(_document_at(spec, 25))
         assert restored.engine == engine
         assert restored.next_minute == 25
-        assert _comparable(restored.result()) == _comparable(batch)
-
-    def test_snapshot_round_trips_through_disk(
-        self, tiny_trace, tiny_assignment, tmp_path
-    ):
-        session = open_session(
-            tiny_trace, policy="pulse", assignment=tiny_assignment
-        )
-        session.advance(10)
-        path = session.snapshot().save(tmp_path / "session.ckpt")
-        restored = ControlSession.restore(path)
         assert _comparable(restored.result()) == _comparable(
-            _batch(tiny_trace, tiny_assignment, "reference")
+            _spec_batch(spec)
         )
 
-    def test_snapshot_is_isolated_from_the_live_session(
-        self, tiny_trace, tiny_assignment
-    ):
-        session = open_session(
-            tiny_trace, policy="pulse", assignment=tiny_assignment
+    def test_snapshot_round_trips_through_disk(self, tmp_path):
+        spec = _spec("reference")
+        path = tmp_path / "session.json"
+        path.write_text(_document_at(spec, 11))
+        restored = _rebuilt(path.read_bytes())
+        assert restored.next_minute == 11
+        assert _comparable(restored.result()) == _comparable(
+            _spec_batch(spec)
         )
-        session.advance(5)
-        state = session.snapshot()
-        session.replay()  # mutate the live session past the snapshot
-        restored = ControlSession.restore(state)
-        assert restored.next_minute == 6
+
+    def test_snapshot_is_isolated_from_the_live_session(self):
+        from repro.serve.app import SessionManager
+
+        manager = SessionManager()
+        sid = manager.create(_spec("reference"))["id"]
+        manager.advance(sid, {"minute": 5})
+        document = manager.snapshot(sid)
+        manager.advance(sid, {"minute": 40})  # move the live session on
+        assert manager.snapshot(sid) != document
+        assert _rebuilt(document).next_minute == 6
 
     def test_engine_checkpoint_rejected(self, tiny_trace, tiny_assignment):
         states: list[SimulationState] = []
@@ -258,86 +299,57 @@ class TestSnapshotRestore:
                 every_minutes=20, on_snapshot=states.append
             ),
         )
-        with pytest.raises(ValueError, match="session snapshot"):
-            ControlSession.restore(states[0])
+        with pytest.raises(ValueError, match="v1 session snapshot"):
+            SessionInputs.from_json(states[0].to_wire_json())
 
     def test_pre_change_fleet_snapshot_refused_by_version(
-        self, tiny_trace, tiny_assignment, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch
     ):
-        """A v2 fleet snapshot carried the partitioned ``FleetShards``
-        state and a ``shards`` meta key. Every restore path refuses it
-        with the schema-version message before unpickling the payload,
-        which would otherwise die on the missing class."""
+        """A pickled fleet session snapshot — what ``GET .../snapshot``
+        returned and compaction wrote before sessions persisted as their
+        inputs — is refused by every restore path with the version
+        message, and nothing is unpickled on the way."""
         import pickle
 
-        import repro.runtime.fleet as fleet_module
+        from repro.serve import JournalError, JournalSupervisor
         from repro.serve.app import ApiError, SessionManager
 
-        session = open_session(
-            tiny_trace, policy="pulse", assignment=tiny_assignment,
-            engine="fleet",
-        )
-        session.advance(10)
-        state = session.snapshot()
-        payload = state.restore()
+        legacy = SimulationState.snapshot(
+            "session:fleet", 10, (), {"live": {}, "meta": {}}
+        ).to_wire_json()
 
-        class FleetShards:  # the v2 layout's fleet state class
-            pass
+        def refuse(*args, **kwargs):
+            raise AssertionError("pickle must not run on restore input")
 
-        FleetShards.__module__ = fleet_module.__name__
-        FleetShards.__qualname__ = "FleetShards"
-        with monkeypatch.context() as m:
-            m.setattr(fleet_module, "FleetShards", FleetShards, raising=False)
-            payload["live"]["fleet"] = FleetShards()
-            payload["meta"]["shards"] = 1
-            v2_bytes = pickle.dumps(payload)
-        with pytest.raises(AttributeError, match="FleetShards"):
-            pickle.loads(v2_bytes)  # what an unguarded restore would hit
-
-        v2 = SimulationState(
-            engine=state.engine, next_minute=state.next_minute,
-            cursor=state.cursor, payload=v2_bytes, schema_version=2,
-        )
-        version_msg = (
-            r"schema v2 is not readable by this build "
-            rf"\(expects v{CHECKPOINT_SCHEMA_VERSION}\)"
-        )
+        monkeypatch.setattr(pickle, "loads", refuse)
+        version_msg = r"v1 session snapshot .*expects an inputs document v2"
         with pytest.raises(ValueError, match=version_msg):
-            ControlSession.restore(v2)
-        path = v2.save(tmp_path / "v2.ckpt")
-        with pytest.raises(ValueError, match=version_msg):
-            ControlSession.restore(path)
-        with pytest.raises(ValueError, match=version_msg):
-            SimulationState.from_wire_json(v2.to_wire_json())
+            SessionInputs.from_json(legacy)
         with pytest.raises(ApiError, match=version_msg) as exc_info:
-            SessionManager().restore(v2.to_wire_json().encode())
+            SessionManager().restore(legacy.encode())
         assert exc_info.value.status == 400
+        (tmp_path / "s1.snapshot.json").write_text(legacy + "\n")
+        with pytest.raises(JournalError, match=version_msg):
+            JournalSupervisor(tmp_path).recover("s1")
 
     @given(
-        k=st.integers(min_value=0, max_value=59),
+        k=st.integers(min_value=0, max_value=60),
         engine_idx=st.integers(min_value=0, max_value=1),
+        faults_idx=st.integers(min_value=0, max_value=1),
     )
-    # The fixtures are read-only inputs (sessions never mutate the trace
-    # or assignment), so sharing them across examples is safe.
-    @settings(
-        max_examples=12,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_resume_property(self, tiny_trace, tiny_assignment, k, engine_idx):
-        """Snapshot at a random minute k, restore, replay: bit-identical
-        RunResult to the uninterrupted batch run."""
-        engine = ENGINES[engine_idx]
-        session = open_session(
-            tiny_trace, policy="pulse", assignment=tiny_assignment,
-            engine=engine,
-        )
-        if k > 0:
-            session.advance(k - 1)
-        restored = ControlSession.restore(session.snapshot())
-        assert _comparable(restored.result()) == _comparable(
-            _batch(tiny_trace, tiny_assignment, engine)
-        )
+    @settings(max_examples=12, deadline=None)
+    def test_resume_property(self, k, engine_idx, faults_idx):
+        """Rebuild from the inputs document at a random split point k,
+        finish: bit-identical to the uninterrupted session and to
+        ``Simulation.run()``."""
+        from repro.serve.app import open_session_from_spec
+
+        spec = _spec(ENGINES[engine_idx], FAULT_SPECS[faults_idx])
+        restored = _rebuilt(_document_at(spec, k))
+        assert restored.next_minute == k
+        finished = _comparable(restored.result())
+        assert finished == _comparable(open_session_from_spec(spec).result())
+        assert finished == _comparable(_spec_batch(spec))
 
 
 class TestOnlineMode:

@@ -4,7 +4,8 @@ Every engine builds, restores and finalizes through one base class, so
 these tests pin the core's contracts on both engines: a restored
 stepper carries exactly a fresh stepper's attributes (state left out of
 the ``SNAPSHOT_FIELDS`` manifest would be missing after a restore), a
-payload whose key set drifts from the manifest is refused by name, the
+session rebuilt from its inputs document reproduces every snapshot
+field, a payload or document whose key set drifts is refused by name, the
 driver's block-wise event extraction is invisible in the results, and
 the wire envelope's digest covers its header.
 """
@@ -24,7 +25,8 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.driver import open_stepper
 from repro.runtime.simulator import Simulation, SimulationConfig
-from repro.serve.session import ControlSession, open_session
+from repro.serve.app import SessionManager, rebuild_session
+from repro.serve.journal import SessionInputs
 from tests.test_runtime_checkpoint import ENGINES, _comparable
 
 
@@ -43,20 +45,22 @@ def _checkpoints(trace, assignment, engine, every=13, config=None):
     return states
 
 
-def _session_snapshot(trace, assignment, engine):
-    session = open_session(
-        trace, policy="pulse", assignment=assignment, engine=engine,
-        observe=True,
-    )
-    session.advance(20)
-    return session.snapshot()
+def _session_document(engine):
+    """A live session advanced through minute 20 and its inputs
+    document. Unobserved: spans would carry wall-clock times."""
+    manager = SessionManager()
+    sid = manager.create(
+        {"synthetic": {"n_functions": 4, "horizon_minutes": 40, "seed": 5},
+         "engine": engine, "observe": False}
+    )["id"]
+    manager.advance(sid, {"minute": 20})
+    return manager._get(sid).session, json.loads(manager.snapshot(sid))
 
 
 def _with_live(state, mutate):
     """``state`` re-captured after ``mutate`` edits its live dict."""
     payload = state.restore()
-    live = payload["live"] if state.engine.startswith("session:") else payload
-    mutate(live)
+    mutate(payload)
     return SimulationState.snapshot(
         state.engine, state.next_minute, state.cursor, payload
     )
@@ -79,16 +83,18 @@ class TestRestoreCarriesEveryField:
         assert set(restored.live_state()) == set(SNAPSHOT_FIELDS[engine])
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_session_restore_vars_match_fresh(
-        self, tiny_trace, tiny_assignment, engine
-    ):
-        snap = _session_snapshot(tiny_trace, tiny_assignment, engine)
-        fresh = open_session(
-            tiny_trace, policy="pulse", assignment=tiny_assignment,
-            engine=engine, observe=True,
+    def test_session_restore_vars_match_fresh(self, engine):
+        # A session rebuilt from its inputs replays into a stepper whose
+        # every snapshot field equals the live session's, byte for byte.
+        live, document = _session_document(engine)
+        restored = rebuild_session(
+            SessionInputs.from_json(json.dumps(document))
         ).stepper
-        restored = ControlSession.restore(snap).stepper
-        assert set(vars(restored)) == set(vars(fresh))
+        assert set(vars(restored)) == set(vars(live.stepper))
+        assert restored.next_minute == live.stepper.next_minute == 21
+        assert SimulationState.snapshot(
+            engine, 21, (), restored.live_state()
+        ) == SimulationState.snapshot(engine, 21, (), live.stepper.live_state())
 
 
 class TestPayloadKeySetChecked:
@@ -107,22 +113,18 @@ class TestPayloadKeySetChecked:
             _sim(tiny_trace, tiny_assignment).run(resume_from=broken)
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_session_restore_refuses_missing_key(
-        self, tiny_trace, tiny_assignment, engine
-    ):
-        snap = _session_snapshot(tiny_trace, tiny_assignment, engine)
-        broken = _with_live(snap, lambda live: live.pop("policy"))
-        with pytest.raises(ValueError, match="missing policy"):
-            ControlSession.restore(broken)
+    def test_session_restore_refuses_missing_key(self, engine):
+        _, document = _session_document(engine)
+        del document["fingerprint"]
+        with pytest.raises(ValueError, match="missing keys: fingerprint"):
+            SessionInputs.from_json(json.dumps(document))
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_session_restore_refuses_extra_key(
-        self, tiny_trace, tiny_assignment, engine
-    ):
-        snap = _session_snapshot(tiny_trace, tiny_assignment, engine)
-        broken = _with_live(snap, lambda live: live.update(stowaway=1))
-        with pytest.raises(ValueError, match="unexpected stowaway"):
-            ControlSession.restore(broken)
+    def test_session_restore_refuses_extra_key(self, engine):
+        _, document = _session_document(engine)
+        document["stowaway"] = 1
+        with pytest.raises(ValueError, match="unexpected keys: stowaway"):
+            SessionInputs.from_json(json.dumps(document))
 
     def test_untouched_payload_still_resumes(self, tiny_trace, tiny_assignment):
         state = _checkpoints(tiny_trace, tiny_assignment, "fleet")[0]
