@@ -2,18 +2,16 @@
 
 An AST-based lint engine plus a rule pack enforcing this repository's
 reproducibility contracts *at lint time* — determinism of the replay
-harness (RPR001), parity between the reference and fleet engines
-(RPR002), the policy lifecycle/picklability contract (RPR003),
+harness (RPR001), the policy lifecycle/picklability contract (RPR003),
 spec-string hygiene (RPR005), exception hygiene (RPR006), facade
 signatures (RPR007), serve-layer lock discipline (RPR008) and
-columnar-kernel hygiene (RPR009). Project-wide rules run over a
-:class:`~repro.analysis.project.ProjectContext` — a symbol table, call
-graph and reaching-definitions helper built over every linted module —
-and per-file results are cached content-addressed
-(:class:`~repro.analysis.cache.LintCache`) so warm runs only re-lint
-what changed. See ``docs/architecture.md`` ("Analysis core") for the
-rule catalogue, the ``# repro: lint-ok[RULE] reason`` waiver syntax,
-and how to add a rule.
+columnar-kernel hygiene (RPR009). ``repro lint`` is one sequential
+pass: every file is parsed and checked in order, then each cross-file
+rule runs over a :class:`~repro.analysis.project.ProjectContext` — a
+symbol table, call graph and reaching-definitions helper built over the
+modules the rule's ``project_scope`` selects. See
+``docs/architecture.md`` ("Analysis core") for the rule catalogue, the
+``# repro: lint-ok[RULE] reason`` waiver syntax, and how to add a rule.
 
 Typical use::
 
@@ -26,7 +24,6 @@ Typical use::
 """
 
 from repro.analysis import rules as _rules  # registers the rule pack
-from repro.analysis.cache import LintCache
 from repro.analysis.engine import (
     ENGINE_ERROR_EXIT,
     META_RULE_ID,
@@ -39,7 +36,6 @@ from repro.analysis.engine import (
     iter_python_files,
     lint_paths,
     make_rules,
-    project_scope_paths,
     register_rule,
     rule_ids,
     rule_summaries,
@@ -58,7 +54,6 @@ __all__ = [
     "META_RULE_ID",
     "CallGraph",
     "Finding",
-    "LintCache",
     "LintReport",
     "ProjectContext",
     "ReachingDefs",
@@ -70,7 +65,6 @@ __all__ = [
     "iter_python_files",
     "lint_paths",
     "make_rules",
-    "project_scope_paths",
     "register_rule",
     "render_json",
     "render_sarif",

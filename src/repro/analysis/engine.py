@@ -1,28 +1,24 @@
 """The static-analysis engine: modules, rules, suppressions, findings.
 
 This is a deliberately dependency-free (stdlib-only) AST linter built for
-*this* repository's contracts — determinism of the replay harness, parity
-between the simulation engines, lock discipline in the serving layer,
-columnar-kernel hygiene — rather than general style. The pieces:
+*this* repository's contracts — determinism of the replay harness, lock
+discipline in the serving layer, columnar-kernel hygiene — rather than
+general style. The pieces:
 
 - :class:`SourceModule` — one parsed file: source text, AST, and the
   ``# repro: lint-ok[RULE]`` suppression comments found by tokenizing;
 - :class:`Rule` — a check. Per-file rules implement
-  :meth:`Rule.check_module`; whole-project rules (engine parity, lock
-  discipline) implement :meth:`Rule.finalize`, which
-  receives a :class:`~repro.analysis.project.ProjectContext` — a
-  ``Sequence[SourceModule]`` that also carries the symbol table, call
-  graph and reaching-definitions oracles. A project rule declares the
-  files its ``finalize`` needs via :attr:`Rule.project_scope` so the
-  incremental cache knows to keep parsing them even when unchanged;
+  :meth:`Rule.check_module`; cross-file rules (lock discipline,
+  columnar hygiene) implement :meth:`Rule.finalize`, which receives a
+  :class:`~repro.analysis.project.ProjectContext` — the parsed modules
+  the rule's :attr:`Rule.project_scope` selects, plus the symbol table,
+  call graph and reaching-definitions oracles built over them;
 - :func:`register_rule` — the registry. Rules self-register on import
   (see :mod:`repro.analysis.rules`), so ``rule_ids()`` always reflects
   the loaded rule pack;
-- :func:`run_lint` — parse, run every selected rule, apply suppressions,
-  and return a sorted :class:`LintReport`. Pass ``cache=`` (a
-  :class:`~repro.analysis.cache.LintCache`) to skip re-parsing files
-  whose sha256 is unchanged, and ``jobs=`` to fan per-file work out to a
-  process pool.
+- :func:`run_lint` — one sequential pass: parse each file, run every
+  selected rule, apply suppressions, and return a sorted
+  :class:`LintReport`.
 
 Suppression syntax::
 
@@ -45,18 +41,16 @@ from __future__ import annotations
 import abc
 import ast
 import io
-import os
 import re
 import tokenize
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar
 
 if TYPE_CHECKING:
-    from repro.analysis.cache import CacheEntry, LintCache
+    from repro.analysis.project import ProjectContext
 
 __all__ = [
     "META_RULE_ID",
@@ -69,7 +63,6 @@ __all__ = [
     "iter_python_files",
     "lint_paths",
     "make_rules",
-    "project_scope_paths",
     "register_rule",
     "rule_ids",
     "rule_summaries",
@@ -121,18 +114,6 @@ class Finding:
             "severity": self.severity.value,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, object]) -> "Finding":
-        """Inverse of :meth:`to_dict` (used by the incremental cache)."""
-        return cls(
-            path=str(doc["path"]),
-            line=int(doc["line"]),  # type: ignore[call-overload]
-            col=int(doc["col"]),  # type: ignore[call-overload]
-            rule=str(doc["rule"]),
-            severity=Severity(str(doc["severity"])),
-            message=str(doc["message"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -238,37 +219,31 @@ class Rule(abc.ABC):
     and decorate with :func:`register_rule`.
 
     A fresh instance is created per lint run. Per-file rules must be
-    stateless across files (``check_module`` calls may run in separate
-    worker processes and their filtered findings are cached per file);
-    cross-file logic belongs in :meth:`finalize`, which always runs in
-    the parent process over every parsed module.
+    stateless across files; cross-file logic belongs in :meth:`finalize`.
 
-    A rule that implements :meth:`finalize` should also declare
-    :attr:`project_scope`: a static predicate naming the files its
-    cross-file analysis reads. Those files are (re-)parsed on every run
-    — even when the incremental cache says they are unchanged — so
-    ``finalize`` always sees real ASTs. A project rule without a scope
-    forces every file to be parsed every run (correct, but forfeits the
-    cache's speedup).
+    A rule that implements :meth:`finalize` declares :attr:`project_scope`:
+    a static predicate naming the files its cross-file analysis reads.
+    ``finalize`` sees exactly the parsed modules the predicate selects;
+    a rule without a scope sees every parsed module.
     """
 
     id: str = ""
     severity: Severity = Severity.ERROR
     summary: str = ""
-    #: Static predicate: does this rule's ``finalize`` need ``path``
-    #: parsed? ``None`` (the default) means "no declared scope".
+    #: Static predicate: does this rule's ``finalize`` see ``path``?
+    #: ``None`` (the default) means every parsed module.
     project_scope: ClassVar[Callable[[Path], bool] | None] = None
 
     def check_module(self, module: SourceModule) -> Iterable[Finding]:
         """Findings for one file. Default: none."""
         return ()
 
-    def finalize(self, modules: Sequence[SourceModule]) -> Iterable[Finding]:
-        """Findings requiring the whole file set (cross-file rules).
+    def finalize(self, context: "ProjectContext") -> Iterable[Finding]:
+        """Findings requiring several files (cross-file rules).
 
-        ``modules`` is a :class:`~repro.analysis.project.ProjectContext`
-        — iterable exactly like the historical ``Sequence[SourceModule]``
-        but also exposing ``.symbols`` / ``.call_graph`` / ``.reaching``.
+        ``context`` is a ``Sequence[SourceModule]`` of the modules in
+        :attr:`project_scope` that also exposes ``.symbols`` /
+        ``.call_graph`` / ``.reaching``. Default: none.
         """
         return ()
 
@@ -332,44 +307,6 @@ def make_rules(ids: Sequence[str] | None = None) -> list[Rule]:
 
 def _overrides(rule: Rule, method: str) -> bool:
     return getattr(type(rule), method) is not getattr(Rule, method)
-
-
-def _scope_predicates(
-    rules: Sequence[Rule],
-) -> tuple[list[Callable[[Path], bool]], bool]:
-    """The declared project scopes of the selected cross-file rules,
-    plus whether any project rule left its scope undeclared (in which
-    case every file must be parsed)."""
-    predicates: list[Callable[[Path], bool]] = []
-    undeclared = False
-    for rule in rules:
-        if not _overrides(rule, "finalize"):
-            continue
-        scope = type(rule).project_scope
-        if scope is None:
-            undeclared = True
-        else:
-            predicates.append(scope)
-    return predicates, undeclared
-
-
-def project_scope_paths(
-    files: Sequence[Path],
-    rule_ids: Sequence[str] | None = None,
-) -> list[Path]:
-    """The subset of ``files`` some selected cross-file rule needs parsed.
-
-    Used by ``repro lint --changed`` to widen a git-diff file set so the
-    cross-file rules (engine parity, lock discipline)
-    still see every module they reason about.
-    """
-    rules = make_rules(rule_ids)
-    predicates, undeclared = _scope_predicates(rules)
-    if undeclared:
-        return list(files)
-    return [
-        path for path in files if any(pred(path) for pred in predicates)
-    ]
 
 
 # -- running -----------------------------------------------------------------
@@ -484,248 +421,65 @@ def _parse_error_finding(path: Path, exc: Exception) -> Finding:
     )
 
 
-def _filtered(module: SourceModule, raw: Iterable[Finding]) -> list[Finding]:
-    """Drop findings covered by a reasoned waiver in ``module``."""
-    out: list[Finding] = []
-    for finding in raw:
-        supp = module.suppression_for(finding.line)
-        if supp is not None and supp.covers(finding.rule) and supp.reason:
-            continue
-        out.append(finding)
-    return out
-
-
-def _check_one_module(
-    module: SourceModule, file_rules: Sequence[Rule]
-) -> list[Finding]:
-    """Meta findings plus suppression-filtered per-file rule findings —
-    the cacheable per-file result."""
-    raw: list[Finding] = []
-    for rule in file_rules:
-        raw.extend(rule.check_module(module))
-    return _meta_findings(module) + _filtered(module, raw)
-
-
-@dataclass
-class _FileResult:
-    """Per input file: what the per-file pass produced."""
-
-    path: Path
-    display: str
-    findings: list[Finding]
-    parse_error: bool
-    module: SourceModule | None  # parsed AST, when the parent needs it
-    sha: str | None  # content hash, when a cache is active
-    from_cache: bool
-
-
-def _lint_file_worker(
-    path_str: str, rule_ids: Sequence[str] | None
-) -> tuple[str, list[dict[str, object]], bool]:
-    """Process-pool entry: lint one file with the per-file rules.
-
-    Must stay a module-level function (picklable); imports the rule
-    pack so spawned interpreters see a populated registry.
-    """
-    import repro.analysis  # noqa: F401  (registers the bundled rules)
-
-    path = Path(path_str)
-    rules = [r for r in make_rules(rule_ids) if _overrides(r, "check_module")]
-    try:
-        module = SourceModule.load(path)
-    except (SyntaxError, ValueError) as exc:
-        return (
-            _display(path),
-            [_parse_error_finding(path, exc).to_dict()],
-            True,
-        )
-    findings = _check_one_module(module, rules)
-    return module.display, [f.to_dict() for f in findings], False
+def _waived(module: SourceModule, finding: Finding) -> bool:
+    """Whether a reasoned waiver in ``module`` covers ``finding``."""
+    supp = module.suppression_for(finding.line)
+    return supp is not None and supp.covers(finding.rule) and bool(supp.reason)
 
 
 def run_lint(
-    files: Sequence[Path],
-    rule_ids: Sequence[str] | None = None,
-    *,
-    cache: "LintCache | None" = None,
-    jobs: int = 1,
+    files: Sequence[Path], rule_ids: Sequence[str] | None = None
 ) -> LintReport:
     """Lint ``files`` with the selected rules and return the report.
 
-    Findings covered by a reasoned waiver are dropped; engine-level
-    problems (unparseable files, malformed waivers) always survive.
-
-    ``cache`` (a :class:`~repro.analysis.cache.LintCache`) makes the run
-    incremental: files whose sha256 matches the cache reuse their stored
-    per-file findings and skip re-parsing, except files inside a
-    selected cross-file rule's :attr:`Rule.project_scope`, which are
-    always parsed so ``finalize`` sees real ASTs (their per-file
-    findings still come from the cache). Cross-file findings are
-    recomputed every run — reports are byte-identical to a cold run.
-
-    ``jobs`` > 1 fans per-file parsing/checking out to a process pool
-    (``jobs=0`` means one per CPU). Cross-file rules always run in the
-    parent process.
+    One sequential pass: each file is parsed once, in order, and checked
+    by every per-file rule; then each cross-file rule's
+    :meth:`Rule.finalize` runs over a
+    :class:`~repro.analysis.project.ProjectContext` of the parsed
+    modules its :attr:`Rule.project_scope` selects. Findings covered by
+    a reasoned waiver are dropped; engine-level problems (unparseable
+    files, malformed waivers) always survive.
     """
+    from repro.analysis.project import ProjectContext
+
     rules = make_rules(rule_ids)
-    selected = [rule.id for rule in rules]
     file_rules = [r for r in rules if _overrides(r, "check_module")]
     project_rules = [r for r in rules if _overrides(r, "finalize")]
-    predicates, undeclared = _scope_predicates(rules)
-
-    def in_scope(path: Path) -> bool:
-        if not project_rules:
-            return False
-        return undeclared or any(pred(path) for pred in predicates)
-
-    if cache is not None:
-        cache.open(selected)
-
-    results: list[_FileResult] = []
-    pending: list[tuple[int, Path, str | None, "CacheEntry | None", bool]] = []
-    for path in files:
-        sha = cache.file_sha(path) if cache is not None else None
-        entry = cache.get(path, sha) if cache is not None else None
-        scoped = in_scope(path)
-        if entry is not None and not scoped:
-            results.append(
-                _FileResult(
-                    path=path,
-                    display=entry.display,
-                    findings=[Finding.from_dict(d) for d in entry.findings],
-                    parse_error=entry.parse_error,
-                    module=None,
-                    sha=sha,
-                    from_cache=True,
-                )
-            )
-        else:
-            results.append(None)  # type: ignore[arg-type]  (placeholder)
-            pending.append((len(results) - 1, path, sha, entry, scoped))
-
-    # Files a cross-file rule needs (or whose cached findings we can
-    # reuse) are parsed in the parent; the rest may go to the pool.
-    pool_work: list[tuple[int, Path, str | None]] = []
-    for index, path, sha, entry, parent_only in pending:
-        if parent_only or entry is not None or jobs == 1:
-            results[index] = _process_in_parent(path, sha, entry, file_rules)
-        else:
-            pool_work.append((index, path, sha))
-
-    if pool_work:
-        n_jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
-        n_jobs = max(1, min(n_jobs, len(pool_work)))
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            worker_out = pool.map(
-                _lint_file_worker,
-                [str(path) for _, path, _ in pool_work],
-                [selected] * len(pool_work),
-            )
-            for (index, path, sha), (display, docs, parse_error) in zip(
-                pool_work, worker_out
-            ):
-                results[index] = _FileResult(
-                    path=path,
-                    display=display,
-                    findings=[Finding.from_dict(d) for d in docs],
-                    parse_error=parse_error,
-                    module=None,
-                    sha=sha,
-                    from_cache=False,
-                )
-
     findings: list[Finding] = []
     parsed: list[SourceModule] = []
-    n_parse_errors = 0
-    for result in results:
-        findings.extend(result.findings)
-        if result.parse_error:
-            n_parse_errors += 1
-        if result.module is not None:
-            parsed.append(result.module)
-        if cache is not None and not result.from_cache and result.sha:
-            cache.put(
-                result.path,
-                result.sha,
-                result.display,
-                [f.to_dict() for f in result.findings],
-                result.parse_error,
+    for path in files:
+        try:
+            module = SourceModule.load(path)
+        except (SyntaxError, ValueError) as exc:
+            findings.append(_parse_error_finding(path, exc))
+            continue
+        parsed.append(module)
+        findings.extend(_meta_findings(module))
+        for rule in file_rules:
+            findings.extend(
+                f for f in rule.check_module(module) if not _waived(module, f)
             )
 
-    if project_rules:
-        from repro.analysis.project import ProjectContext
-
-        context = ProjectContext(parsed)
-        by_display = {module.display: module for module in parsed}
-        raw: list[Finding] = []
-        for rule in project_rules:
-            raw.extend(rule.finalize(context))
-        for finding in raw:
+    by_display = {module.display: module for module in parsed}
+    for rule in project_rules:
+        scope = type(rule).project_scope
+        scoped = [m for m in parsed if scope is None or scope(m.path)]
+        for finding in rule.finalize(ProjectContext(scoped)):
             module = by_display.get(finding.path)
-            if module is not None:
-                supp = module.suppression_for(finding.line)
-                if supp is not None and supp.covers(finding.rule) and supp.reason:
-                    continue
-            findings.append(finding)
-
-    if cache is not None:
-        cache.save()
+            if module is None or not _waived(module, finding):
+                findings.append(finding)
 
     findings.sort(key=lambda f: f.sort_key)
     return LintReport(
         findings=findings,
         n_files=len(files),
-        rule_ids=selected,
-        n_parse_errors=n_parse_errors,
-    )
-
-
-def _process_in_parent(
-    path: Path,
-    sha: str | None,
-    entry: "CacheEntry | None",
-    file_rules: Sequence[Rule],
-) -> _FileResult:
-    """Parse + per-file check one file in-process. Reuses the cache's
-    stored findings when the content hash matched (the parse is then
-    only feeding the cross-file rules)."""
-    try:
-        module = SourceModule.load(path)
-    except (SyntaxError, ValueError) as exc:
-        return _FileResult(
-            path=path,
-            display=_display(path),
-            findings=[_parse_error_finding(path, exc)],
-            parse_error=True,
-            module=None,
-            sha=sha,
-            from_cache=False,
-        )
-    if entry is not None:
-        findings = [Finding.from_dict(d) for d in entry.findings]
-        from_cache = True
-    else:
-        findings = _check_one_module(module, file_rules)
-        from_cache = False
-    return _FileResult(
-        path=path,
-        display=module.display,
-        findings=findings,
-        parse_error=False,
-        module=module,
-        sha=sha,
-        from_cache=from_cache,
+        rule_ids=[rule.id for rule in rules],
+        n_parse_errors=len(files) - len(parsed),
     )
 
 
 def lint_paths(
-    paths: Iterable[Path],
-    rule_ids: Sequence[str] | None = None,
-    *,
-    cache: "LintCache | None" = None,
-    jobs: int = 1,
+    paths: Iterable[Path], rule_ids: Sequence[str] | None = None
 ) -> LintReport:
     """Convenience wrapper: expand ``paths`` and :func:`run_lint` them."""
-    return run_lint(
-        iter_python_files(paths), rule_ids=rule_ids, cache=cache, jobs=jobs
-    )
+    return run_lint(iter_python_files(paths), rule_ids=rule_ids)

@@ -4,10 +4,10 @@ The per-file rules (:meth:`Rule.check_module`) see one AST at a time;
 the cross-file rules need to answer questions like "what class does this
 local variable hold?", "which attributes does ``SessionManager.__init__``
 assign, and which of them are locks?", or "is ``tables.highest_mb`` a
-float64 array?". This module builds that shared context once per lint
-run and hands it to every rule's ``finalize`` as a
-:class:`ProjectContext` (a drop-in ``Sequence[SourceModule]``, so rules
-written against the old ``finalize(modules)`` signature keep working).
+float64 array?". The engine builds one :class:`ProjectContext` (a
+``Sequence[SourceModule]``) per cross-file rule, over the modules that
+rule's ``project_scope`` selects, and hands it to the rule's
+``finalize``.
 
 Three layers, each deliberately *conservative* — when inference cannot
 prove a type it answers ``UNKNOWN`` and rules stay silent, because a
@@ -639,15 +639,11 @@ class CallGraph:
 
 # -- the context handed to finalize() ---------------------------------------
 class ProjectContext(Sequence[SourceModule]):
-    """All parsed modules plus the lazily-built analysis layers.
+    """One rule's modules plus the lazily-built analysis layers.
 
-    Acts as a ``Sequence[SourceModule]`` so rules written against the
-    historical ``finalize(modules)`` signature work unchanged; new rules
-    read :attr:`symbols`, :attr:`call_graph` and :meth:`reaching`.
-
-    On an incremental (warm-cache) run only the changed files plus every
-    selected rule's declared ``project_scope`` files are parsed — the
-    context covers exactly those.
+    Acts as a ``Sequence[SourceModule]`` of the parsed modules the
+    rule's ``project_scope`` selects; rules read :attr:`symbols`,
+    :attr:`call_graph` and :meth:`reaching` for cross-file questions.
     """
 
     def __init__(self, modules: Sequence[SourceModule]):

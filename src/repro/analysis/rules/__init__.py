@@ -12,14 +12,12 @@ from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exception_hygiene import ExceptionHygieneRule
 from repro.analysis.rules.facade import FacadeSignatureRule
 from repro.analysis.rules.locks import LockDisciplineRule
-from repro.analysis.rules.parity import EngineParityRule
 from repro.analysis.rules.policy_contract import PolicyContractRule
 from repro.analysis.rules.spec_strings import SpecStringRule
 
 __all__ = [
     "ColumnarHygieneRule",
     "DeterminismRule",
-    "EngineParityRule",
     "ExceptionHygieneRule",
     "FacadeSignatureRule",
     "LockDisciplineRule",

@@ -36,7 +36,7 @@ included).
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from repro.analysis.engine import (
@@ -111,16 +111,9 @@ class ColumnarHygieneRule(Rule):
     )
     project_scope = staticmethod(_columnar_scope)
 
-    def finalize(self, modules: Sequence[SourceModule]) -> Iterable[Finding]:
-        context = (
-            modules
-            if isinstance(modules, ProjectContext)
-            else ProjectContext(list(modules))
-        )
+    def finalize(self, context: ProjectContext) -> Iterable[Finding]:
         out: list[Finding] = []
         for module in context:
-            if not _columnar_scope(module.path):
-                continue
             syms = context.symbols.module(module.display)
             if syms is None:
                 continue

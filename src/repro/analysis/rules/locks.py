@@ -36,7 +36,7 @@ unlocked access safe.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -273,19 +273,11 @@ class LockDisciplineRule(Rule):
         self.snapshot_reads: set[tuple[str, str]] = set()
         self.daemon_targets: set[str] = set()  # "Class.method" or "func"
 
-    def finalize(self, modules: Sequence[SourceModule]) -> Iterable[Finding]:
-        context = (
-            modules
-            if isinstance(modules, ProjectContext)
-            else ProjectContext(list(modules))
-        )
-        scoped = [m for m in context if _serve_scope(m.path)]
-        if not scoped:
-            return ()
-        locks = self._guarded_classes(context, scoped)
+    def finalize(self, context: ProjectContext) -> Iterable[Finding]:
+        locks = self._guarded_classes(context)
         if not locks:
             return ()
-        for module in scoped:
+        for module in context:
             syms = context.symbols.module(module.display)
             if syms is None:
                 continue
@@ -295,7 +287,7 @@ class LockDisciplineRule(Rule):
             for fn in functions:
                 defs = context.reaching(fn.node, module)
                 _FunctionWalker(self, module, fn, defs, locks).walk()
-        shared = self._shared_attrs(context, scoped, locks)
+        shared = self._shared_attrs(context, locks)
         out: list[Finding] = []
         out.extend(self._unguarded_findings(context, locks, shared))
         out.extend(self._ordering_findings())
@@ -304,14 +296,11 @@ class LockDisciplineRule(Rule):
 
     # -- model construction --------------------------------------------------
     def _guarded_classes(
-        self, context: ProjectContext, scoped: Sequence[SourceModule]
+        self, context: ProjectContext
     ) -> dict[str, tuple[str, ...]]:
         """Class name -> its lock attribute names."""
-        displays = {m.display for m in scoped}
         out: dict[str, tuple[str, ...]] = {}
         for cls in context.symbols.iter_classes():
-            if cls.module not in displays:
-                continue
             lock_attrs = tuple(
                 attr
                 for attr, inferred in cls.attr_types.items()
@@ -324,7 +313,6 @@ class LockDisciplineRule(Rule):
     def _shared_attrs(
         self,
         context: ProjectContext,
-        scoped: Sequence[SourceModule],
         locks: dict[str, tuple[str, ...]],
     ) -> dict[str, set[str]]:
         """Per guarded class: the attributes that need the lock — its

@@ -190,44 +190,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _changed_python_files() -> set[Path]:
-    """Python files the git checkout has touched: tracked files modified
-    vs HEAD plus untracked (non-ignored) files. A :class:`SpecError`
-    when the working directory is not inside a git checkout."""
-    import subprocess
-
-    from repro.utils.specs import SpecError
-
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError) as exc:
-        raise SpecError(
-            "repro lint --changed needs to run inside a git checkout "
-            f"(git rev-parse failed: {exc})"
-        ) from exc
-    out: set[Path] = set()
-    for cmd in (
-        ["git", "diff", "--name-only", "HEAD", "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                cmd, cwd=top, capture_output=True, text=True, check=True
-            )
-        except subprocess.CalledProcessError as exc:
-            raise SpecError(
-                f"repro lint --changed: {' '.join(cmd)} failed: "
-                f"{exc.stderr.strip() or exc}"
-            ) from exc
-        for line in proc.stdout.splitlines():
-            if line.endswith(".py"):
-                out.add((Path(top) / line).resolve())
-    return out
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro import analysis
 
@@ -238,22 +200,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.rule
         else None
     )
-    files = list(analysis.iter_python_files(paths))
-    if args.changed:
-        changed = _changed_python_files()
-        # Project-wide rules (engine parity, lock discipline, snapshot
-        # schema) need their whole surface parsed even when only one
-        # side of it changed.
-        scope = set(analysis.project_scope_paths(files, rules))
-        files = [
-            f for f in files if f.resolve() in changed or f in scope
-        ]
-    cache = (
-        analysis.LintCache(Path(args.cache_dir)) if args.cache_dir else None
-    )
-    report = analysis.run_lint(
-        files, rule_ids=rules, cache=cache, jobs=args.jobs
-    )
+    report = analysis.lint_paths(paths, rule_ids=rules)
     if args.format == "json":
         print(analysis.render_json(report))
     elif args.format == "sarif":
@@ -705,11 +652,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="static reproducibility checks (repro.analysis rule pack)",
         description=(
             "AST-lint the codebase against the repro-specific rule pack: "
-            "RPR001 determinism, RPR002 engine parity, RPR003 policy "
-            "contract, RPR005 spec-string hygiene, RPR006 exception "
-            "hygiene, RPR007 facade signatures, RPR008 serve-layer lock "
-            "discipline, RPR009 columnar-kernel hygiene. "
-            "Directory operands are expanded to their *.py files; a "
+            "RPR001 determinism, RPR003 policy contract, RPR005 "
+            "spec-string hygiene, RPR006 exception hygiene, RPR007 "
+            "facade signatures, RPR008 serve-layer lock discipline, "
+            "RPR009 columnar-kernel hygiene. Directory operands are "
+            "expanded to their *.py files; a "
             "file operand is always linted, even when discovery would "
             "skip it."
         ),
@@ -731,23 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--rule", action="append", metavar="RULE",
         help="restrict to these rule ids (repeatable or comma-separated, "
-             "e.g. --rule RPR001,RPR002)",
-    )
-    p_lint.add_argument(
-        "--changed", action="store_true",
-        help="lint only files changed vs git HEAD (plus untracked), "
-             "keeping the files project-wide rules always need",
-    )
-    p_lint.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="lint files in N worker processes (0 = one per CPU; "
-             "default: in-process)",
-    )
-    p_lint.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="reuse per-file results from DIR/lint-cache.json when file "
-             "and rule-pack hashes match (warm runs re-lint only what "
-             "changed; the report stays byte-identical)",
+             "e.g. --rule RPR001,RPR005)",
     )
     p_lint.set_defaults(func=_cmd_lint)
 

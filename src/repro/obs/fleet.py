@@ -139,9 +139,9 @@ class FleetObsSession(ObsSession):
     # -- finalization --------------------------------------------------------
     def finalize_fleet_metrics(self) -> None:
         """Register the fleet-only aggregate series from the columnar
-        partials. The shared cross-engine metric names (RPR002 parity
-        surface) are registered by the fleet stepper itself; these are
-        the extras that only make sense for a columnar run."""
+        partials. The metric names shared with the reference engine are
+        registered by the fleet stepper itself; these are the extras
+        that only make sense for a columnar run."""
         if not self.metrics_enabled:
             return
         met = self.metrics

@@ -582,8 +582,6 @@ class FleetState:
             if hit.size:
                 n = np.array(n_down)[hit]
                 self.ring.downgrade_many(alive[hit], n, allow_drop[hit])
-                # repro: lint-ok[RPR002] PriorityStructure's batched
-                # downgrade counter (Alg. 2 line 10), not an obs hook
                 priority.record_downgrades(alive[hit], n)
                 n_victims = int(n.sum())
                 self.n_downgrades += n_victims

@@ -69,8 +69,6 @@ def emit_downgrade(
     victim. Callers skip the call when nothing is recorded (fleet
     victims outside the trace sample, unobserved runs).
     """
-    # repro: lint-ok[RPR002] record_downgrade fires only here and in
-    # GlobalOptimizer.review; every engine funnels through one of the two
     obs.record_downgrade(
         minute, victim, from_name, to_name,
         candidates=candidates, forced=forced,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro import analysis
+from repro.analysis import engine
 from repro.analysis import (
     META_RULE_ID,
     Finding,
@@ -65,8 +66,8 @@ class TestEngineBasics:
 
     def test_registry_lists_the_rule_pack(self):
         assert rule_ids() == [
-            "RPR001", "RPR002", "RPR003", "RPR005", "RPR006", "RPR007",
-            "RPR008", "RPR009",
+            "RPR001", "RPR003", "RPR005", "RPR006", "RPR007", "RPR008",
+            "RPR009",
         ]
         summaries = rule_summaries()
         assert set(summaries) == set(rule_ids())
@@ -180,7 +181,7 @@ class TestReporters:
 
     def test_text_summary_trailer(self, bad_file):
         assert "1 finding(s)" in render_text(lint_paths([bad_file]))
-        clean = lint_paths([bad_file], rule_ids=["RPR002"])
+        clean = lint_paths([bad_file], rule_ids=["RPR005"])
         assert "clean" in render_text(clean)
 
     def test_json_document(self, bad_file):
@@ -220,3 +221,32 @@ class TestRunLint:
         )
         grouped = lint_paths([path]).by_rule()
         assert len(grouped["RPR001"]) == 2
+
+    @pytest.mark.parametrize(
+        ("scope", "expected"),
+        [
+            (staticmethod(lambda path: "serve" in path.parts), ["app.py"]),
+            (None, ["app.py", "sim.py"]),
+        ],
+        ids=["serve-scope", "no-scope"],
+    )
+    def test_finalize_sees_only_its_project_scope(
+        self, tmp_path, monkeypatch, scope, expected
+    ):
+        seen: list[list[str]] = []
+
+        class ScopedRule(analysis.Rule):
+            id = "RPR099"
+            summary = "records what finalize receives"
+            project_scope = scope
+
+            def finalize(self, context):
+                seen.append([m.path.name for m in context])
+                return ()
+
+        monkeypatch.setitem(engine._RULE_TYPES, ScopedRule.id, ScopedRule)
+        serve = write(tmp_path, "serve/app.py", "A = 1\n")
+        other = write(tmp_path, "runtime/sim.py", "B = 2\n")
+        report = run_lint([serve, other], rule_ids=[ScopedRule.id])
+        assert report.clean and report.n_files == 2
+        assert seen == [expected]

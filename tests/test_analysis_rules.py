@@ -138,102 +138,6 @@ class TestDeterminismRPR001:
         assert rules_hit(path, "RPR001") == []
 
 
-SIM_TEMPLATE = """\
-def run(obs, met):
-    obs.record_cold_start(0, 1)
-    met.counter("cold_starts_total")
-    met.counter("warm_starts_total")
-"""
-
-FLEET_TEMPLATE = """\
-def run(obs, met):
-    obs.record_cold_start(0, 1)
-    met.counter("cold_starts_total")
-    met.counter("warm_starts_total")
-"""
-
-
-class TestEngineParityRPR002:
-    def pair(self, tmp_path, sim=SIM_TEMPLATE, fleet=FLEET_TEMPLATE):
-        return [
-            write(tmp_path, "engines/simulator.py", sim),
-            write(tmp_path, "engines/fleet.py", fleet),
-        ]
-
-    def test_symmetric_pair_clean(self, tmp_path):
-        assert rules_hit(self.pair(tmp_path), "RPR002") == []
-
-    def test_metric_missing_from_fleet_loop(self, tmp_path):
-        fleet = FLEET_TEMPLATE.replace(
-            '    met.counter("warm_starts_total")\n', ""
-        )
-        paths = self.pair(tmp_path, fleet=fleet)
-        report = lint_paths(paths, rule_ids=["RPR002"])
-        (finding,) = report.findings
-        assert "warm_starts_total" in finding.message
-        assert finding.path.endswith("simulator.py")  # anchored where present
-
-    def test_obs_hook_missing_from_reference_loop(self, tmp_path):
-        sim = SIM_TEMPLATE.replace("    obs.record_cold_start(0, 1)\n", "")
-        report = lint_paths(self.pair(tmp_path, sim=sim), rule_ids=["RPR002"])
-        (finding,) = report.findings
-        assert "record_cold_start" in finding.message
-        assert finding.path.endswith("fleet.py")
-
-    def test_waiver_with_reason_accepted(self, tmp_path):
-        sim = SIM_TEMPLATE.replace(
-            '    met.counter("warm_starts_total")',
-            "    # repro: lint-ok[RPR002] registered by a shared helper\n"
-            '    met.counter("warm_starts_total")',
-        )
-        fleet = FLEET_TEMPLATE.replace(
-            '    met.counter("warm_starts_total")\n', ""
-        )
-        assert rules_hit(self.pair(tmp_path, sim=sim, fleet=fleet), "RPR002") == []
-
-    def test_non_metric_strings_not_compared(self, tmp_path):
-        # Only strings handed to counter/gauge/histogram are metric
-        # names: a one-sided span name or string constant is not.
-        sim = SIM_TEMPLATE.replace(
-            "def run(obs, met):\n",
-            'def run(obs, met, spans):\n    spans.add("engine-only", 0.0)\n',
-        ) + '\nKIND = "sim_only_total"\n'
-        assert rules_hit(self.pair(tmp_path, sim=sim), "RPR002") == []
-
-    def test_unpaired_engine_file_not_compared(self, tmp_path):
-        path = write(tmp_path, "engines/simulator.py", SIM_TEMPLATE)
-        assert rules_hit(path, "RPR002") == []
-
-
-class TestRealEngineFixtureCopy:
-    """The ISSUE acceptance criterion: copy the real engine pair, delete a
-    handler from one copy, and RPR002 must catch it."""
-
-    @pytest.fixture()
-    def engine_copies(self, tmp_path):
-        sandbox = tmp_path / "runtime"
-        sandbox.mkdir()
-        for name in ("simulator.py", "fleet.py"):
-            shutil.copy(REPRO_ROOT / "runtime" / name, sandbox / name)
-        return sandbox
-
-    def test_pristine_copies_are_clean(self, engine_copies):
-        assert rules_hit(list(engine_copies.glob("*.py")), "RPR002") == []
-
-    def test_removed_obs_hook_handler_caught(self, engine_copies):
-        fleet = engine_copies / "fleet.py"
-        mutated = fleet.read_text().replace(".record_plan(", ".note_plan(")
-        assert mutated != fleet.read_text()
-        fleet.write_text(mutated)
-        report = lint_paths(
-            list(engine_copies.glob("*.py")), rule_ids=["RPR002"]
-        )
-        assert any(
-            f.rule == "RPR002" and "record_plan" in f.message
-            for f in report.findings
-        )
-
-
 class TestPolicyContractRPR003:
     def test_init_without_super_flagged(self, tmp_path):
         path = write(
@@ -1086,84 +990,13 @@ class TestColumnarHygieneRPR009:
         assert rules_hit(path, "RPR009") == []
 
 
-class TestFleetReducerCarveoutRPR002:
-    """The reducer's emit site is carved out in the rule itself — not
-    re-waived at every call site."""
-
-    def test_carveout_list_is_pinned(self):
-        from repro.analysis.rules.parity import FLEET_REDUCER_CARVEOUTS
-
-        assert FLEET_REDUCER_CARVEOUTS == frozenset({"record_peak"})
-
-    def pair(self, tmp_path, sim_extra="", fleet_extra=""):
-        sim = write(
-            tmp_path,
-            "runtime/simulator.py",
-            SIM_TEMPLATE + sim_extra,
-        )
-        fleet = write(
-            tmp_path,
-            "runtime/fleet.py",
-            FLEET_TEMPLATE.replace("def run(", "def fleet_run(") + fleet_extra,
-        )
-        return [sim, fleet]
-
-    def test_fleet_side_carveout_names_exempt(self, tmp_path):
-        paths = self.pair(
-            tmp_path,
-            fleet_extra=(
-                "\n"
-                "def reduce(rec):\n"
-                "    rec.record_peak(1, 2, 3, 4)\n"
-            ),
-        )
-        assert rules_hit(paths, "RPR002") == []
-
-    def test_record_downgrade_fleet_side_flagged(self, tmp_path):
-        # The fleet engine batches its downgrade counts through
-        # ``record_downgrades`` (waived at its call), so a one-sided
-        # ``record_downgrade`` there is no longer exempt.
-        paths = self.pair(
-            tmp_path,
-            fleet_extra=(
-                "\ndef reduce(priority):\n    priority.record_downgrade(0)\n"
-            ),
-        )
-        report = lint_paths(paths, rule_ids=["RPR002"])
-        (finding,) = report.findings
-        assert "record_downgrade" in finding.message
-
-    def test_other_fleet_side_hooks_still_flagged(self, tmp_path):
-        paths = self.pair(
-            tmp_path,
-            fleet_extra=(
-                "\ndef reduce(rec):\n    rec.record_slow(1)\n"
-            ),
-        )
-        report = lint_paths(paths, rule_ids=["RPR002"])
-        (finding,) = report.findings
-        assert "record_slow" in finding.message
-
-    def test_carveout_names_one_sided_in_simulator_flagged(self, tmp_path):
-        # The exemption is fleet-side only: the same names one-sided in
-        # the reference loop are a real asymmetry.
-        paths = self.pair(
-            tmp_path,
-            sim_extra=(
-                "\ndef review(rec):\n    rec.record_peak(1, 2, 3, 4)\n"
-            ),
-        )
-        report = lint_paths(paths, rule_ids=["RPR002"])
-        assert [f.rule for f in report.findings] == ["RPR002"]
-        assert "record_peak" in report.findings[0].message
-
-
 class TestShippedTreeSelfCheck:
     def test_repro_lints_clean(self):
         report = lint_paths([REPRO_ROOT])
         assert report.findings == [], [str(f) for f in report.findings]
         assert report.exit_code == 0
-        # The full pack ran — RPR001 through RPR009 (RPR004 is retired).
+        # The full pack ran — RPR001 through RPR009 (RPR002 and RPR004
+        # are retired).
         assert report.rule_ids == [
-            f"RPR{n:03d}" for n in range(1, 10) if n != 4
+            f"RPR{n:03d}" for n in range(1, 10) if n not in (2, 4)
         ]

@@ -110,6 +110,7 @@ class TestFleetMetrics:
         metrics = obs.metrics
         assert metrics.get("invocations_total").value() == observed.n_invocations
         assert metrics.get("cold_starts_total").value() == observed.n_cold
+        assert metrics.get("warm_starts_total").value() == observed.n_warm
         assert obs.mem_series.size == small_trace.horizon
         assert obs.valve_series.sum() == observed.n_forced_downgrades
 
