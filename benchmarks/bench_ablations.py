@@ -10,8 +10,6 @@
 
 from functools import partial
 
-from conftest import run_once
-
 from repro.baselines.openwhisk import OpenWhiskPolicy
 from repro.core.pulse import PulseConfig, PulsePolicy
 from repro.experiments.reporting import format_table
@@ -20,10 +18,8 @@ from repro.experiments.sensitivity import keep_alive_duration_sweep
 from repro.runtime.metrics import aggregate_results, percent_improvement
 
 
-def test_keep_alive_duration_sweep(benchmark, bench_config, bench_trace):
-    sweep = run_once(
-        benchmark, keep_alive_duration_sweep, bench_config, bench_trace
-    )
+def test_keep_alive_duration_sweep(bench_config, bench_trace):
+    sweep = keep_alive_duration_sweep(bench_config, bench_trace)
     print()
     rows = []
     for duration, points in sweep.items():
@@ -45,7 +41,7 @@ def test_keep_alive_duration_sweep(benchmark, bench_config, bench_trace):
         assert row["keepalive_cost_%"] > 0
 
 
-def test_probability_mode_ablation(benchmark, bench_config, bench_trace):
+def test_probability_mode_ablation(bench_config, bench_trace):
     modes = ["exact", "cumulative", "survival", "hazard"]
     policies = {"OpenWhisk": OpenWhiskPolicy}
     policies.update(
@@ -54,7 +50,7 @@ def test_probability_mode_ablation(benchmark, bench_config, bench_trace):
             for mode in modes
         }
     )
-    results = run_once(benchmark, run_policies, bench_trace, policies, bench_config)
+    results = run_policies(bench_trace, policies, bench_config)
     base = aggregate_results(results["OpenWhisk"])
     rows = []
     for mode in modes:

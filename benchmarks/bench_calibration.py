@@ -7,14 +7,12 @@ clearly positive skill overall, near-perfect skill on timer functions,
 and its reliability bins track the diagonal.
 """
 
-from conftest import run_once
-
 from repro.core.forecast_eval import evaluate_estimator
 from repro.experiments.reporting import format_table
 
 
-def test_estimator_calibration(benchmark, bench_trace):
-    report = run_once(benchmark, evaluate_estimator, bench_trace)
+def test_estimator_calibration(bench_trace):
+    report = evaluate_estimator(bench_trace)
     print()
     print(
         f"Estimator calibration: Brier={report.brier_score:.4f} "

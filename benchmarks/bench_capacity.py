@@ -7,16 +7,12 @@ suffers many forced downgrades and loses warm starts; PULSE's flattening
 keeps memory under the cap and preempts nearly all of them.
 """
 
-from conftest import run_once
-
 from repro.experiments.capacity import memory_capacity_study
 from repro.experiments.reporting import format_table
 
 
-def test_memory_capacity_pressure_valve(benchmark, bench_config, bench_trace):
-    points = run_once(
-        benchmark,
-        memory_capacity_study,
+def test_memory_capacity_pressure_valve(bench_config, bench_trace):
+    points = memory_capacity_study(
         (6000.0, 9000.0, 12000.0),
         bench_config,
         bench_trace,

@@ -6,14 +6,12 @@ to match the paper: the five panels have visibly different shapes
 (front-loaded, uniform, late, bimodal, periodic spike).
 """
 
-from conftest import run_once
-
 from repro.experiments.motivation import figure1_histograms, histogram_divergence
 from repro.experiments.reporting import format_series
 
 
-def test_figure1_interarrival_histograms(benchmark, bench_trace):
-    hists = run_once(benchmark, figure1_histograms, bench_trace)
+def test_figure1_interarrival_histograms(bench_trace):
+    hists = figure1_histograms(bench_trace)
     print()
     print("Figure 1: % of invocations per minute of the 10-minute window")
     for name, h in hists.items():

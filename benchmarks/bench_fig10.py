@@ -5,16 +5,12 @@ the paper: T1 and T2 produce comparable results — PULSE is robust to the
 threshold scheme as long as higher probability maps to higher accuracy.
 """
 
-from conftest import run_once
-
 from repro.experiments.reporting import format_table
 from repro.experiments.sensitivity import figure10_threshold_schemes
 
 
-def test_figure10_threshold_schemes(benchmark, bench_config, bench_trace):
-    points = run_once(
-        benchmark, figure10_threshold_schemes, bench_config, bench_trace
-    )
+def test_figure10_threshold_schemes(bench_config, bench_trace):
+    points = figure10_threshold_schemes(bench_config, bench_trace)
     print()
     print(
         format_table(

@@ -6,16 +6,12 @@ memory constraint — improvements are positive for cost at all
 thresholds, with small accuracy dips.
 """
 
-from conftest import run_once
-
 from repro.experiments.reporting import format_table
 from repro.experiments.sensitivity import figure11_memory_thresholds
 
 
-def test_figure11_memory_thresholds(benchmark, bench_config, bench_trace):
-    points = run_once(
-        benchmark, figure11_memory_thresholds, bench_config, bench_trace
-    )
+def test_figure11_memory_thresholds(bench_config, bench_trace):
+    points = figure11_memory_thresholds(bench_config, bench_trace)
     print()
     print(
         format_table(

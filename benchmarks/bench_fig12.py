@@ -5,14 +5,12 @@ size. Shape to match the paper: consistent improvements across the
 spectrum of window sizes.
 """
 
-from conftest import run_once
-
 from repro.experiments.reporting import format_table
 from repro.experiments.sensitivity import figure12_local_windows
 
 
-def test_figure12_local_window_sizes(benchmark, bench_config, bench_trace):
-    points = run_once(benchmark, figure12_local_windows, bench_config, bench_trace)
+def test_figure12_local_window_sizes(bench_config, bench_trace):
+    points = figure12_local_windows(bench_config, bench_trace)
     print()
     print(
         format_table(

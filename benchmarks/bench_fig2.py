@@ -5,14 +5,12 @@ of the trace. Shape to match the paper: the three panels differ — the
 regime the function follows changes across the trace.
 """
 
-from conftest import run_once
-
 from repro.experiments.motivation import figure2_drift, histogram_divergence
 from repro.experiments.reporting import format_series
 
 
-def test_figure2_interarrival_drift(benchmark, bench_trace):
-    panels = run_once(benchmark, figure2_drift, bench_trace)
+def test_figure2_interarrival_drift(bench_trace):
+    panels = figure2_drift(bench_trace)
     print()
     print("Figure 2: one function's histogram across trace periods")
     for label, h in panels.items():

@@ -6,14 +6,12 @@ individual stage reduces average memory but its peak-to-average ratio
 stays elevated — motivating the cross-function stage.
 """
 
-from conftest import run_once
-
 from repro.experiments.memory import figure4_and_7_memory
 from repro.experiments.reporting import format_series
 
 
-def test_figure4_individual_optimization_memory(benchmark, bench_config):
-    res = run_once(benchmark, figure4_and_7_memory, bench_config)
+def test_figure4_individual_optimization_memory(bench_config):
+    res = figure4_and_7_memory(bench_config)
     ow, ind = res["openwhisk"], res["individual_only"]
     print()
     print("Figure 4: keep-alive memory (MB) over time")

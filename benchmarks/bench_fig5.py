@@ -5,14 +5,12 @@ Shape to match the paper: PULSE's cost sits near the lowest-quality
 point while its accuracy stays near the highest-quality point.
 """
 
-from conftest import run_once
-
 from repro.experiments.reporting import format_table
 from repro.experiments.tradeoff import figure5_tradeoff
 
 
-def test_figure5_cost_accuracy_tradeoff(benchmark, bench_config, bench_trace):
-    points = run_once(benchmark, figure5_tradeoff, bench_config, bench_trace)
+def test_figure5_cost_accuracy_tradeoff(bench_config, bench_trace):
+    points = figure5_tradeoff(bench_config, bench_trace)
     print()
     print(
         format_table(

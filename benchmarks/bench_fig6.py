@@ -8,15 +8,13 @@ digits (paper: 8.8 %), accuracy dips under a few percent (paper: 0.6 %),
 and OpenWhisk's cost error sits far above PULSE's.
 """
 
-from conftest import run_once
-
 from repro.experiments.headline import figure6_headline
 from repro.experiments.reporting import format_bar_chart, format_series
 from repro.utils.stats import summarize
 
 
-def test_figure6_headline_vs_openwhisk(benchmark, bench_config, bench_trace):
-    res = run_once(benchmark, figure6_headline, bench_config, bench_trace)
+def test_figure6_headline_vs_openwhisk(bench_config, bench_trace):
+    res = figure6_headline(bench_config, bench_trace)
     print()
     print("Figure 6(a): % improvement of PULSE over OpenWhisk")
     print(format_bar_chart(res.improvements, unit="%"))

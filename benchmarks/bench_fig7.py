@@ -7,14 +7,12 @@ ratio than the fixed policy AND than the individual-only stage), and
 loses only a fraction of a percent of accuracy.
 """
 
-from conftest import run_once
-
 from repro.experiments.memory import figure4_and_7_memory
 from repro.experiments.reporting import format_series
 
 
-def test_figure7_pulse_memory_smoothing(benchmark, bench_config):
-    res = run_once(benchmark, figure4_and_7_memory, bench_config)
+def test_figure7_pulse_memory_smoothing(bench_config):
+    res = figure4_and_7_memory(bench_config)
     ow, ind, pulse = res["openwhisk"], res["individual_only"], res["pulse"]
     print()
     print("Figure 7: keep-alive memory (MB) over time")

@@ -8,14 +8,12 @@ keep-alive tails), and accuracy dips well under a percent of the
 variant-unaware baselines... at most a few percent here.
 """
 
-from conftest import run_once
-
 from repro.experiments.integration import figure8_integration
 from repro.experiments.reporting import format_bar_chart
 
 
-def test_figure8_integration(benchmark, bench_config, bench_trace):
-    results = run_once(benchmark, figure8_integration, bench_config, bench_trace)
+def test_figure8_integration(bench_config, bench_trace):
+    results = figure8_integration(bench_config, bench_trace)
     print()
     for r in results:
         print(f"Figure 8: {r.technique}+PULSE vs {r.technique} (% improvement)")

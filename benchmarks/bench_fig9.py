@@ -7,14 +7,13 @@ accuracy is no better (the joint optimization favours cheap variants).
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.experiments.overhead import figure9_overhead
 from repro.experiments.reporting import format_table
 
 
-def test_figure9_milp_vs_pulse(benchmark, bench_config, bench_trace):
-    res = run_once(benchmark, figure9_overhead, bench_config, bench_trace)
+def test_figure9_milp_vs_pulse(bench_config, bench_trace):
+    res = figure9_overhead(bench_config, bench_trace)
     print()
     print(
         format_table(

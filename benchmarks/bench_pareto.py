@@ -8,16 +8,12 @@ them — the mixed-quality idea buys points the fixed policies cannot
 reach.
 """
 
-from conftest import run_once
-
 from repro.experiments.pareto import pulse_configuration_sweep
 from repro.experiments.reporting import format_table
 
 
-def test_pareto_frontier_of_configurations(benchmark, bench_config, bench_trace):
-    points = run_once(
-        benchmark, pulse_configuration_sweep, bench_config, bench_trace
-    )
+def test_pareto_frontier_of_configurations(bench_config, bench_trace):
+    points = pulse_configuration_sweep(bench_config, bench_trace)
     print()
     print(
         format_table(

@@ -7,16 +7,12 @@ higher-quality variants have higher service time, keep-alive cost and
 accuracy; the published GPT/BERT/DenseNet scalars are recovered.
 """
 
-from conftest import run_once
-
 from repro.experiments.reporting import format_table
 from repro.experiments.table1 import table1_characterization
 
 
-def test_table1_variant_characterization(benchmark):
-    report, rows = run_once(
-        benchmark,
-        table1_characterization,
+def test_table1_variant_characterization():
+    report, rows = table1_characterization(
         n_warm_samples=300,
         n_cold_samples=10,
         seed=2024,

@@ -8,16 +8,12 @@ at lower cost; every strategy serves the same number of (warm)
 invocations.
 """
 
-from conftest import run_once
-
 from repro.experiments.peaks import tables2_3_peak_strategies
 from repro.experiments.reporting import format_table
 
 
-def test_tables2_3_peak_strategies(benchmark, bench_trace, bench_assignment):
-    tables = run_once(
-        benchmark, tables2_3_peak_strategies, bench_trace, bench_assignment
-    )
+def test_tables2_3_peak_strategies(bench_trace, bench_assignment):
+    tables = tables2_3_peak_strategies(bench_trace, bench_assignment)
     print()
     for name, rows in tables.items():
         printable = [

@@ -1,4 +1,4 @@
-"""Shared scale settings for the benchmark harness.
+"""Shared scale settings for the paper-shape checks.
 
 Every bench reproduces one of the paper's tables or figures at reduced
 scale (the paper runs 1000 simulations over a two-week trace; benches run
@@ -7,9 +7,10 @@ prints the rows/series the paper reports. Scale up by editing
 ``BENCH_RUNS`` / ``BENCH_HORIZON`` or calling the functions in
 ``repro.experiments`` directly with paper-scale parameters.
 
-Run with::
+Each check calls its experiment function once and asserts the paper's
+shape; timing lives in ``bench/``. Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python -m pytest benchmarks/ -q -s
 """
 
 from __future__ import annotations
@@ -41,9 +42,3 @@ def bench_assignment(bench_trace):
     from repro.experiments.assignments import sample_assignment
 
     return sample_assignment(bench_trace.n_functions, seed=BENCH_SEED)
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Time ``fn`` with a single measured invocation (simulations are
-    seconds long; calibration loops would multiply runtime pointlessly)."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, iterations=1, rounds=1)

@@ -56,3 +56,30 @@ def assignment(small_trace, zoo):
 def tiny_assignment(tiny_trace, zoo):
     fams = list(zoo)
     return {fid: fams[fid % len(fams)] for fid in range(tiny_trace.n_functions)}
+
+
+def assert_records_equal(actual, expected, what: str = "records") -> None:
+    """Assert two record lists are equal, reporting only the first
+    difference.
+
+    A bare ``assert a == b`` over a run's decision records makes pytest
+    diff the whole lists when it fails, which can take minutes of CPU
+    and gigabytes of memory. This checks the lengths, then names the
+    first differing index and its two records.
+    """
+    actual, expected = list(actual), list(expected)
+    if actual == expected:
+        return
+    first = next(
+        (i for i, (a, b) in enumerate(zip(actual, expected)) if a != b),
+        min(len(actual), len(expected)),
+    )
+
+    def at(records: list) -> str:
+        return repr(records[first]) if first < len(records) else "<none>"
+
+    raise AssertionError(
+        f"{what}: {len(actual)} records, expected {len(expected)}; first "
+        f"difference at index {first}:\n  got      {at(actual)}\n"
+        f"  expected {at(expected)}"
+    )

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -28,6 +30,39 @@ class TestParser:
         assert args.experiment == "fig6"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["reproduce", "fig99"])
+
+    def test_every_default_is_among_its_choices(self):
+        # argparse checks choices only on values given on the command
+        # line, so a default naming no choice (a renamed policy) would
+        # reach the command unparsed.
+        checked = 0
+        for prog, parser in _all_parsers(build_parser()):
+            for action in parser._actions:
+                if (
+                    action.choices is None
+                    or isinstance(action, argparse._SubParsersAction)
+                    or action.default in (None, argparse.SUPPRESS)
+                ):
+                    continue
+                default = action.default
+                if isinstance(default, str) and callable(action.type):
+                    default = action.type(default)  # as argparse does
+                values = default if isinstance(default, list) else [default]
+                for value in values:
+                    assert value in action.choices, (
+                        f"{prog} {action.dest}: default {value!r} is not "
+                        f"among its choices"
+                    )
+                checked += 1
+        assert checked >= 5
+
+
+def _all_parsers(parser):
+    yield parser.prog, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _all_parsers(sub)
 
 
 class TestCommands:

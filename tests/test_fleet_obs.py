@@ -41,6 +41,7 @@ from repro.obs.inspect import TraceIndex
 from repro.obs.report import render_run_report
 from repro.obs.session import ObservabilityConfig
 from repro.runtime.simulator import Simulation, SimulationConfig
+from tests.conftest import assert_records_equal
 from tests.test_engine_fleet import assert_identical, capped_table
 
 #: Model-family assignments the obs-on ≡ obs-off legs run under.
@@ -208,7 +209,8 @@ class TestSampledTraces:
         for key, table in fleet_tables.items():
             assert key in ref_tables
             assert len(table) <= CANDIDATE_CAP + 1
-            assert table == capped_table(ref_tables[key])
+            assert_records_equal(table, capped_table(ref_tables[key]),
+                                 f"candidates at {key}")
 
 
 # ---------------------------------------------------------------------------

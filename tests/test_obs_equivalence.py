@@ -25,6 +25,7 @@ from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.sota.icebreaker import IceBreakerPolicy
 from repro.sota.integration import PulseIntegratedPolicy
 from repro.sota.wild import WildPolicy
+from tests.conftest import assert_records_equal
 
 POLICIES = {
     "openwhisk": OpenWhiskPolicy,
@@ -122,7 +123,8 @@ class TestObservabilityEquivalence:
                 )
                 for result in (ref, fleet)
             )
-            assert ours and ours == theirs, kind
+            assert ours, kind
+            assert_records_equal(ours, theirs, kind)
 
     def test_wall_clock_and_engine_total_populated(self, small_trace, assignment):
         _, on = run_pair(

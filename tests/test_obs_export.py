@@ -22,6 +22,7 @@ from repro.obs.export import (
 from repro.obs.report import render_run_report, save_run_report
 from repro.obs.session import ObservabilityConfig, ObsSession
 from repro.runtime.simulator import Simulation, SimulationConfig
+from tests.conftest import assert_records_equal
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,7 @@ class TestTraceJsonl:
         n = write_trace_jsonl(observed_result, path)
         loaded = read_trace_jsonl(path)
         assert len(loaded) == n
-        assert loaded == list(trace_records(observed_result))
+        assert_records_equal(loaded, trace_records(observed_result))
 
     def test_every_line_is_json(self, observed_result, tmp_path):
         path = tmp_path / "run.jsonl"

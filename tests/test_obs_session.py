@@ -14,6 +14,7 @@ from repro.obs.session import NULL_OBS, ObservabilityConfig, ObsSession
 from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.traces.schema import FunctionSpec, Trace
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+from tests.conftest import assert_records_equal
 
 
 class FakeVariant:
@@ -95,7 +96,7 @@ class TestObsSession:
         clone = pickle.loads(pickle.dumps(s))
         assert clone.enabled and clone.metrics_enabled
         assert clone.metrics.as_flat_dict() == s.metrics.as_flat_dict()
-        assert clone.records == s.records
+        assert_records_equal(clone.records, s.records)
         assert clone.n_runs == 1
 
 

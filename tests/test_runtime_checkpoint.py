@@ -324,6 +324,20 @@ class TestGuards:
         ):
             sim.run(engine="reference", resume_from=state)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"not a pickle",
+            pickle.dumps({"live": {}, "meta": {}},
+                         protocol=pickle.HIGHEST_PROTOCOL)[:-4],
+        ],
+        ids=["non-pickle", "truncated-pickle"],
+    )
+    def test_undecodable_payload_refused(self, payload):
+        state = SimulationState("reference", 10, (0,), payload)
+        with pytest.raises(ValueError, match="^undecodable snapshot payload"):
+            state.restore()
+
     def test_config_requires_sink(self):
         with pytest.raises(ValueError):
             CheckpointConfig()
