@@ -13,9 +13,11 @@ This engine keeps all per-function state in numpy arrays over fids
    minute's invoking fids;
 2. **reduce**: the *global* stages read the keep-alive ring's integer
    memory ledger and alive set directly — Algorithm 1 peak detection,
-   Algorithm 2 lowest-utility downgrades, and the provider capacity
-   valve — and apply each stage's victim decisions to the ring as one
-   batched write (see :meth:`FleetState.review`).
+   Algorithm 2 lowest-utility downgrades (a peak's victims picked with
+   one sort per stretch of constant Eq. 1 normalization, not one
+   interpreter step per victim), and the provider capacity valve — and
+   apply each stage's victim decisions to the ring as one batched write
+   (see :meth:`FleetState.review`).
 
 PULSE's cross-function stage is global by design, and it is the largest
 stage of a peak minute at fleet scale (see ``docs/architecture.md`` for
@@ -53,7 +55,6 @@ PULSE and the fixed baselines).
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 
@@ -180,6 +181,110 @@ def _memory_fold(counts: list[int], fps: list[float]) -> float:
         if count:
             total += count * fp
     return total
+
+
+def _pop_order(
+    pool: np.ndarray,
+    lv: np.ndarray,
+    cnt: np.ndarray,
+    protect: np.ndarray,
+    t_ai: np.ndarray,
+    t_ip: np.ndarray,
+    vmin: int,
+    vmax: int,
+    w_pr: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Algorithm 2's victims while Eq. 1's ``vmin``/``vmax`` stand still:
+    (alive position, how many times that row was already picked), in
+    pick order.
+
+    Row ``p`` (of ``pool``, ascending) at level ``L`` and count ``c``
+    scores ``k_j = t_ai[p, L−j] + w_pr·pr(c+j) + t_ip[p]`` once it has
+    been picked ``j`` times: from ``L`` down to level 1 when
+    ``protect``ed, one pick more (the drop) otherwise, and no further
+    than count ``vmax`` (the next pick would move Eq. 1's max).
+
+    The reference picks the minimum ``(Uv, fid)`` each time, and only
+    the victim's own score moves. A score that fell after its pick is
+    still the minimum, so it is picked again at once; the next row to
+    start is the one with the smallest ``(key, fid)`` above everything
+    picked so far. So the pick order is the stable sort of every
+    ``(row, j)`` by (the running max of the row's ``k_0..k_j``, fid,
+    ``j``) — one ``argsort`` over candidates laid out row-major.
+    """
+    lv_p = lv[pool]
+    c_p = cnt[pool]
+    n = np.minimum(lv_p + ~protect[pool], vmax - c_p + 1)
+    j = np.arange(int(n.max()))
+    valid = j < n[:, None]
+    pr = (c_p[:, None] + j) - float(vmin)
+    if vmax != vmin:
+        pr /= vmax - vmin
+    key = (
+        t_ai[pool[:, None], np.maximum(lv_p[:, None] - j, 0)]
+        + w_pr * pr
+        + t_ip[pool, None]
+    )
+    run_max = np.maximum.accumulate(np.where(valid, key, np.inf), axis=1)
+    flat = np.flatnonzero(valid)
+    flat = flat[np.argsort(run_max.ravel()[flat], kind="stable")]
+    return pool[flat // j.size], flat % j.size
+
+
+def _flatten_prefix(
+    mem: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    current: float,
+    target: float,
+    fps: list[float],
+) -> tuple[int, np.ndarray, float]:
+    """How many of a batch's pops Algorithm 2 takes before the minute's
+    memory is back at ``target``, with the slot counts and memory after
+    them (all the pops when it never gets there).
+
+    Pop ``i`` moves one count from slot ``src[i]`` to ``dst[i]`` (slot
+    ``len(fps)`` is "none"). When no pop frees a negative amount — the
+    footprints grow with the level, as in every bundled family — each
+    pop lowers memory by a footprint difference (distinct slots) far
+    above the fold's rounding, so memory falls along the batch: a float
+    cumsum of the freed MB finds the crossing, and the canonical
+    :func:`_memory_fold` of the slot counts there and one pop earlier
+    decides it, stepping on while the cumsum was a pop off. Otherwise
+    the fold walks the batch from its first pop. Either way ``current``
+    is the float :meth:`FleetState.memory_at` gives the counts.
+    """
+    n_slots = len(fps)
+    pad = np.append(fps, 0.0)
+    freed = pad[src] - pad[dst]
+    k = 0
+    if (freed >= 0.0).all():
+        crossing = np.searchsorted(np.cumsum(freed), current - target)
+        k = min(int(crossing) + 1, src.size)
+    # The slot counts after the first k pops, with the "none" bucket
+    # last, where the fold's zip with ``fps`` leaves it out.
+    now = (
+        np.append(mem, 0)
+        + np.bincount(dst[:k], minlength=n_slots + 1)
+        - np.bincount(src[:k], minlength=n_slots + 1)
+    ).tolist()
+    current = _memory_fold(now, fps)
+    while k < src.size and current > target:
+        now[int(src[k])] -= 1
+        now[int(dst[k])] += 1
+        k += 1
+        current = _memory_fold(now, fps)
+    while k > 1:  # step back while one pop fewer is at the target too
+        s, d = int(src[k - 1]), int(dst[k - 1])
+        now[s] += 1
+        now[d] -= 1
+        fewer = _memory_fold(now, fps)
+        if fewer > target:
+            now[s] -= 1
+            now[d] += 1
+            break
+        k, current = k - 1, fewer
+    return k, np.array(now[:n_slots], dtype=np.int64), current
 
 
 class FleetState:
@@ -407,23 +512,26 @@ class FleetState:
         ``reduce/downgrade`` phases, and — for sampled victims — records
         the full (capped) candidate table.
 
-        Each victim costs O(log alive) in plain Python: outside the rare
-        heap rebuilds and the sampled victims' candidate tables, nothing
-        in the victim loop passes over the alive set or the ring.
+        Victims are picked in *batches*, one per stretch over which Eq.
+        1's min and max counts stand still, with array operations only:
 
-        - **selection** pops a heap of ``(Uv, alive position)`` — the
-          reference scan's first-minimum rule, so picks are the
-          reference's (ties: lowest fid). Between victims only the
-          victim's ``Uv`` moves, so it is re-pushed; the heap is rebuilt
-          only when Eq. 1's min/max shift (rare). Drops are tombstoned;
-        - **memory** folds a Python-int mirror of the current minute's
-          ``ring.cnt`` column in :meth:`memory_at`'s slot order, so
-          ``current`` is the same float;
+        - **selection.** Within a batch only a victim's own ``Uv``
+          moves, so each eligible row's keys form a short closed-form
+          sequence (one per level it can still lose). The reference's
+          pick-the-minimum loop pops them in the stable order of (the
+          running max of the row's own keys, fid, step) — see
+          :func:`_pop_order` — so one sort gives the batch's victims
+          in the reference's order (ties: lowest fid);
+        - **cuts.** The batch ends at the first pop that moves Eq. 1's
+          max or takes the last row off its min, and the review ends at
+          the first pop whose minute memory — the canonical fold of the
+          current ring column's slot counts, as in :meth:`memory_at` —
+          is back at the target (:func:`_flatten_prefix`);
         - **ring and priority writes** are deferred to one
           :meth:`~repro.runtime.columnar.RingSchedule.downgrade_many` and
-          one ``record_downgrades`` per review: the loop reads neither
-          future ring columns nor the priority structure, and a victim's
-          ``allow_drop`` is fixed within the minute.
+          one ``record_downgrades`` per review: the selection reads
+          neither future ring columns nor the priority structure, and a
+          victim's ``allow_drop`` is fixed within the minute.
         """
         detector, priority = self.detector, self.priority
         assert detector is not None and priority is not None
@@ -450,137 +558,97 @@ class FleetState:
             ip = np.minimum(ip, 1.0)
             fam = tables.fam_idx[alive]
             weights = model.weights
-            w_ai = weights.accuracy_improvement
-            w_pr = weights.priority
-            # Alg. 2 lines 4–9 on the alive table, one Python list per
-            # column indexed by alive position: per-iteration
-            # re-normalization, constant-within-minute Ip/max-rem,
-            # protection for lowest variants with remaining mass. Each
-            # term is the elementwise expression the array form evaluates
-            # (float64 either way), and Eq. 1's min/max are tracked
-            # against a full-count mirror so the normalization stays
-            # bit-identical to ``PriorityStructure.normalized()[alive]``.
-            counts = priority.counts.astype(float)
-            vmin = float(counts.min())
-            vmax = float(counts.max())
-            n_at_min = int((counts == vmin).sum())
-            fids = alive.tolist()
-            lv = levels.tolist()
-            fams = fam.tolist()
-            cnt = counts[alive].tolist()
-            t_ai = (w_ai * tables.ai[fam, levels]).tolist()
-            t_ip_np = weights.invocation_probability * ip
-            t_ip = t_ip_np.tolist()
-            # A lowest variant with remaining mass is protected.
-            guard = max_rem > 0.0
-            eligible = (~((levels == 0) & guard)).tolist()
-            protect = guard.tolist()
+            # Alg. 2 lines 4–9 on the alive table, indexed by alive
+            # position: Eq. 1 over every fid's count, constant-within-
+            # minute Ip/max-rem, and protection for lowest variants with
+            # remaining mass. Each term is the elementwise expression
+            # the reference evaluates (float64 either way).
+            counts = priority.counts
+            start = counts[alive]
+            t_ai = weights.accuracy_improvement * tables.ai[fam]
+            t_ip = weights.invocation_probability * ip
+            protect = max_rem > 0.0
             allow_drop = max_rem == 0.0
-            drop_ok = allow_drop.tolist()
-            live = [True] * len(lv)
-            n_down = [0] * len(lv)
-            ai_rows = tables.ai.tolist()
-            slot_rows = tables.slot_of.tolist()
-            fps = tables.slot_fps
-            mem = self.ring.cnt[minute % self.ring.n_cols].tolist()
-            heap: list[tuple[float, int]] = []
-            rebuild = True
+            slots = tables.slot_of[fam]
+            n_slots = tables.n_slots
+            mem = self.ring.cnt[minute % self.ring.n_cols]
+            n_down = np.zeros(alive.size, dtype=np.int64)
             if spans is not None:
                 t_downgrade = time.perf_counter()
                 spans.add("reduce/peak-flatten", t_downgrade - t_flatten)
-            # Per-victim obs cost must stay O(1) attribute reads — a
-            # hook call per downgrade is what the columnar session
-            # exists to avoid — so the tally is accumulated locally and
-            # folded once per review, and the sample test reads the
-            # mask directly.
             sample_mask = rec.sample_mask if rec is not None else None
             while current > target:
-                if rebuild:
-                    pool = np.flatnonzero(eligible)
-                    pr = np.array(cnt)[pool] - vmin
-                    if vmax != vmin:
-                        pr /= vmax - vmin
-                    key = np.array(t_ai)[pool] + w_pr * pr + t_ip_np[pool]
-                    heap = list(zip(key.tolist(), pool.tolist()))
-                    heapq.heapify(heap)
-                    rebuild = False
-                if not heap:
+                lv = levels - n_down  # −1 once dropped
+                pool = np.flatnonzero((lv > 0) | ((lv == 0) & ~protect))
+                if not pool.size:
                     break  # every candidate is a protected lowest variant
-                # The victim's entry stays on top until the loop's end
-                # replaces or pops it.
-                pick = heap[0][1]
-                victim = fids[pick]
-                level = lv[pick]
-                victim_rec = (
-                    rec
-                    if sample_mask is not None and sample_mask[victim]
-                    else None
+                vmin, vmax = int(counts.min()), int(counts.max())
+                cnt = start + n_down
+                rows, steps = _pop_order(
+                    pool, lv, cnt, protect, t_ai, t_ip, vmin, vmax,
+                    weights.priority,
                 )
-                if victim_rec is not None:
-                    from_name = tables.variant(fams[pick], level).name
-                    to_name = (
-                        tables.variant(fams[pick], level - 1).name
-                        if level > 0
-                        else None
-                    )
-                    # The candidate table snapshots the scores that chose
-                    # this victim, so it is built before the priority
-                    # bookkeeping below perturbs Eq. 1's normalization.
-                    rows = np.flatnonzero(live)
-                    cand = self._candidate_table(
-                        alive[rows], np.array(lv)[rows], fam[rows], ip[rows],
-                        np.array(cnt)[rows], vmin, vmax,
-                        np.array(eligible)[rows], weights,
-                    )
-                n_down[pick] += 1
-                new_count = cnt[pick] + 1.0
-                cnt[pick] = new_count
-                if new_count > vmax:
-                    vmax = new_count
-                    rebuild = True
-                if new_count - 1.0 == vmin:
-                    n_at_min -= 1
-                    if n_at_min == 0:  # rare: the global floor moved up
-                        counts[alive] = cnt
-                        vmin = float(counts.min())
-                        n_at_min = int((counts == vmin).sum())
-                        rebuild = True
-                if victim_rec is not None:
-                    emit_downgrade(
-                        minute, victim, from_name, to_name, victim_rec,
-                        candidates=cand,
-                    )
-                # The current minute's ring entry, as ``downgrade_many``
-                # will leave it: one level down, or dropped at level 0.
-                slots = slot_rows[fams[pick]]
-                if level > 0:
-                    mem[slots[level]] -= 1
-                    level -= 1
-                    mem[slots[level]] += 1
-                    lv[pick] = level
-                    t_ai[pick] = w_ai * ai_rows[fams[pick]][level]
-                    if level == 0 and protect[pick]:
-                        eligible[pick] = False
-                else:
-                    if drop_ok[pick]:
-                        mem[slots[0]] -= 1
-                    # Tombstone: out of the table and out of the pool.
-                    live[pick] = eligible[pick] = False
-                if rebuild:
-                    pass  # the next iteration re-scores every row
-                elif eligible[pick]:
-                    pr = new_count - vmin
-                    if vmax != vmin:
-                        pr /= vmax - vmin
-                    heapq.heapreplace(
-                        heap, (t_ai[pick] + w_pr * pr + t_ip[pick], pick)
-                    )
-                else:
-                    heapq.heappop(heap)
-                current = _memory_fold(mem, fps)
+                before = lv[rows] - steps  # each victim's level when picked
+                # Eq. 1 moves at the first pop that lifts a count past
+                # the max, or that takes the last count off the min
+                # (only a row's first pop can start at the min).
+                n_at_min = int((counts == vmin).sum())
+                picked_at = cnt[rows] + steps  # each victim's count then
+                cut = rows.size
+                top = np.flatnonzero(picked_at == vmax)
+                if top.size:
+                    cut = int(top[0]) + 1
+                leave = np.flatnonzero(picked_at[:cut] == vmin)
+                if leave.size >= n_at_min:
+                    cut = int(leave[n_at_min - 1]) + 1
+                rows, before = rows[:cut], before[:cut]
+                # Each pop moves one current-minute entry down a level
+                # (``dst``), or drops it at level 0 when allowed; the
+                # sentinel slot ``n_slots`` stands for "nothing".
+                src = np.where(
+                    (before > 0) | allow_drop[rows],
+                    slots[rows, before],
+                    n_slots,
+                )
+                dst = np.where(
+                    before > 0,
+                    slots[rows, np.maximum(before - 1, 0)],
+                    n_slots,
+                )
+                k, mem, current = _flatten_prefix(
+                    mem, src, dst, current, target, tables.slot_fps
+                )
+                if sample_mask is not None:
+                    # A sampled victim's candidate table snapshots the
+                    # scores that chose it: the batch's start state plus
+                    # the ``bincount`` of the pops ahead of it.
+                    taken, done = n_down.copy(), 0
+                    hits = np.flatnonzero(sample_mask[alive[rows[:k]]])
+                    for i in hits.tolist():
+                        taken += np.bincount(rows[done:i], minlength=alive.size)
+                        done = i
+                        now = levels - taken
+                        live = np.flatnonzero(now >= 0)
+                        cand = self._candidate_table(
+                            alive[live], now[live], fam[live], ip[live],
+                            (start + taken)[live], float(vmin), float(vmax),
+                            ~((now[live] == 0) & protect[live]), weights,
+                        )
+                        pick, level = int(rows[i]), int(before[i])
+                        f = int(fam[pick])
+                        emit_downgrade(
+                            minute, int(alive[pick]),
+                            tables.variant(f, level).name,
+                            tables.variant(f, level - 1).name
+                            if level > 0
+                            else None,
+                            rec, candidates=cand,
+                        )
+                n_down += np.bincount(rows[:k], minlength=alive.size)
+                counts[alive] = start + n_down
             hit = np.flatnonzero(n_down)
             if hit.size:
-                n = np.array(n_down)[hit]
+                n = n_down[hit]
                 self.ring.downgrade_many(alive[hit], n, allow_drop[hit])
                 priority.record_downgrades(alive[hit], n)
                 n_victims = int(n.sum())
@@ -670,13 +738,15 @@ class FleetState:
 
         Byte-compatible with ``apply_capacity_valve``: the candidate
         array is the fid-ascending alive set, victims are drawn
-        from the shared capacity RNG, and a victim leaves the candidate
-        array only when its keep-alive is dropped entirely — so the RNG
+        from the shared capacity RNG by the same ``integers`` index, and
+        a victim leaves the candidate array (deleted at its drawn
+        position) only when its keep-alive is dropped entirely — so the RNG
         stream (which depends on the array length sequence) matches the
         reference's exactly. ``obs`` tallies the per-minute victim count,
         times the ``reduce/valve`` phase, and records sampled victims'
-        forced downgrades. Like :meth:`review`, the loop runs on a count
-        mirror of the current minute and writes the ring once.
+        forced downgrades. The loop runs on a Python-int copy of the
+        current minute's slot counts and, like :meth:`review`, writes
+        the ring once.
         """
         ring = self.ring
         col = minute % ring.n_cols
@@ -698,7 +768,8 @@ class FleetState:
         n_down: dict[int, int] = {}
         forced = 0
         while _memory_fold(mem, fps) > capacity_mb and alive.size:
-            victim = int(self.capacity_rng.choice(alive))
+            at = int(self.capacity_rng.integers(0, alive.size))
+            victim = int(alive[at])
             level = level_now.get(victim)
             if level is None:
                 level = int(ring.levels[victim, col])
@@ -719,7 +790,7 @@ class FleetState:
                     rec, forced=True,
                 )
             if level == 0:
-                alive = alive[alive != victim]
+                alive = np.concatenate((alive[:at], alive[at + 1:]))
         if n_down:
             k = len(n_down)
             ring.downgrade_many(

@@ -92,7 +92,10 @@ def apply_capacity_valve(
     are removed only when their keep-alive is dropped entirely), instead
     of rebuilding it from the alive map on every iteration; it stays
     fid-sorted throughout, which keeps victim selection deterministic
-    under ``capacity_seed``.
+    under ``capacity_seed``. A draw is ``alive[rng.integers(0, size)]``,
+    the element (and generator state) ``rng.choice(alive)`` gives
+    without its per-call overhead, and a dropped victim is deleted at
+    its drawn position.
 
     ``obs`` only *records* each forced downgrade (``forced=True``
     trace records) — victim selection and the RNG stream are unaffected.
@@ -103,7 +106,8 @@ def apply_capacity_valve(
     n_forced = 0
     record = obs is not None
     while schedule.memory_at(minute) > capacity_mb and alive_fids.size:
-        victim = int(rng.choice(alive_fids))
+        at = int(rng.integers(0, alive_fids.size))
+        victim = int(alive_fids[at])
         if record:
             frm = schedule.alive_variant(victim, minute)
         schedule.downgrade(victim, minute, assignment[victim], allow_drop=True)
@@ -116,7 +120,7 @@ def apply_capacity_valve(
                 obs, forced=True,
             )
         if new is None:
-            alive_fids = alive_fids[alive_fids != victim]
+            alive_fids = np.concatenate((alive_fids[:at], alive_fids[at + 1:]))
     return n_forced
 
 

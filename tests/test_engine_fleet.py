@@ -10,9 +10,10 @@ reorders the reducer's fid-ascending candidate arrays.
 
 Also home to the unit properties of the columnar kernel itself:
 ``seq_fold`` versus a scalar accumulation loop, the vectorized
-threshold schemes versus their scalar ``select_level``, and the ring's
+threshold schemes versus their scalar ``select_level``, the ring's
 batched ``downgrade_many`` versus successive
-``KeepAliveSchedule.downgrade`` calls.
+``KeepAliveSchedule.downgrade`` calls, and Algorithm 2's flatten cut
+over a victim batch versus a pop-by-pop fold.
 """
 
 from __future__ import annotations
@@ -40,7 +41,11 @@ from repro.models.zoo import default_zoo
 from repro.obs.fleet import CANDIDATE_CAP
 from repro.obs.session import ObservabilityConfig
 from repro.runtime.columnar import RingSchedule, VariantTables, seq_fold
-from repro.runtime.fleet import _vector_levels
+from repro.runtime.fleet import (
+    _flatten_prefix,
+    _memory_fold,
+    _vector_levels,
+)
 from repro.runtime.schedule import KeepAliveSchedule
 from repro.runtime.simulator import Simulation, SimulationConfig
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
@@ -265,6 +270,44 @@ class TestGoldenEquivalence:
         assert_identical(ref, fleet)
 
 
+    def test_review_with_an_irregular_family(self, zoo):
+        """A family whose level 1 is lighter than its level 0 and barely
+        more accurate: a downgrade from level 1 *raises* the minute's
+        memory, so the flatten check cannot assume memory falls along a
+        victim batch, and a row's ``Uv`` can fall after a downgrade
+        from level 2 (its ``Ai`` shrinks more than its ``Pr`` grows),
+        so the pick order needs each row's running max. Victims,
+        candidate tables and run results still match the reference."""
+        fams = list(zoo)
+        fam = next(f for f in fams if f.n_variants >= 3)
+        low, mid = fam.variants[:2]
+        odd = replace(
+            fam,
+            name="Odd",
+            variants=(
+                replace(low, family="Odd", memory_mb=mid.memory_mb),
+                replace(
+                    mid, family="Odd", memory_mb=low.memory_mb,
+                    accuracy=low.accuracy + 0.2,
+                ),
+            )
+            + tuple(replace(v, family="Odd") for v in fam.variants[2:]),
+        )
+        n = 40
+        trace = generate_trace(
+            SyntheticTraceConfig(horizon_minutes=120, seed=3, n_functions=n)
+        )
+        assignment = {
+            fid: odd if fid % 2 else fams[fid % len(fams)] for fid in range(n)
+        }
+        ref, fleet = ref_vs_fleet(
+            trace, assignment,
+            lambda: PulsePolicy(PulseConfig(memory_threshold=0.02)),
+            traced(SimulationConfig(), trace),
+        )
+        assert decisions(ref, "downgrade")
+        assert_identical(ref, fleet)
+
     def test_review_edge_cases_under_peak_pressure(self, zoo, monkeypatch):
         """Algorithm 2's victim loop under a tight flatten target: one
         fid downgraded several times in a review, its batched ring write
@@ -313,7 +356,163 @@ class TestGoldenEquivalence:
         assert_identical(ref, fleet)
 
 
+class TestLongVictimBatches:
+    """Algorithm 2 at a tight flatten target (``memory_threshold=0.02``)
+    on 300 functions × 180 minutes: peak reviews pick hundreds of
+    victims, so the reducer's victim batches run long and both Eq. 1
+    rebuild triggers — the max count growing, the last row leaving the
+    min — fire inside a review. Untraced, the fleet must equal the
+    reference on the run result, the memory-series bytes and the final
+    priority counts; traced (every 8th fid sampled), it must equal the
+    untraced fleet run."""
+
+    N_FUNCTIONS, HORIZON = 300, 180
+
+    @pytest.fixture(scope="class")
+    def case(self, zoo):
+        trace = generate_trace(
+            SyntheticTraceConfig(
+                horizon_minutes=self.HORIZON, seed=9,
+                n_functions=self.N_FUNCTIONS,
+            )
+        )
+        return trace, sample_assignment(self.N_FUNCTIONS, zoo, seed=10)
+
+    @staticmethod
+    def policy():
+        return PulsePolicy(PulseConfig(memory_threshold=0.02))
+
+    def fleet_run(self, case, cfg):
+        """(RunResult, final priority counts, the Eq. 1 (min, max) each
+        victim batch ran under, grouped per review)."""
+        from repro.runtime import fleet as fleet_mod
+        from repro.runtime.driver import drive, open_stepper
+
+        reviews: list[list[tuple[int, int]]] = []
+        pop_order = fleet_mod._pop_order
+        review = fleet_mod.FleetState.review
+
+        def spy_review(state, minute, obs=None):
+            reviews.append([])
+            review(state, minute, obs)
+
+        def spy_pop_order(*args):
+            reviews[-1].append(args[6:8])
+            return pop_order(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fleet_mod.FleetState, "review", spy_review)
+            mp.setattr(fleet_mod, "_pop_order", spy_pop_order)
+            stepper = open_stepper(
+                Simulation(*case, self.policy(), cfg), "fleet"
+            )
+            drive(stepper)
+        return stepper.finalize(), stepper.fleet.priority.counts, reviews
+
+    @pytest.fixture(scope="class")
+    def untraced(self, case):
+        return self.fleet_run(case, SimulationConfig())
+
+    def test_fleet_matches_reference(self, case, untraced):
+        policy = self.policy()
+        ref = Simulation(*case, policy, SimulationConfig()).run(
+            engine="reference"
+        )
+        fleet, counts, reviews = untraced
+        assert_identical(ref, fleet)
+        assert ref.memory_series_mb.tobytes() == fleet.memory_series_mb.tobytes()
+        np.testing.assert_array_equal(counts, policy.priority_counts)
+        # Both rebuild triggers fire between two batches of one review.
+        moves = [
+            (b[0] - a[0], b[1] - a[1])
+            for batches in reviews
+            for a, b in zip(batches, batches[1:])
+        ]
+        assert any(dmin > 0 for dmin, _ in moves)
+        assert any(dmax > 0 for _, dmax in moves)
+
+    def test_traced_matches_untraced(self, case, untraced):
+        off, off_counts, _ = untraced
+        on, on_counts, _ = self.fleet_run(
+            case,
+            SimulationConfig(observe=ObservabilityConfig(trace_sample=8)),
+        )
+        assert on.obs.downgrade_series.max() >= 200  # long victim batches
+        assert any(r["kind"] == "downgrade" for r in on.obs.records)
+        assert_identical(off, on)
+        assert off.memory_series_mb.tobytes() == on.memory_series_mb.tobytes()
+        np.testing.assert_array_equal(on_counts, off_counts)
+
+
 class TestColumnarKernel:
+    @staticmethod
+    def flatten_by_pops(mem, src, dst, target, fps):
+        """The reference rule: fold the slot counts after every pop and
+        stop at the first fold at or below ``target``."""
+        now = list(mem)
+        for i, (s, d) in enumerate(zip(src, dst)):
+            if s < len(fps):
+                now[s] -= 1
+            if d < len(fps):
+                now[d] += 1
+            current = _memory_fold(now, fps)
+            if current <= target:
+                break
+        return i + 1, now, current
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flatten_prefix_matches_pop_by_pop_fold(self, seed):
+        """Algorithm 2's flatten cut over a batch of pops equals folding
+        the counts after every pop, also when the target is one of the
+        folds (the float cumsum then often lands one pop off, either
+        way) and when a pop frees a negative amount."""
+        rng = np.random.default_rng(seed)
+        cases = [([5, 0], [0] * 5, [2] * 5, 2.4, [0.6, 2.2])]
+        while len(cases) < 500:
+            # Distinct footprints, as in a slot table; odd seeds make the
+            # lower of the first two the heavier.
+            fps = sorted(set(
+                rng.uniform(0.05, 3.0, int(rng.integers(2, 5)))
+                .round(int(rng.integers(1, 4)))
+                .tolist()
+            ))
+            n = len(fps)
+            if n < 2:
+                continue
+            if seed % 2:
+                fps[0], fps[1] = fps[1], fps[0]
+            mem = rng.integers(0, 6, n).tolist()
+            now, src, dst = list(mem), [], []
+            for _ in range(int(rng.integers(1, 12))):
+                held = [slot for slot in range(n) if now[slot]]
+                if not held:
+                    break
+                s = held[int(rng.integers(len(held)))]
+                d = s - 1 if s else n
+                src.append(s)
+                dst.append(d)
+                now[s] -= 1
+                if d < n:
+                    now[d] += 1
+            if not src:
+                continue
+            folds = [
+                self.flatten_by_pops(mem, src[: i + 1], dst, -1.0, fps)[2]
+                for i in range(len(src))
+            ]
+            cases.append((mem, src, dst, folds[int(rng.integers(len(folds)))], fps))
+        for mem, src, dst, target, fps in cases:
+            current = _memory_fold(mem, fps)
+            if current <= target:
+                continue
+            k, now, at = _flatten_prefix(
+                np.array(mem), np.array(src), np.array(dst), current, target,
+                fps,
+            )
+            assert (k, now.tolist(), at) == self.flatten_by_pops(
+                mem, src, dst, target, fps
+            )
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(

@@ -64,6 +64,30 @@ class TestCapacityValve:
         assert a.n_forced_downgrades == b.n_forced_downgrades
         assert a.total_service_time_s == b.total_service_time_s
 
+    @pytest.mark.parametrize("seed", [0, 11, 2024])
+    def test_valve_draw_matches_generator_choice(self, seed):
+        """Both valves draw ``alive[rng.integers(0, alive.size)]`` and
+        delete a dropped victim at its drawn position: the same victims
+        as ``rng.choice(alive)`` with ``alive[alive != victim]``, and the
+        same generator state afterwards, draw for draw over a shrinking
+        candidate array."""
+        by_choice = np.random.default_rng(seed)
+        by_index = np.random.default_rng(seed)
+        drop = np.random.default_rng(seed + 1)
+        a = np.arange(0, 3000, 3, dtype=np.int64)
+        b = a.copy()
+        for _ in range(5000):
+            if not a.size:
+                break
+            victim = int(by_choice.choice(a))
+            at = int(by_index.integers(0, b.size))
+            assert int(b[at]) == victim
+            if drop.random() < 0.2:
+                a = a[a != victim]
+                b = np.concatenate((b[:at], b[at + 1:]))
+            np.testing.assert_array_equal(a, b)
+        assert by_choice.bit_generator.state == by_index.bit_generator.state
+
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             SimulationConfig(memory_capacity_mb=0.0)
