@@ -123,7 +123,16 @@ __all__ = [
 #: minute's demand. A v7 snapshot names modules that no longer exist and
 #: restores a detector the code can no longer read, so v7 is refused
 #: with the version message.
-CHECKPOINT_SCHEMA_VERSION = 8
+#: v9: the pickled fleet state changed layout. The columnar estimator
+#: keeps per-function in-window totals (``lifetime_in``/``recent_in``,
+#: the reference history's running sums) and the ring schedule keeps an
+#: ``entry_slot`` table (footprint slot per family and level + 1, with
+#: a sentinel for "no entry"). A v8 fleet snapshot would restore an
+#: estimator and a ring the kernels can no longer read (AttributeError
+#: in the first minute's kernels), so v8 is refused with the version
+#: message.
+#: The field sets and the reference payload are unchanged.
+CHECKPOINT_SCHEMA_VERSION = 9
 
 #: The snapshot schema: per engine key, the fields each stepper's
 #: payload carries, in payload order. :meth:`repro.runtime.driver.

@@ -20,10 +20,12 @@ best-effort goal. Three properties make it achievable:
   because IEEE arithmetic is deterministic per element. Sequential
   *accumulations* (service time, row-wise ``cumsum`` of probabilities)
   are reproduced with sequential folds — see :func:`seq_fold`.
-- **Order-free integer state.** Invocation histograms, entry counts and
-  downgrade counters are integers; batch scatter-adds (``np.add.at``)
-  commute, so a whole minute's batch updates them in one call and reaches
-  the state the reference's per-function updates reach.
+- **Order-free integer state.** Invocation histograms, in-window
+  totals, entry counts and downgrade counters are integers, and integer
+  additions commute: the footprint ledger takes a whole write's change
+  as one net delta (a ``np.bincount`` of the entries written minus one
+  of the entries they replace), and reaches the counts the reference's
+  per-function updates reach.
 
 Nothing here imports the engine or the policies: the kernels are pure
 state + math, testable in isolation.
@@ -77,14 +79,22 @@ class VariantTables:
     def __init__(self, assignment: dict[int, ModelFamily], n_functions: int):
         families: list[ModelFamily] = []
         index_of: dict[ModelFamily, int] = {}
-        fam_idx = np.empty(n_functions, dtype=np.int64)
+        # Assignments share a few family objects among all fids: key by
+        # identity first, so each distinct object is hashed (a dataclass
+        # hash over its variants) once, and equal copies still merge.
+        index_of_id: dict[int, int] = {}
+        fam_list: list[int] = []
         for fid in range(n_functions):
             fam = assignment[fid]
-            i = index_of.get(fam)
+            i = index_of_id.get(id(fam))
             if i is None:
-                i = index_of[fam] = len(families)
-                families.append(fam)
-            fam_idx[fid] = i
+                i = index_of.get(fam)
+                if i is None:
+                    i = index_of[fam] = len(families)
+                    families.append(fam)
+                index_of_id[id(fam)] = i
+            fam_list.append(i)
+        fam_idx = np.array(fam_list, dtype=np.int64)
         n_fam = len(families)
         width = max(f.n_variants for f in families)
 
@@ -164,9 +174,13 @@ class ColumnarEstimator:
         self.mode = mode
         self.last_arrival = np.full(n_functions, -1, dtype=np.int64)
         # index d-1 = count of inter-arrivals of exactly d minutes, d<=W
+        # ``*_in`` is a row's sum (gaps inside the window), ``*_total``
+        # counts every gap — the reference history's running sums.
         self.lifetime_counts = np.zeros((n_functions, window), dtype=np.int64)
+        self.lifetime_in = np.zeros(n_functions, dtype=np.int64)
         self.lifetime_total = np.zeros(n_functions, dtype=np.int64)
         self.recent_counts = np.zeros((n_functions, window), dtype=np.int64)
+        self.recent_in = np.zeros(n_functions, dtype=np.int64)
         self.recent_total = np.zeros(n_functions, dtype=np.int64)
         # (minute, fids, gaps) batches; fids unique within a batch
         self._batches: deque[tuple[int, np.ndarray, np.ndarray]] = deque()
@@ -185,7 +199,9 @@ class ColumnarEstimator:
             self.recent_total[fids] -= 1
             inside = gaps <= self.window
             if inside.any():
-                self.recent_counts[fids[inside], gaps[inside] - 1] -= 1
+                hit = fids[inside]
+                self.recent_counts[hit, gaps[inside] - 1] -= 1
+                self.recent_in[hit] -= 1
 
     def observe(self, fids: np.ndarray, minute: int) -> None:
         """Record one arrival at ``minute`` for each function in ``fids``.
@@ -203,8 +219,11 @@ class ColumnarEstimator:
             self.recent_total[gapped] += 1
             inside = gaps <= self.window
             if inside.any():
-                self.lifetime_counts[gapped[inside], gaps[inside] - 1] += 1
-                self.recent_counts[gapped[inside], gaps[inside] - 1] += 1
+                hit, col = gapped[inside], gaps[inside] - 1
+                self.lifetime_counts[hit, col] += 1
+                self.lifetime_in[hit] += 1
+                self.recent_counts[hit, col] += 1
+                self.recent_in[hit] += 1
             self._batches.append((minute, gapped, gaps))
         self.last_arrival[fids] = minute
 
@@ -218,24 +237,23 @@ class ColumnarEstimator:
         Mirrors ``InterArrivalEstimator._exact``: each period's histogram
         over its denominator, averaged when both periods have data, the
         informative one alone otherwise, zeros when neither does.
+
+        One expression gives all three cases bit for bit: a period with a
+        zero denominator has an all-zero histogram row, so its term
+        (divided by 1 instead) is ``0.0`` and ``x + 0.0 == x``; where
+        both periods have data, ``x * 0.5`` is the reference's
+        ``x / 2.0``.
         """
-        lc = self.lifetime_counts[fids]
-        rc = self.recent_counts[fids]
         if self.normalization == "window":
-            ld = lc.sum(axis=1)
-            rd = rc.sum(axis=1)
+            ld = self.lifetime_in[fids]
+            rd = self.recent_in[fids]
         else:
             ld = self.lifetime_total[fids]
             rd = self.recent_total[fids]
-        lifetime = np.zeros(lc.shape)
-        np.divide(lc, ld[:, None], out=lifetime, where=ld[:, None] > 0)
-        recent = np.zeros(rc.shape)
-        np.divide(rc, rd[:, None], out=recent, where=rd[:, None] > 0)
-        return np.where(
-            ((ld > 0) & (rd > 0))[:, None],
-            (lifetime + recent) / 2.0,
-            np.where((ld > 0)[:, None], lifetime, recent),
-        )
+        out = self.lifetime_counts.take(fids, axis=0) / np.maximum(ld, 1)[:, None]
+        out += self.recent_counts.take(fids, axis=0) / np.maximum(rd, 1)[:, None]
+        out *= np.where((ld > 0) & (rd > 0), 0.5, 1.0)[:, None]
+        return out
 
     def mode_rows(self, exact: np.ndarray) -> np.ndarray:
         """Apply the configured probability mode row-wise.
@@ -273,9 +291,12 @@ class ColumnarEstimator:
         in_window = (last >= 0) & (offset >= 1) & (offset <= window)
         col = np.where(in_window, offset - 1, 0)
         rows = np.arange(len(fids))
-        # max over the suffix is order-independent, so the accumulate
-        # matches the reference's probs[offset-1:].max() value-for-value
-        suffix_max = np.maximum.accumulate(exact[:, ::-1], axis=1)[:, ::-1]
+        # The reference's probs[offset-1:].max(): probabilities are >= 0,
+        # so zeroing the columns before the offset leaves the suffix max
+        # (a max is order-free, so the values match exactly).
+        suffix_max = np.where(
+            np.arange(window) >= col[:, None], exact, 0.0
+        ).max(axis=1)
 
         def ladder(hit: np.ndarray) -> np.ndarray:
             return np.where(
@@ -284,7 +305,7 @@ class ColumnarEstimator:
                 np.where(offset <= 0, 1.0, np.where(offset > window, 0.0, hit)),
             )
 
-        return ladder(exact[rows, col]), ladder(suffix_max[rows, col])
+        return ladder(exact[rows, col]), ladder(suffix_max)
 
 
 class RingSchedule:
@@ -308,6 +329,13 @@ class RingSchedule:
         self.cnt = np.zeros((self.n_cols, tables.n_slots), dtype=np.int64)
         self.slot_of = tables.slot_of
         self.fam = tables.fam_idx
+        #: ``slot_of`` shifted one column right, with the sentinel slot
+        #: ``n_slots`` (no entry) in column 0: the footprint slot of
+        #: ``(family, level + 1)`` for levels −1 .. max.
+        self.entry_slot = np.hstack((
+            np.full((tables.slot_of.shape[0], 1), tables.n_slots),
+            tables.slot_of,
+        ))
 
     def begin_minute(self, minute: int) -> None:
         """Recycle the column that held minute ``minute - 1``: it now
@@ -332,7 +360,30 @@ class RingSchedule:
             return
         col = minute % self.n_cols
         self.levels[fids, col] = levels
-        np.add.at(self.cnt, (col, self.slot_of[self.fam[fids], levels]), 1)
+        self.cnt[col] += np.bincount(
+            self.slot_of[self.fam[fids], levels], minlength=self.cnt.shape[1]
+        )
+
+    def _move_entries(
+        self, fids: np.ndarray, cols: np.ndarray, old: np.ndarray,
+        new: np.ndarray,
+    ) -> None:
+        """Move the ledger from entries ``old`` to ``new`` (levels, −1 =
+        absent; one row per fid in ``fids``, one column per ring column
+        in ``cols``) as one net delta: the ``bincount`` of the new
+        entries' flat ``(column, slot)`` indices minus that of the old
+        ones. Unchanged entries cancel; absent ones count in the
+        sentinel slot, which is cut off."""
+        stride = self.cnt.shape[1] + 1
+        size = self.n_cols * stride
+        row = (self.fam[fids] * self.entry_slot.shape[1] + 1)[:, None]
+        at = cols * stride
+        delta = np.bincount(
+            (at + self.entry_slot.take(row + new)).ravel(), minlength=size
+        ) - np.bincount(
+            (at + self.entry_slot.take(row + old)).ravel(), minlength=size
+        )
+        self.cnt += delta.reshape(self.n_cols, stride)[:, :-1]
 
     def write_plans(
         self, fids: np.ndarray, minute: int, plan_levels: np.ndarray
@@ -341,31 +392,18 @@ class RingSchedule:
         fid in ``fids``; level −1 clears the minute's entry).
 
         Equivalent to the reference's per-minute ``set_plan`` writes:
-        unchanged entries are untouched, changes move one integer count
-        from the old footprint slot to the new one.
+        each changed entry moves one integer count from its old
+        footprint slot to its new one.
         """
         if fids.size == 0:
             return
         width = plan_levels.shape[1]
         cols = (minute + 1 + np.arange(width)) % self.n_cols
-        old = self.levels[fids[:, None], cols[None, :]].astype(np.int64)
-        changed = old != plan_levels
-        fam = self.fam[fids]
-        rows, offs = np.nonzero(changed & (old >= 0))
-        if rows.size:
-            np.add.at(
-                self.cnt,
-                (cols[offs], self.slot_of[fam[rows], old[rows, offs]]),
-                -1,
-            )
-        rows, offs = np.nonzero(changed & (plan_levels >= 0))
-        if rows.size:
-            np.add.at(
-                self.cnt,
-                (cols[offs], self.slot_of[fam[rows], plan_levels[rows, offs]]),
-                1,
-            )
-        self.levels[fids[:, None], cols[None, :]] = plan_levels.astype(np.int8)
+        rows = self.levels.take(fids, axis=0)
+        old = rows[:, cols].astype(np.int64)
+        self._move_entries(fids, cols, old, plan_levels)
+        rows[:, cols] = plan_levels
+        self.levels[fids] = rows
 
     def downgrade_many(
         self, fids: np.ndarray, n: np.ndarray, allow_drop: np.ndarray
@@ -386,16 +424,5 @@ class RingSchedule:
         floor = np.where(allow_drop, -1, 0)[:, None]
         new = np.maximum(old - n[:, None], floor)
         new[old < 0] = -1
-        moved = new != old  # only present entries move
-        # Flat (column, slot) ledger indices of each entry's old and new
-        # level; the lookups of absent levels are masked out.
-        row = (self.fam[fids] * self.slot_of.shape[1])[:, None]
-        col = np.arange(self.n_cols) * self.cnt.shape[1]
-        left = (col + self.slot_of.take(row + old))[moved]
-        entered = (col + self.slot_of.take(row + new))[moved & (new >= 0)]
-        size = self.cnt.size
-        self.cnt += (
-            np.bincount(entered, minlength=size)
-            - np.bincount(left, minlength=size)
-        ).reshape(self.cnt.shape)
+        self._move_entries(fids, np.arange(self.n_cols), old, new)
         self.levels[fids] = new

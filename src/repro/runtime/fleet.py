@@ -150,10 +150,11 @@ def _compile_policy(
         for fid in range(n_functions):
             plan = policy.plan(fid, 0)
             head = plan[0] if plan else None
+            # ``list.count`` matches by identity, then by ``==``.
             if (
                 head is None
                 or len(plan) != keep_alive_window
-                or any(v is not head and v != head for v in plan)
+                or plan.count(head) != keep_alive_window
                 or policy.cold_variant(fid, 0) != head
             ):
                 raise ValueError(

@@ -11,9 +11,11 @@ reorders the reducer's fid-ascending candidate arrays.
 Also home to the unit properties of the columnar kernel itself:
 ``seq_fold`` versus a scalar accumulation loop, the vectorized
 threshold schemes versus their scalar ``select_level``, the ring's
-batched ``downgrade_many`` versus successive
-``KeepAliveSchedule.downgrade`` calls, and Algorithm 2's flatten cut
-over a victim batch versus a pop-by-pop fold.
+batched ``downgrade_many`` and ``write_plans`` versus successive
+``KeepAliveSchedule.downgrade`` and ``set_plan`` calls, the columnar
+estimator's rows versus the reference ``InterArrivalEstimator``, and
+Algorithm 2's flatten cut over a victim batch versus a pop-by-pop
+fold.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.baselines.static import (
     IntelligentOraclePolicy,
     RandomMixedPolicy,
 )
+from repro.core.interarrival import InterArrivalEstimator
 from repro.core.pulse import PulseConfig, PulsePolicy
 from repro.core.thresholds import MonotoneScheme, TechniqueT1, TechniqueT2
 from repro.faults.plan import FaultPlan
@@ -40,7 +43,12 @@ from repro.experiments.assignments import sample_assignment
 from repro.models.zoo import default_zoo
 from repro.obs.fleet import CANDIDATE_CAP
 from repro.obs.session import ObservabilityConfig
-from repro.runtime.columnar import RingSchedule, VariantTables, seq_fold
+from repro.runtime.columnar import (
+    ColumnarEstimator,
+    RingSchedule,
+    VariantTables,
+    seq_fold,
+)
 from repro.runtime.fleet import (
     _flatten_prefix,
     _memory_fold,
@@ -236,6 +244,28 @@ class TestGoldenEquivalence:
             *ref_vs_fleet(trace, assignment, PulsePolicy, traced(cfg, trace))
         )
 
+
+    @pytest.mark.parametrize("normalization", ["window", "all"])
+    @pytest.mark.parametrize(
+        "mode", ["exact", "survival", "cumulative", "hazard"]
+    )
+    def test_probability_configs(
+        self, small_trace, assignment, mode, normalization
+    ):
+        """Every probability mode under both normalizations, at a flatten
+        target tight enough that peak reviews read each alive fid's *Ip*
+        and max-remaining probability."""
+        ref, fleet = ref_vs_fleet(
+            small_trace, assignment,
+            lambda: PulsePolicy(PulseConfig(
+                memory_threshold=0.02,
+                probability_mode=mode,
+                probability_normalization=normalization,
+            )),
+            traced(SimulationConfig(), small_trace),
+        )
+        assert decisions(ref, "downgrade")
+        assert_identical(ref, fleet)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -566,14 +596,12 @@ class TestColumnarKernel:
         np.add.at(cnt, (cols, ring.slot_of[ring.fam[fids], lv]), 1)
         return cnt
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_downgrade_many_matches_sequential_downgrades(self, seed):
-        """The ring's batched write leaves what ``n`` successive
-        ``KeepAliveSchedule.downgrade`` calls per fid leave — levels and
-        per-minute footprint counts — for random levels (absent
-        included), n in 1..4, both drop branches and any ring offset."""
-        rng = np.random.default_rng(seed)
+    @classmethod
+    def _random_ring(cls, rng, seed):
+        """(assignment, tables, ring, minute, schedule): a 12-fid ring at
+        a random ``minute`` (so it wraps mid-window), filled with random
+        levels (absent included), and a ``KeepAliveSchedule`` holding the
+        same entries."""
         n_fn, window = 12, int(rng.integers(1, 8))
         assignment = sample_assignment(n_fn, default_zoo(), seed=seed)
         tables = VariantTables(assignment, n_fn)
@@ -582,26 +610,24 @@ class TestColumnarKernel:
         ring.levels[:] = np.floor(
             rng.random((n_fn, ring.n_cols)) * (nv + 1)
         ).astype(np.int8) - 1  # -1 (absent) .. nv-1, uniformly
-        ring.cnt[:] = self._ring_counts(ring)
-        minute = int(rng.integers(0, 1_000))  # the ring wraps mid-window
-        minutes = range(minute, minute + ring.n_cols)
+        ring.cnt[:] = cls._ring_counts(ring)
+        minute = int(rng.integers(0, 1_000))
         sched = KeepAliveSchedule(n_fn, window)
         for fid in range(n_fn):
-            for m in minutes:
+            for m in range(minute, minute + ring.n_cols):
                 level = int(ring.levels[fid, m % ring.n_cols])
                 if level >= 0:
                     sched.mark_alive(fid, m, assignment[fid].variants[level])
-        fids = np.sort(rng.choice(n_fn, size=int(rng.integers(1, n_fn)),
-                                  replace=False))
-        n = rng.integers(1, 5, size=fids.size)
-        allow_drop = rng.random(fids.size) < 0.5
-        for fid, k, allow in zip(fids.tolist(), n.tolist(), allow_drop):
-            for _ in range(k):
-                sched.downgrade(fid, minute, assignment[fid], bool(allow))
-        ring.downgrade_many(fids, n, allow_drop)
-        for m in minutes:
+        return assignment, tables, ring, minute, sched
+
+    @classmethod
+    def _assert_ring_matches(cls, tables, ring, sched, minute):
+        """The ring's levels and per-minute footprint counts equal the
+        schedule's over minutes ``minute .. minute+K``, and its ledger
+        equals the one recomputed from its levels."""
+        for m in range(minute, minute + ring.n_cols):
             col = m % ring.n_cols
-            for fid in range(n_fn):
+            for fid in range(ring.n_functions):
                 variant = sched.alive_variant(fid, m)
                 want = -1 if variant is None else variant.level
                 assert ring.levels[fid, col] == want, (fid, m)
@@ -614,7 +640,123 @@ class TestColumnarKernel:
                 fp: c for fp, c in sched.footprint_counts(m).items() if c
             }
             assert counts == want_counts, m
-        np.testing.assert_array_equal(ring.cnt, self._ring_counts(ring))
+        np.testing.assert_array_equal(ring.cnt, cls._ring_counts(ring))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_downgrade_many_matches_sequential_downgrades(self, seed):
+        """The ring's batched write leaves what ``n`` successive
+        ``KeepAliveSchedule.downgrade`` calls per fid leave — levels and
+        per-minute footprint counts — for random levels (absent
+        included), n in 1..4, both drop branches and any ring offset."""
+        rng = np.random.default_rng(seed)
+        assignment, tables, ring, minute, sched = self._random_ring(rng, seed)
+        n_fn = ring.n_functions
+        fids = np.sort(rng.choice(n_fn, size=int(rng.integers(1, n_fn)),
+                                  replace=False))
+        n = rng.integers(1, 5, size=fids.size)
+        allow_drop = rng.random(fids.size) < 0.5
+        for fid, k, allow in zip(fids.tolist(), n.tolist(), allow_drop):
+            for _ in range(k):
+                sched.downgrade(fid, minute, assignment[fid], bool(allow))
+        ring.downgrade_many(fids, n, allow_drop)
+        self._assert_ring_matches(tables, ring, sched, minute)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_write_plans_matches_sequential_set_plan(self, seed):
+        """The ring's plan write leaves what one ``KeepAliveSchedule.
+        set_plan`` per fid leaves — levels and per-minute footprint
+        counts — for plans with −1 entries, plans equal to what is
+        already planned, broadcast fixed plans and any ring offset."""
+        rng = np.random.default_rng(seed)
+        assignment, tables, ring, minute, sched = self._random_ring(rng, seed)
+        n_fn = ring.n_functions
+        fids = np.sort(rng.choice(n_fn, size=int(rng.integers(1, n_fn + 1)),
+                                  replace=False))
+        width = int(rng.integers(1, ring.keep_alive_window + 1))
+        cols = (minute + 1 + np.arange(width)) % ring.n_cols
+        fid_nv = tables.n_variants[fids][:, None]
+        if seed % 3 == 0:  # a fixed policy's plan: one level per row
+            plan = np.broadcast_to(
+                rng.integers(0, fid_nv), (fids.size, width)
+            )
+        else:
+            plan = np.floor(
+                rng.random((fids.size, width)) * (fid_nv + 1)
+            ).astype(np.int64) - 1
+            same = rng.random(fids.size) < 0.3  # rows already planned
+            plan[same] = ring.levels[fids[same]][:, cols]
+        for fid, row in zip(fids.tolist(), plan.tolist()):
+            sched.set_plan(fid, minute, [
+                None if lv < 0 else assignment[fid].variants[lv] for lv in row
+            ])
+        ring.write_plans(fids, minute, plan)
+        self._assert_ring_matches(tables, ring, sched, minute)
+
+    @pytest.mark.parametrize("normalization", ["window", "all"])
+    @pytest.mark.parametrize(
+        "mode", ["exact", "survival", "cumulative", "hazard"]
+    )
+    def test_estimator_rows_match_reference(self, mode, normalization):
+        """The columnar estimator's rows equal the reference estimator's
+        per-fid values exactly (``==``): the exact and mode rows, *Ip*
+        and the max-remaining probability, over random arrival streams
+        with never-seen fids, offsets beyond the window and recent
+        periods that empty by eviction."""
+        rng = np.random.default_rng(
+            ["exact", "survival", "cumulative", "hazard"].index(mode)
+            + 4 * (normalization == "all")
+        )
+        n_fn, window, local_window = 40, 6, 15
+        est = ColumnarEstimator(n_fn, window, local_window, normalization, mode)
+        ref = InterArrivalEstimator(
+            n_fn, window, local_window, normalization, mode
+        )
+        # Per-fid arrival rates from bursty to rare; the last fids are
+        # never invoked. Quiet stretches let whole recent periods expire.
+        rate = np.append(rng.uniform(0.02, 0.6, n_fn - 4), np.zeros(4))
+        checked = dict.fromkeys(
+            ("never seen", "beyond window", "in window", "evicted", "both"), 0
+        )
+        all_fids = np.arange(n_fn)
+        for minute in range(300):
+            quiet = 120 <= minute < 150
+            fids = np.flatnonzero(
+                rng.random(n_fn) < rate * (0.05 if quiet else 1.0)
+            )
+            est.evict(minute)
+            est.observe(fids, minute)
+            for fid in fids.tolist():
+                ref.observe(fid, minute)
+            exact = est.exact_rows(all_fids)
+            probs = est.mode_rows(exact)
+            ip, max_rem = est.ip_and_max_remaining(all_fids, minute)
+            for fid in range(n_fn):
+                want_exact = ref.exact_values(fid, minute)
+                assert exact[fid].tolist() == want_exact, (minute, fid)
+                assert probs[fid].tolist() == list(
+                    ref.probability_values(fid, minute)
+                ), (minute, fid)
+                assert ip[fid] == ref.invocation_probability(fid, minute)
+                last = ref.last_arrival(fid)
+                offset = None if last is None else minute - last
+                if offset is None:
+                    want_max = 0.0
+                    checked["never seen"] += 1
+                elif offset <= 0:
+                    want_max = 1.0
+                elif offset > window:
+                    want_max = 0.0
+                    checked["beyond window"] += 1
+                else:
+                    want_max = max(want_exact[offset - 1:])
+                    checked["in window"] += 1
+                assert max_rem[fid] == want_max, (minute, fid)
+                lifetime, recent = ref.n_gaps(fid)
+                if lifetime:
+                    checked["both" if recent else "evicted"] += 1
+        assert all(checked.values()), checked
 
 
 class TestRejections:
@@ -624,6 +766,33 @@ class TestRejections:
             SimulationConfig(),
         )
         with pytest.raises(ValueError, match="fleet"):
+            sim.run(engine="fleet")
+
+    @pytest.mark.parametrize("edit", ["other variant", "gap", "short"])
+    def test_non_constant_fixed_plan_refused(
+        self, small_trace, assignment, edit
+    ):
+        """The fixed-plan probe refuses a plan that is not one variant
+        over the full window, even from a fixed-baseline subclass."""
+
+        class Uneven(FixedKeepAlivePolicy):
+            def plan(self, function_id, minute):
+                plan = list(super().plan(function_id, minute))
+                if function_id == 5:
+                    family = self.family(function_id)
+                    if edit == "other variant":
+                        plan[3] = family.highest
+                    elif edit == "gap":
+                        plan[-1] = None
+                    else:
+                        plan.pop()
+                return plan
+
+        sim = Simulation(
+            small_trace, assignment, Uneven(level="lowest"),
+            SimulationConfig(),
+        )
+        with pytest.raises(ValueError, match="constant full-window plan"):
             sim.run(engine="fleet")
 
     def test_checkpoint_accepted(self, small_trace, assignment, tmp_path):

@@ -459,9 +459,9 @@ class TestSchemaNotes:
         assert "estimator" in note and "v6 is refused" in note
 
     def test_v8_note_names_the_removed_fields(self):
-        assert CHECKPOINT_SCHEMA_VERSION == 8
+        assert CHECKPOINT_SCHEMA_VERSION >= 8
         source = inspect.getsource(checkpoint_module)
-        note = source[source.index("#: v8:"):source.index("CHECKPOINT_SCHEMA_VERSION =")]
+        note = source[source.index("#: v8:"):source.index("#: v9:")]
         assert "``events``" in note and "``pool``" in note
         assert "v7 is refused" in note
 
@@ -548,7 +548,10 @@ class TestObservabilityRemovalBump:
             payload=state.payload,
             schema_version=7,
         ).save(tmp_path / "v7.ckpt")
-        with pytest.raises(ValueError, match=r"schema v7 .*expects v8"):
+        with pytest.raises(
+            ValueError,
+            match=rf"schema v7 .*expects v{CHECKPOINT_SCHEMA_VERSION}",
+        ):
             simulate(
                 tiny_trace, assignment=tiny_assignment, policy="pulse",
                 resume_from=path,
@@ -565,8 +568,80 @@ class TestObservabilityRemovalBump:
             payload=state.payload,
             schema_version=7,
         ).to_wire_json()
-        with pytest.raises(ValueError, match=r"schema v7 .*expects v8"):
+        with pytest.raises(
+            ValueError,
+            match=rf"schema v7 .*expects v{CHECKPOINT_SCHEMA_VERSION}",
+        ):
             SimulationState.from_wire_json(wire)
+
+
+class TestFleetKernelLayoutBump:
+    """v9 re-lays out the pickled fleet state (the estimator's in-window
+    totals, the ring's entry-slot table); a v8 fleet checkpoint is
+    refused by version instead of restoring an estimator without
+    ``lifetime_in``."""
+
+    def _v8_state(self, tiny_trace, tiny_assignment) -> SimulationState:
+        """A fleet checkpoint in the v8 layout: the current payload with
+        the v9 attributes taken out, stamped v8."""
+        states: list[SimulationState] = []
+        simulate(
+            tiny_trace, assignment=tiny_assignment, policy="pulse",
+            engine="fleet",
+            checkpoint=CheckpointConfig(every_minutes=30,
+                                        on_snapshot=states.append),
+        )
+        live = states[0].restore()
+        fleet = live["fleet"]
+        del fleet.est.lifetime_in, fleet.est.recent_in, fleet.ring.entry_slot
+        return SimulationState(
+            engine="fleet",
+            next_minute=states[0].next_minute,
+            cursor=states[0].cursor,
+            payload=pickle.dumps(live, protocol=pickle.HIGHEST_PROTOCOL),
+            schema_version=8,
+        )
+
+    def test_v8_payload_breaks_the_kernels(self, tiny_trace, tiny_assignment):
+        fleet = pickle.loads(
+            self._v8_state(tiny_trace, tiny_assignment).payload
+        )["fleet"]
+        with pytest.raises(AttributeError, match="lifetime_in"):
+            fleet.est.exact_rows(np.arange(3))
+
+    def test_v8_fleet_checkpoint_refused_by_version(
+        self, tiny_trace, tiny_assignment, tmp_path
+    ):
+        path = self._v8_state(tiny_trace, tiny_assignment).save(
+            tmp_path / "v8.ckpt"
+        )
+        with pytest.raises(
+            ValueError,
+            match=rf"schema v8 .*expects v{CHECKPOINT_SCHEMA_VERSION}",
+        ):
+            simulate(
+                tiny_trace, assignment=tiny_assignment, policy="pulse",
+                engine="fleet", resume_from=path,
+            )
+
+    def test_v8_wire_envelope_refused_by_version(
+        self, tiny_trace, tiny_assignment
+    ):
+        wire = self._v8_state(tiny_trace, tiny_assignment).to_wire_json()
+        with pytest.raises(
+            ValueError,
+            match=rf"schema v8 .*expects v{CHECKPOINT_SCHEMA_VERSION}",
+        ):
+            SimulationState.from_wire_json(wire)
+
+    def test_v9_note_names_the_fleet_layout(self):
+        assert CHECKPOINT_SCHEMA_VERSION == 9
+        source = inspect.getsource(checkpoint_module)
+        note = source[
+            source.index("#: v9:"):source.index("CHECKPOINT_SCHEMA_VERSION =")
+        ]
+        assert "``lifetime_in``" in note and "``entry_slot``" in note
+        assert "v8 is refused" in note
 
 
 class TestEnvelopeValidation:
